@@ -62,7 +62,7 @@ print(f"noise     eta1: median {np.median(noise_scores):9.1f}")
 # --- 4. Bootstrap threshold from the memory buffer ---------------------------
 
 buffer = init_buffer(train.inputs, train.labels, 400, net, np.random.default_rng(6))
-tau = bootstrap_threshold(net, buffer, ThresholdConfig(100, 8, 0.99),
+tau = bootstrap_threshold(net, buffer.inputs_matrix(), ThresholdConfig(100, 8, 0.99),
                           np.random.default_rng(7))
 print(f"\nbootstrap tau (alpha=0.99): {tau:.1f}")
 print(f"clean batches accepted:     {(clean_scores < tau).mean():.2%}")

@@ -12,8 +12,9 @@ Run:  python3 demos/03_active_queries_and_memory.py
 
 import numpy as np
 
-from bowl import (CandidatePool, SgdOptimizer, build_mlp, init_buffer, memory_scores,
-                  query_scores, select_top, synth_generate, update_buffer)
+from bowl import (CandidatePool, MemoryBuffer, SampleSet, SgdOptimizer, build_mlp,
+                  init_buffer, mean_pairwise_cosine, memory_scores, query_scores,
+                  sample_entropies, select_top, synth_generate, update_buffer)
 from bowl.engine import _train_supervised
 
 rng = np.random.default_rng(0)
@@ -28,13 +29,11 @@ _train_supervised(net, train.inputs, train.labels, opt, 30, 64,
 
 pool_data = synth_generate(4, 16, 0.3, 0.06, 512, seed=4, clip_unit=True)
 pool = CandidatePool()
-pool.append_batch(pool_data.inputs, pool_data.labels, timestep=1,
-                  ids=np.arange(512))
-scores = query_scores(net, pool)
+pool.append_batch(pool_data.inputs, pool_data.labels, ids=np.arange(512))
+gammas = query_scores(net, pool)  # one score per pool row, in pool order
 
-gammas = np.array([s.gamma_q for s in scores])
-alphas = np.array([s.alpha_q for s in scores])
-betas = np.array([s.beta_q for s in scores])
+alphas = sample_entropies(net, pool.inputs_matrix())
+betas = mean_pairwise_cosine(pool.inputs_matrix())
 print("alpha (novelty)   : min %.3f  median %.3f  max %.3f"
       % (alphas.min(), np.median(alphas), alphas.max()))
 print("beta  (typicality): min %.3f  median %.3f  max %.3f"
@@ -44,10 +43,10 @@ print("gamma = alpha*beta: min %.3f  median %.3f  max %.3f"
 
 # --- 2. Acquire the top-scoring batch; labels are revealed only here ---------
 
-queried = select_top(pool, scores, acquisition_batch=64)
+queried = select_top(pool, gammas, acquisition_batch=64)
 print(f"\nqueried {len(queried)} samples, pool shrank to {len(pool)}")
 print("oracle label reveals so far:", pool.oracle_reveals)
-print("top five queried ids:", [q.id for q in queried[:5]])
+print("top five queried ids:", queried.ids[:5].tolist())
 
 # --- 3. Rank buffer + queried by memory score and keep the top slots --------
 
@@ -55,7 +54,7 @@ buffer = init_buffer(train.inputs, train.labels, 200, net, np.random.default_rng
 print("\nbuffer composition before update:", buffer.composition())
 
 mem = memory_scores(buffer, queried, net)
-buffer, inserted = update_buffer(buffer, queried, mem, timestep=1)
+buffer, inserted = update_buffer(buffer, queried, mem)
 print(f"update kept capacity={buffer.capacity} entries; "
       f"{len(inserted)} queried samples displaced old ones")
 print("buffer composition after update: ", buffer.composition())
@@ -63,13 +62,10 @@ print("buffer composition after update: ", buffer.composition())
 # The distinctness term is easiest to see on a tiny candidate set: among
 # {a, a, b} with equal entropy, the duplicated pair scores below the
 # distinct member, so redundancy is what gets evicted first.
-from bowl.memory import MemoryBuffer, MemoryEntry
-
 a = np.array([1.0, 0.2] + [0.0] * 14, dtype=np.float32)
 b = np.array([0.0, 0.1, 1.0] + [0.0] * 13, dtype=np.float32)
-tiny = MemoryBuffer(3, [MemoryEntry(a, 0, 1.0, 0, 0),
-                        MemoryEntry(a.copy(), 0, 1.0, 0, 1),
-                        MemoryEntry(b, 1, 1.0, 0, 2)])
-gammas_tiny = memory_scores(tiny, [], net).gamma
+tiny = MemoryBuffer(3, SampleSet(np.stack([a, a, b]), labels=[0, 0, 1], ids=[0, 1, 2],
+                                 entropy=np.ones(3)))
+gammas_tiny = memory_scores(tiny, SampleSet.empty(), net).gamma
 print("\nmemory scores for {a, a, b} at equal entropy:",
       np.round(gammas_tiny, 3), "-> the duplicate pair ranks last")

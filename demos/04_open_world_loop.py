@@ -32,7 +32,7 @@ def fresh_net():
     return build_mlp(16, [16, 8], 2, rng, class_ids=[0, 1])
 
 
-config = LoopConfig(acquisition_batch=128, buffer_capacity=300, ood_batch_size=8,
+config = LoopConfig(acquisition_batch=128, buffer_capacity=300,
                     epochs_per_update=2, pretrain_epochs=30, minibatch_size=64,
                     bootstrap=ThresholdConfig(100, 3, 0.99), weight_decay=5e-4,
                     eval_every_update=False, seed=SEED)

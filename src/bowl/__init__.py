@@ -8,7 +8,7 @@ fixed-size replay buffer keeps while the model trains continually.
 """
 
 from .engine import LoopConfig, RunReport, evaluate, run_bowl, run_variant
-from .memory import MemoryBuffer, MemoryEntry, init_buffer, memory_scores, update_buffer
+from .memory import MemoryBuffer, init_buffer, memory_scores, update_buffer
 from .metrics import auroc, average_accuracy, count_odp, ema
 from .nn import (ActivationTrace, BatchNorm, Dense, Network, ReLU, SgdOptimizer,
                  backward_and_step, build_mlp, eval_mode, expand_head,
@@ -16,9 +16,9 @@ from .nn import (ActivationTrace, BatchNorm, Dense, Network, ReLU, SgdOptimizer,
                  train_one_epoch)
 from .ood import (OodScore, ThresholdConfig, batch_ood_score, bootstrap_threshold,
                   eta0_per_sample, eta1_from_eta0, filter_stream, predictive_entropy)
-from .query import (CandidatePool, QueriedSample, QueryScore, activation_spread,
-                    entropy_term, mean_pairwise_cosine, pool_similarity,
-                    query_scores, select_top)
+from .query import (CandidatePool, activation_spread, entropy_term, mean_pairwise_cosine,
+                    query_scores, sample_entropies, select_top)
+from .samples import SampleSet
 from .stream import (SENTINEL_LABEL, Dataset, MixSpec, SplitTasks, StreamBatch,
                      corrupt, load_dataset, make_split_tasks, mix_streams,
                      save_dataset, split_experiment, synth_generate)

@@ -85,7 +85,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "bootstrap_k": (int, 100),
         "bootstrap_size": (int, None),  # defaults to ood_batch_size
         "bootstrap_alpha": (float, 0.99),
-        "chunk_size": (int, 128),
         "eval_every_update": (_parse_bool, True),
     },
     "data": {
@@ -178,23 +177,24 @@ class RunConfig:
         bootstrap_size = v["loop"]["bootstrap_size"]
         if bootstrap_size is None:
             bootstrap_size = v["loop"]["ood_batch_size"]
-        return LoopConfig(
-            acquisition_batch=v["loop"]["acquisition_batch"],
-            buffer_capacity=v["loop"]["buffer_capacity"],
-            ood_batch_size=v["loop"]["ood_batch_size"],
-            epochs_per_update=v["loop"]["epochs_per_update"],
-            pretrain_epochs=v["loop"]["pretrain_epochs"],
-            minibatch_size=v["loop"]["minibatch_size"],
-            bootstrap=ThresholdConfig(v["loop"]["bootstrap_k"], bootstrap_size,
-                                      v["loop"]["bootstrap_alpha"]),
-            learning_rate=v["optimizer"]["learning_rate"],
-            momentum=v["optimizer"]["momentum"],
-            weight_decay=v["optimizer"]["weight_decay"],
-            chunk_size=v["loop"]["chunk_size"],
-            eval_every_update=v["loop"]["eval_every_update"],
-            baseline_epochs_per_task=v["loop"]["baseline_epochs_per_task"],
-            seed=self.seed if seed is None else seed,
-        )
+        try:
+            return LoopConfig(
+                acquisition_batch=v["loop"]["acquisition_batch"],
+                buffer_capacity=v["loop"]["buffer_capacity"],
+                epochs_per_update=v["loop"]["epochs_per_update"],
+                pretrain_epochs=v["loop"]["pretrain_epochs"],
+                minibatch_size=v["loop"]["minibatch_size"],
+                bootstrap=ThresholdConfig(v["loop"]["bootstrap_k"], bootstrap_size,
+                                          v["loop"]["bootstrap_alpha"]),
+                learning_rate=v["optimizer"]["learning_rate"],
+                momentum=v["optimizer"]["momentum"],
+                weight_decay=v["optimizer"]["weight_decay"],
+                eval_every_update=v["loop"]["eval_every_update"],
+                baseline_epochs_per_task=v["loop"]["baseline_epochs_per_task"],
+                seed=self.seed if seed is None else seed,
+            )
+        except ValueError as exc:  # LoopConfig / ThresholdConfig validation
+            raise ConfigError(f"bad [loop] setting: {exc}") from exc
 
     def _data_seeds(self, seed: int) -> np.ndarray:
         return np.random.SeedSequence([seed, 1]).generate_state(5)

@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .memory import (MemoryBuffer, MemoryEntry, export_composition_csv, init_buffer,
-                     memory_scores, sample_entropies, update_buffer)
+from .memory import (MemoryBuffer, export_composition_csv, init_buffer, memory_scores,
+                     update_buffer)
 from .metrics import MetricSeries, average_accuracy, count_odp, ema, write_metrics_csv
 from .nn import (Network, NonFiniteLossError, SgdOptimizer, backward_and_step,
-                 eval_mode, expand_head, train_one_epoch)
+                 eval_mode, expand_head, minibatches, train_one_epoch)
 from .ood import ThresholdConfig, bootstrap_threshold, filter_stream
 from .query import CandidatePool, query_scores, select_top
+from .samples import SampleSet
 from .serialization import atomic_write_text
 from .stream import SENTINEL_LABEL, SplitTasks, StreamBatch
 
@@ -36,7 +38,6 @@ VARIANTS = ("full", "no_ood", "random_query", "no_cl", "finetune", "balanced_buf
 class LoopConfig:
     acquisition_batch: int = 256
     buffer_capacity: int = 5000
-    ood_batch_size: int = 8
     epochs_per_update: int = 1
     pretrain_epochs: int = 30
     minibatch_size: int = 256
@@ -44,7 +45,6 @@ class LoopConfig:
     learning_rate: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    chunk_size: int = 128
     eval_every_update: bool = True
     # Per-task epochs for the traditionally trained baselines (finetune,
     # balanced_buffer); defaults to the pretraining budget.
@@ -54,6 +54,11 @@ class LoopConfig:
     def __post_init__(self):
         if self.acquisition_batch < 1:
             raise ValueError("acquisition batch must be >= 1")
+        if self.epochs_per_update < 1:
+            raise ValueError("epochs_per_update must be >= 1")
+        if self.minibatch_size < 2:
+            raise ValueError("minibatch_size must be >= 2: train-mode batch norm "
+                             "needs two rows")
         if self.buffer_capacity < self.acquisition_batch:
             warnings.warn("buffer capacity below acquisition batch; churn will be high",
                           stacklevel=2)
@@ -156,15 +161,12 @@ def _train_supervised(net: Network, inputs: np.ndarray, labels: np.ndarray,
     n = inputs.shape[0]
     if n == 0 or epochs == 0:
         return 0, float("nan")
-    index_of = net.class_index_map()
-    targets = np.asarray([index_of[int(l)] for l in labels], dtype=np.int64)
+    targets = net.head_rows(labels)
     net.train()
     steps = 0
     last_loss = float("nan")
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, minibatch_size):
-            sel = order[start:start + minibatch_size]
+        for sel in minibatches(n, minibatch_size, rng):
             last_loss = backward_and_step(net, inputs[sel], targets[sel], opt)
             steps += 1
     return steps, last_loss
@@ -274,28 +276,24 @@ def _run_pool_task(net, config, opt, report, t, batches, batch_ids, buffer,
                    rng_bootstrap, rng_shuffle, rng_query, rng_expand):
     """full / no_ood / random_query / no_cl share the pool machinery."""
     if variant in ("full", "random_query", "no_cl"):
-        reference = buffer if buffer is not None else threshold_reference
+        reference = buffer.inputs_matrix() if buffer is not None else threshold_reference
         tau = bootstrap_threshold(net, reference, config.bootstrap, rng_bootstrap)
         filtered = filter_stream(net, batches, tau)
-        accepted, flags = filtered.accepted, filtered.accept_flags
-        n_rejected = filtered.rejected_count
+        flags, n_rejected = filtered.accept_flags, filtered.rejected_count
     else:  # no_ood admits the entire stream
         tau = float("nan")
-        accepted, flags = list(batches), [True] * len(batches)
-        n_rejected = 0
+        flags, n_rejected = [True] * len(batches), 0
 
+    rows = _stream_rows(batches, batch_ids, flags)
     pool = CandidatePool()
-    for batch, ids, ok in zip(batches, batch_ids, flags):
-        if ok:
-            pool.append_batch(batch.inputs, batch.labels, t, ids)
+    pool.append_batch(rows.inputs, rows.labels, rows.ids)
     pool_size = len(pool)
     n_new = _discover_classes(net, pool.peek_unique_labels(), rng_expand)
 
     update_index = 0
     if variant in ("full", "no_ood"):
         while len(pool) > 0:
-            scores = query_scores(net, pool, config.chunk_size)
-            queried = select_top(pool, scores, config.acquisition_batch)
+            queried = select_top(pool, query_scores(net, pool), config.acquisition_batch)
             buffer = _buffer_update_and_train(net, config, opt, report, t,
                                               update_index, buffer, queried,
                                               tasks, rng_shuffle)
@@ -308,106 +306,119 @@ def _run_pool_task(net, config, opt, report, t, batches, batch_ids, buffer,
         for _ in range(rounds):
             k = min(config.acquisition_batch, len(pool))
             chosen = rng_query.choice(len(pool), size=k, replace=False)
-            queried = pool.take(chosen)
+            queried = pool.take(np.sort(chosen))
             buffer = _buffer_update_and_train(net, config, opt, report, t,
                                               update_index, buffer, queried,
                                               tasks, rng_shuffle)
             update_index += 1
     elif variant == "no_cl":
         while len(pool) > 0:
-            scores = query_scores(net, pool, config.chunk_size)
-            queried = select_top(pool, scores, config.acquisition_batch)
-            trainable = [q for q in queried if q.label != SENTINEL_LABEL]
+            queried = select_top(pool, query_scores(net, pool), config.acquisition_batch)
+            trainable = _labeled(queried)
             loss = float("nan")
-            if trainable:
-                x = np.stack([q.input for q in trainable])
-                y = np.asarray([q.label for q in trainable])
-                _, loss = _train_supervised(net, x, y, opt, config.epochs_per_update,
+            if len(trainable):
+                _, loss = _train_supervised(net, trainable.inputs, trainable.labels, opt,
+                                            config.epochs_per_update,
                                             config.minibatch_size, rng_shuffle)
-                report.insert_log.extend((q.id, t) for q in trainable)
+                report.insert_log.extend((i, t) for i in trainable.ids.tolist())
             acc = _evaluate_discovered(net, tasks) if config.eval_every_update else float("nan")
             report.updates.append(UpdateRecord(t, update_index, opt.step_count,
                                                len(queried), len(trainable), loss, acc))
             update_index += 1
 
     report.oracle_reveals += pool.oracle_reveals
-    return tau, len(accepted), n_rejected, pool_size, n_new, buffer
+    return tau, len(batches) - n_rejected, n_rejected, pool_size, n_new, buffer
 
 
 def _buffer_update_and_train(net, config, opt, report, t, update_index, buffer,
                              queried, tasks, rng_shuffle) -> MemoryBuffer:
     """One acquisition round: rescore memory, repopulate, train on the buffer."""
-    trainable = [q for q in queried if q.label != SENTINEL_LABEL]
-    scores = memory_scores(buffer, trainable, net, config.chunk_size)
-    buffer, inserted = update_buffer(buffer, trainable, scores, t)
+    trainable = _labeled(queried)
+    scores = memory_scores(buffer, trainable, net)
+    buffer, inserted = update_buffer(buffer, trainable, scores)
     report.insert_log.extend((i, t) for i in inserted)
-    steps = 0
-    losses = []
-    for _ in range(config.epochs_per_update):
-        s, loss = train_one_epoch(net, buffer, opt, config.minibatch_size, rng_shuffle)
-        steps += s
-        losses.append(loss)
+    losses = [train_one_epoch(net, buffer, opt, config.minibatch_size, rng_shuffle)[1]
+              for _ in range(config.epochs_per_update)]
     acc = _evaluate_discovered(net, tasks) if config.eval_every_update else float("nan")
     report.updates.append(UpdateRecord(t, update_index, opt.step_count, len(queried),
                                        len(inserted), float(np.mean(losses)), acc))
     return buffer
 
 
-def _flatten_task(batches, batch_ids):
-    """All non-sentinel stream samples of one task, with their ids."""
-    xs, ys, ids = [], [], []
-    for batch, bids in zip(batches, batch_ids):
-        keep = batch.labels != SENTINEL_LABEL
-        xs.append(batch.inputs[keep])
-        ys.append(batch.labels[keep])
-        ids.append(bids[keep])
-    if not xs:
-        return (np.zeros((0, 0), dtype=np.float32), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64))
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ids)
+def _stream_rows(batches, batch_ids, keep) -> SampleSet:
+    """The samples of one task's kept stream batches, in emission order."""
+    kept = [(batch, ids) for batch, ids, k in zip(batches, batch_ids, keep) if k]
+    if not kept:
+        return SampleSet.empty()
+    return SampleSet(np.concatenate([batch.inputs for batch, _ in kept]),
+                     np.concatenate([batch.labels for batch, _ in kept]),
+                     np.concatenate([ids for _, ids in kept]))
+
+
+def _labeled(rows: SampleSet) -> SampleSet:
+    """Drop foreign (sentinel-labeled) rows; they never reach a gradient step."""
+    return rows.subset(rows.labels != SENTINEL_LABEL)
 
 
 def _run_finetune_task(net, config, opt, report, t, batches, batch_ids,
                        rng_shuffle, rng_expand):
     """Sequential full-data training on each task; no buffer, no filtering."""
-    inputs, labels, ids = _flatten_task(batches, batch_ids)
-    n_new = _discover_classes(net, labels, rng_expand)
-    steps, loss = _train_supervised(net, inputs, labels, opt,
+    rows = _labeled(_stream_rows(batches, batch_ids, [True] * len(batches)))
+    n_new = _discover_classes(net, rows.labels, rng_expand)
+    steps, loss = _train_supervised(net, rows.inputs, rows.labels, opt,
                                     config.baseline_epochs,
                                     config.minibatch_size, rng_shuffle)
-    report.insert_log.extend((int(i), t) for i in ids)
-    report.updates.append(UpdateRecord(t, 0, opt.step_count, int(labels.size),
-                                       int(labels.size), loss, float("nan")))
-    return float("nan"), len(batches), 0, int(labels.size), n_new
+    report.insert_log.extend((i, t) for i in rows.ids.tolist())
+    report.updates.append(UpdateRecord(t, 0, opt.step_count, len(rows),
+                                       len(rows), loss, float("nan")))
+    return float("nan"), len(batches), 0, len(rows), n_new
 
 
 def _run_balanced_task(net, config, opt, report, t, batches, batch_ids, buffer,
                        rng_shuffle, rng_expand, rng_query):
     """Class-balanced random buffer (greedy fill), trained like the baselines."""
-    inputs, labels, ids = _flatten_task(batches, batch_ids)
-    n_new = _discover_classes(net, labels, rng_expand)
-    inserted: list[int] = []
-    order = rng_query.permutation(labels.size)
-    for i in order:
-        label = int(labels[i])
-        counts = buffer.composition()
-        if len(buffer) < buffer.capacity:
-            buffer.entries.append(MemoryEntry(inputs[i], label, 0.0, t, int(ids[i])))
-            inserted.append(int(ids[i]))
-            continue
-        largest = max(counts, key=lambda c: (counts[c], c))
-        if counts.get(label, 0) < counts[largest]:
-            victims = [j for j, e in enumerate(buffer.entries) if e.label == largest]
-            evict = victims[int(rng_query.integers(0, len(victims)))]
-            buffer.entries[evict] = MemoryEntry(inputs[i], label, 0.0, t, int(ids[i]))
-            inserted.append(int(ids[i]))
+    rows = _labeled(_stream_rows(batches, batch_ids, [True] * len(batches)))
+    n_new = _discover_classes(net, rows.labels, rng_expand)
+    buffer, inserted = _balanced_fill(buffer, rows, rng_query)
     report.insert_log.extend((i, t) for i in inserted)
     loss = float("nan")
     for _ in range(config.baseline_epochs):
         _, loss = train_one_epoch(net, buffer, opt, config.minibatch_size, rng_shuffle)
-    report.updates.append(UpdateRecord(t, 0, opt.step_count, int(labels.size),
+    report.updates.append(UpdateRecord(t, 0, opt.step_count, len(rows),
                                        len(inserted), loss, float("nan")))
-    return float("nan"), len(batches), 0, int(labels.size), n_new, buffer
+    return float("nan"), len(batches), 0, len(rows), n_new, buffer
+
+
+def _balanced_fill(buffer: MemoryBuffer, rows: SampleSet, rng: np.random.Generator
+                   ) -> tuple[MemoryBuffer, list[int]]:
+    """Visit rows in random order; append while there is room, then let a row
+    replace a random member of the largest class (ties to the higher class id)
+    when its own class is smaller. Returns the new buffer and the inserted ids."""
+    n = len(buffer)
+    labels = np.empty(buffer.capacity, dtype=np.int64)
+    labels[:n] = buffer.entries.labels
+    source = np.full(buffer.capacity, -1)  # row of `rows` now in each slot
+    counts = Counter(labels[:n].tolist())
+    inserted: list[int] = []
+    for i in rng.permutation(len(rows)):
+        label = int(rows.labels[i])
+        if n < buffer.capacity:
+            slot = n
+            n += 1
+        else:
+            largest = max(counts, key=lambda c: (counts[c], c))
+            if counts[label] >= counts[largest]:
+                continue
+            victims = np.flatnonzero(labels == largest)
+            slot = victims[int(rng.integers(0, len(victims)))]
+            counts[largest] -= 1
+        labels[slot] = label
+        source[slot] = i
+        counts[label] += 1
+        inserted.append(int(rows.ids[i]))
+    fresh = replace(rows, entropy=np.zeros(len(rows)))
+    index = np.where(source[:n] >= 0, len(buffer) + source[:n], np.arange(n))
+    return MemoryBuffer(buffer.capacity, buffer.entries.concat(fresh).subset(index)), inserted
 
 
 # ---------------------------------------------------------------------------

@@ -9,88 +9,61 @@ set changes every update. The model is only ever trained on this buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import Network, eval_mode
-from .query import QueriedSample, activation_spread, entropy_term, mean_pairwise_cosine
+from .nn import Network
+from .query import gamma_score, mean_pairwise_cosine, sample_entropies
+from .samples import SampleSet
 from .serialization import atomic_write_text
 
 
-@dataclass
-class MemoryEntry:
-    input: np.ndarray
-    label: int
-    entropy: float
-    inserted_at: int
-    id: int
-
-
 class MemoryBuffer:
-    def __init__(self, capacity: int, entries: list[MemoryEntry] | None = None):
+    """At most ``capacity`` labeled rows, each with its entropy cached at insertion."""
+
+    def __init__(self, capacity: int, entries: SampleSet | None = None):
         if capacity < 1:
             raise ValueError("buffer capacity must be positive")
         self.capacity = capacity
-        self.entries: list[MemoryEntry] = list(entries) if entries else []
-        if len(self.entries) > capacity:
+        if entries is None:
+            entries = replace(SampleSet.empty(), entropy=np.zeros(0))
+        if len(entries) > capacity:
             raise ValueError("initial entries exceed capacity")
+        if entries.entropy is None:
+            raise ValueError("buffer entries need cached entropies")
+        self.entries = entries
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def inputs_matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, 0), dtype=np.float32)
-        return np.stack([e.input.reshape(-1) for e in self.entries])
-
-    def labels(self) -> np.ndarray:
-        return np.asarray([e.label for e in self.entries], dtype=np.int64)
+        return self.entries.inputs
 
     def ids(self) -> list[int]:
-        return [e.id for e in self.entries]
+        return self.entries.ids.tolist()
 
     def composition(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for e in self.entries:
-            counts[e.label] = counts.get(e.label, 0) + 1
-        return dict(sorted(counts.items()))
-
-
-def sample_entropies(net: Network, inputs: np.ndarray, forward_batch: int = 256
-                     ) -> np.ndarray:
-    """Activation-spread entropy per sample, computed with the current model."""
-    inputs = np.asarray(inputs)
-    n = inputs.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    with eval_mode(net):
-        for start in range(0, n, forward_batch):
-            stop = min(start + forward_batch, n)
-            _, trace = net.forward(inputs[start:stop], capture=True)
-            out[start:stop] = entropy_term(activation_spread(trace))
-    return out
+        labels, counts = np.unique(self.entries.labels, return_counts=True)
+        return dict(zip(labels.tolist(), counts.tolist()))
 
 
 def init_buffer(inputs: np.ndarray, labels: np.ndarray, capacity: int,
-                net: Network, rng: np.random.Generator,
-                ids=None, timestep: int = 0) -> MemoryBuffer:
+                net: Network, rng: np.random.Generator, ids=None) -> MemoryBuffer:
     """Fill a fresh buffer with a uniform random sample of the dataset.
 
     This is the one point where old training data is assumed available;
     entropies are cached from the current (just-pretrained) model.
     """
     inputs = np.asarray(inputs)
-    labels = np.asarray(labels)
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("cannot initialize buffer from an empty dataset")
     if ids is None:
         ids = np.arange(n)
-    take = min(capacity, n)
-    chosen = np.sort(rng.choice(n, size=take, replace=False))
-    entropies = sample_entropies(net, inputs[chosen])
-    entries = [MemoryEntry(inputs[i], int(labels[i]), float(h), timestep, int(ids[i]))
-               for i, h in zip(chosen, entropies)]
+    chosen = np.sort(rng.choice(n, size=min(capacity, n), replace=False))
+    entries = SampleSet(inputs[chosen], np.asarray(labels)[chosen], np.asarray(ids)[chosen],
+                        sample_entropies(net, inputs[chosen]))
     return MemoryBuffer(capacity, entries)
 
 
@@ -103,37 +76,26 @@ class MemoryScores:
     n_buffer: int
 
 
-def memory_scores(buffer: MemoryBuffer, queried: list[QueriedSample],
-                  net: Network, chunk_size: int = 128) -> MemoryScores:
+def memory_scores(buffer: MemoryBuffer, queried: SampleSet, net: Network) -> MemoryScores:
     """Score every candidate in buffer + queried by gamma_m.
 
     gamma_m(s) = H(s) * (1 - mean cosine between s and the other candidates),
     with H taken from the entry cache for existing members and computed fresh
     for queried samples. Degenerate H = -inf candidates score -inf.
     """
-    n_buffer = len(buffer)
-    n_new = len(queried)
-    if n_buffer + n_new == 0:
+    candidates = buffer.entries.concat(queried)
+    if not len(candidates):
         raise ValueError("no candidates to score")
-    rows = [e.input.reshape(-1) for e in buffer.entries]
-    rows.extend(s.input.reshape(-1) for s in queried)
-    stacked = np.stack(rows)
-    entropy = np.empty(n_buffer + n_new, dtype=np.float64)
-    entropy[:n_buffer] = [e.entropy for e in buffer.entries]
-    if n_new:
-        entropy[n_buffer:] = sample_entropies(net, np.stack([s.input for s in queried]))
-    distinct = 1.0 - mean_pairwise_cosine(stacked, chunk_size=chunk_size)
-    gamma = np.full(entropy.shape, -np.inf)
-    finite = np.isfinite(entropy)
-    gamma[finite] = entropy[finite] * distinct[finite]
-    return MemoryScores(gamma=gamma, entropy=entropy, n_buffer=n_buffer)
+    entropy = np.concatenate([buffer.entries.entropy, sample_entropies(net, queried.inputs)])
+    gamma = gamma_score(entropy, 1.0 - mean_pairwise_cosine(candidates.inputs))
+    return MemoryScores(gamma=gamma, entropy=entropy, n_buffer=len(buffer))
 
 
-def update_buffer(buffer: MemoryBuffer, queried: list[QueriedSample],
-                  scores: MemoryScores, timestep: int
+def update_buffer(buffer: MemoryBuffer, queried: SampleSet, scores: MemoryScores
                   ) -> tuple[MemoryBuffer, list[int]]:
     """Keep the top-capacity candidates by gamma_m (ties to lower id).
 
+    Survivors keep their candidate order (buffer first, then queried).
     Returns the new buffer and the ids of queried samples that made it in
     (the per-update observed-data-point increment). With an empty queried
     set and a full candidate fit, the buffer passes through unchanged.
@@ -141,20 +103,10 @@ def update_buffer(buffer: MemoryBuffer, queried: list[QueriedSample],
     n_buffer = scores.n_buffer
     if n_buffer != len(buffer) or len(scores.gamma) != n_buffer + len(queried):
         raise ValueError("scores do not cover buffer + queried")
-    ids = buffer.ids() + [s.id for s in queried]
-    order = np.lexsort((np.asarray(ids), -scores.gamma))
-    keep = order[:buffer.capacity]
-    entries: list[MemoryEntry] = []
-    inserted: list[int] = []
-    for idx in sorted(int(i) for i in keep):
-        if idx < n_buffer:
-            entries.append(buffer.entries[idx])
-        else:
-            s = queried[idx - n_buffer]
-            entries.append(MemoryEntry(np.asarray(s.input), int(s.label),
-                                       float(scores.entropy[idx]), timestep, s.id))
-            inserted.append(s.id)
-    return MemoryBuffer(buffer.capacity, entries), inserted
+    candidates = replace(buffer.entries.concat(queried), entropy=scores.entropy)
+    keep = np.sort(np.lexsort((candidates.ids, -scores.gamma))[:buffer.capacity])
+    inserted = candidates.ids[keep[keep >= n_buffer]].tolist()
+    return MemoryBuffer(buffer.capacity, candidates.subset(keep)), inserted
 
 
 def export_composition_csv(path: str, snapshots: list[tuple[int, dict[int, int]]]) -> None:

@@ -77,10 +77,6 @@ def ema(values, decay: float) -> list[float]:
     return out
 
 
-def ema_series(series: MetricSeries, decay: float) -> MetricSeries:
-    return MetricSeries(f"{series.name}_ema", list(series.x), ema(series.y, decay), "ema")
-
-
 def write_metrics_csv(path: str, series_list: list[MetricSeries]) -> None:
     lines = ["series,x,y"]
     for series in series_list:

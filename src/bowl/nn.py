@@ -197,11 +197,15 @@ class Network:
     def n_classes(self) -> int:
         return self.head.out_dim
 
-    def class_index(self, label: int) -> int:
-        return self.class_ids.index(label)
-
-    def class_index_map(self) -> dict[int, int]:
-        return {c: i for i, c in enumerate(self.class_ids)}
+    def head_rows(self, labels: np.ndarray) -> np.ndarray:
+        """Head-row index of every label; each label must be a known class."""
+        class_ids = np.asarray(self.class_ids, dtype=np.int64)
+        order = np.argsort(class_ids)
+        pos = np.searchsorted(class_ids, labels, sorter=order)
+        rows = order[np.minimum(pos, len(order) - 1)]
+        if not np.array_equal(class_ids[rows], labels):
+            raise ValueError("label outside the head's classes")
+        return rows
 
     def forward(self, x: np.ndarray, capture: bool = False):
         """Run the network; returns (logits, trace) with trace None unless captured."""
@@ -354,6 +358,18 @@ def backward_and_step(net: Network, x: np.ndarray, targets: np.ndarray,
     return loss
 
 
+def minibatches(n: int, minibatch_size: int, rng: np.random.Generator):
+    """Index arrays of one shuffled pass over n rows, ceil(n / minibatch) of them.
+
+    Train-mode batch norm needs >= 2 rows, so a lone last row is duplicated:
+    the copy has a well-defined (zero) batch variance and the same mean loss.
+    """
+    order = rng.permutation(n)
+    for start in range(0, n, minibatch_size):
+        sel = order[start:start + minibatch_size]
+        yield np.repeat(sel, 2) if sel.size == 1 else sel
+
+
 def train_one_epoch(net: Network, buffer, opt: SgdOptimizer, minibatch_size: int,
                     rng: np.random.Generator) -> tuple[int, float]:
     """One shuffled pass over a memory buffer; returns (steps, mean loss).
@@ -365,17 +381,10 @@ def train_one_epoch(net: Network, buffer, opt: SgdOptimizer, minibatch_size: int
         raise ValueError("cannot train on an empty buffer")
     net.train()
     inputs = buffer.inputs_matrix()
-    index_of = net.class_index_map()
-    targets = np.asarray([index_of[e.label] for e in buffer.entries], dtype=np.int64)
-    order = rng.permutation(n)
+    targets = net.head_rows(buffer.entries.labels)
     steps = 0
     total_loss = 0.0
-    for start in range(0, n, minibatch_size):
-        sel = order[start:start + minibatch_size]
-        if sel.size == 1:
-            # Batch variance needs >= 2 rows; a duplicated sample has a
-            # well-defined (zero) batch variance and the same mean loss.
-            sel = np.repeat(sel, 2)
+    for sel in minibatches(n, minibatch_size, rng):
         total_loss += backward_and_step(net, inputs[sel], targets[sel], opt)
         steps += 1
     return steps, total_loss / steps
@@ -411,12 +420,6 @@ def save_checkpoint(net: Network, path: str) -> None:
 
 def load_checkpoint(net: Network, path: str) -> None:
     net.load_state_dict(read_tensors(path))
-
-
-def checkpoint_head_size(path: str) -> int:
-    """Number of head rows stored in a checkpoint (for rebuilding before load)."""
-    state = read_tensors(path)
-    return int(state["head.bias"].shape[0])
 
 
 def checkpoint_class_ids(path: str) -> list[int]:

@@ -91,10 +91,11 @@ def empirical_quantile(values: np.ndarray, alpha: float) -> float:
     return float(ordered[idx])
 
 
-def bootstrap_threshold(net: Network, buffer, cfg: ThresholdConfig,
+def bootstrap_threshold(net: Network, inputs: np.ndarray, cfg: ThresholdConfig,
                         rng: np.random.Generator) -> float:
-    """Alpha-quantile of batch eta1 over K bootstrap resamples of the buffer."""
-    inputs = buffer.inputs_matrix() if hasattr(buffer, "inputs_matrix") else np.asarray(buffer)
+    """Alpha-quantile of batch eta1 over K bootstrap resamples of ``inputs``
+    (the buffer's rows, or a frozen reference sample)."""
+    inputs = np.asarray(inputs)
     n = inputs.shape[0]
     if n < cfg.bootstrap_size:
         raise ValueError(f"buffer of {n} smaller than bootstrap size {cfg.bootstrap_size}")

@@ -8,32 +8,15 @@ top-scoring samples are queried (labels revealed) in acquisition batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import ActivationTrace, Network, eval_mode
+from .samples import SampleSet
 from .stream import SENTINEL_LABEL
 
 
 class DegenerateInputError(ValueError):
     """A zero-norm input has no direction; cosine similarity is undefined."""
-
-
-@dataclass(frozen=True)
-class QueryScore:
-    sigma_sq: float
-    alpha_q: float
-    beta_q: float
-    gamma_q: float
-
-
-@dataclass(frozen=True)
-class QueriedSample:
-    input: np.ndarray
-    label: int
-    id: int
-    gamma_q: float
 
 
 class CandidatePool:
@@ -45,56 +28,38 @@ class CandidatePool:
     """
 
     def __init__(self):
-        self._inputs: list[np.ndarray] = []
-        self._labels: list[int] = []
-        self._accepted_at: list[int] = []
-        self._ids: list[int] = []
+        self._samples = SampleSet.empty()
         self.oracle_reveals = 0
 
     def __len__(self) -> int:
-        return len(self._inputs)
+        return len(self._samples)
 
-    def append_batch(self, inputs: np.ndarray, labels: np.ndarray,
-                     timestep: int, ids) -> None:
-        inputs = np.asarray(inputs)
-        labels = np.asarray(labels)
-        if inputs.shape[0] != labels.shape[0] or inputs.shape[0] != len(ids):
-            raise ValueError("inputs, labels, and ids must align")
-        for i in range(inputs.shape[0]):
-            self._inputs.append(inputs[i])
-            self._labels.append(int(labels[i]))
-            self._accepted_at.append(timestep)
-            self._ids.append(int(ids[i]))
+    def append_batch(self, inputs: np.ndarray, labels: np.ndarray, ids) -> None:
+        self._samples = self._samples.concat(SampleSet(inputs, labels, ids))
 
     @property
-    def ids(self) -> list[int]:
-        return list(self._ids)
+    def ids(self) -> np.ndarray:
+        return self._samples.ids
 
     def inputs_matrix(self) -> np.ndarray:
-        if not self._inputs:
-            return np.zeros((0, 0), dtype=np.float32)
-        return np.stack([x.reshape(-1) for x in self._inputs])
+        return self._samples.inputs
 
     def peek_unique_labels(self, exclude_sentinel: bool = True) -> list[int]:
-        labels = set(self._labels)
+        labels = np.unique(self._samples.labels)
         if exclude_sentinel:
-            labels.discard(SENTINEL_LABEL)
-        return sorted(labels)
+            labels = labels[labels != SENTINEL_LABEL]
+        return labels.tolist()
 
-    def take(self, indices, gammas=None) -> list[QueriedSample]:
-        """Remove entries at ``indices`` and reveal their labels (oracle calls)."""
-        index_set = sorted(set(int(i) for i in indices))
-        if gammas is None:
-            gammas = {}
-        taken = [QueriedSample(self._inputs[i], self._labels[i], self._ids[i],
-                               float(gammas.get(i, 0.0)))
-                 for i in index_set]
+    def take(self, index) -> SampleSet:
+        """Remove the rows at ``index`` (positions, returned in the order given,
+        or a mask) and reveal their labels (oracle calls)."""
+        remaining = np.ones(len(self), dtype=bool)
+        remaining[index] = False
+        taken = self._samples.subset(index)
+        if len(taken) != len(self) - int(remaining.sum()):
+            raise ValueError("take indices must be distinct")
+        self._samples = self._samples.subset(remaining)
         self.oracle_reveals += len(taken)
-        for i in reversed(index_set):
-            del self._inputs[i]
-            del self._labels[i]
-            del self._accepted_at[i]
-            del self._ids[i]
         return taken
 
 
@@ -128,15 +93,28 @@ def entropy_term(sigma_sq):
     return out
 
 
-def mean_pairwise_cosine(x: np.ndarray, chunk_size: int = 128) -> np.ndarray:
+def sample_entropies(net: Network, inputs: np.ndarray, forward_batch: int = 256
+                     ) -> np.ndarray:
+    """Activation-spread entropy per sample, computed with the current model."""
+    inputs = np.asarray(inputs)
+    n = inputs.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    with eval_mode(net):
+        for start in range(0, n, forward_batch):
+            stop = min(start + forward_batch, n)
+            _, trace = net.forward(inputs[start:stop], capture=True)
+            out[start:stop] = entropy_term(activation_spread(trace))
+    return out
+
+
+def mean_pairwise_cosine(x: np.ndarray) -> np.ndarray:
     """For every row, the mean cosine similarity to all *other* rows.
 
-    Processes rows in chunks so peak intermediate storage is
-    O(chunk_size * n) rather than the full n x n similarity matrix. A pool of
-    one returns [0] (empty-average convention).
+    With unit rows u_i and their sum S, the cosines of row i to every row sum
+    to u_i . S, self-similarity 1 included, so the mean over the other n - 1
+    rows is (u_i . S - 1) / (n - 1): one O(n * d) product. A pool of one
+    returns [0] (empty-average convention).
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     x = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
     n = x.shape[0]
     if n == 0:
@@ -147,79 +125,45 @@ def mean_pairwise_cosine(x: np.ndarray, chunk_size: int = 128) -> np.ndarray:
     if n == 1:
         return np.zeros(1)
     unit = x / norms[:, None]
-    sums = np.empty(n, dtype=np.float64)
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        block = unit[start:stop] @ unit.T  # (chunk, n)
-        sums[start:stop] = block.sum(axis=1)
-    # Each row's block includes its self-similarity of exactly 1.
-    return (sums - 1.0) / (n - 1)
+    return (unit @ unit.sum(axis=0) - 1.0) / (n - 1)
 
 
-def pool_similarity(pool, q_index: int, chunk_size: int = 128) -> float:
-    """Mean cosine between entry ``q_index`` and every other pool member."""
-    x = pool.inputs_matrix() if hasattr(pool, "inputs_matrix") else np.asarray(pool)
-    x = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
-    n = x.shape[0]
-    if n == 1:
-        return 0.0
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("zero-norm input vector in similarity computation")
-    q = x[q_index] / norms[q_index]
-    total = 0.0
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        total += float((x[start:stop] @ q / norms[start:stop]).sum())
-    return (total - 1.0) / (n - 1)
-
-
-def _gamma(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    # Degenerate zero-spread samples are never selected, whatever beta is.
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    out = np.full(alpha.shape, -np.inf)
-    finite = np.isfinite(alpha)
-    out[finite] = alpha[finite] * beta[finite]
+def gamma_score(entropy: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """entropy * term, and -inf wherever the entropy is degenerate (-inf), so
+    zero-spread samples rank last whatever the other term is."""
+    out = np.full(entropy.shape, -np.inf)
+    finite = np.isfinite(entropy)
+    out[finite] = entropy[finite] * term[finite]
     return out
 
 
-def query_scores(net: Network, pool: CandidatePool, chunk_size: int = 128,
-                 forward_batch: int = 256) -> list[QueryScore]:
-    """Score every pool entry: gamma_q = alpha_q * beta_q."""
-    n = len(pool)
-    if n == 0:
+def query_scores(net: Network, pool: CandidatePool, forward_batch: int = 256
+                 ) -> np.ndarray:
+    """gamma_q = alpha_q * beta_q for every pool row, in pool order.
+
+    alpha_q is the activation-spread entropy (novelty), beta_q the mean
+    cosine similarity to the rest of the pool (typicality).
+    """
+    if len(pool) == 0:
         raise ValueError("cannot score an empty pool")
     inputs = pool.inputs_matrix()
-    sigma_sq = np.empty(n, dtype=np.float64)
-    with eval_mode(net):
-        for start in range(0, n, forward_batch):
-            stop = min(start + forward_batch, n)
-            _, trace = net.forward(inputs[start:stop], capture=True)
-            sigma_sq[start:stop] = activation_spread(trace)
-    alpha = entropy_term(sigma_sq)
-    beta = mean_pairwise_cosine(inputs, chunk_size=chunk_size)
-    gamma = _gamma(np.asarray(alpha), beta)
-    return [QueryScore(float(sigma_sq[i]), float(alpha[i]), float(beta[i]), float(gamma[i]))
-            for i in range(n)]
+    return gamma_score(sample_entropies(net, inputs, forward_batch),
+                       mean_pairwise_cosine(inputs))
 
 
-def select_top(pool: CandidatePool, scores: list[QueryScore], acquisition_batch: int
-               ) -> list[QueriedSample]:
-    """Query the top-B entries by gamma_q (ties to lower id), removing them.
+def select_top(pool: CandidatePool, scores: np.ndarray, acquisition_batch: int
+               ) -> SampleSet:
+    """Query the top-B rows by gamma_q (ties to lower id), removing them.
 
-    Returns the queried samples sorted by descending score; the pool shrinks
-    by exactly that many entries.
+    Returns the queried rows sorted by descending score; the pool shrinks by
+    exactly that many rows.
     """
     if acquisition_batch < 1:
         raise ValueError("acquisition batch must be >= 1")
     if len(pool) == 0:
         raise ValueError("cannot select from an empty pool")
-    if len(scores) != len(pool):
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(pool),):
         raise ValueError("scores must cover the pool")
-    ids = pool.ids
-    order = sorted(range(len(pool)), key=lambda i: (-scores[i].gamma_q, ids[i]))
-    chosen = order[:min(acquisition_batch, len(pool))]
-    gammas = {i: scores[i].gamma_q for i in chosen}
-    taken = pool.take(chosen, gammas)
-    return sorted(taken, key=lambda s: (-s.gamma_q, s.id))
+    order = np.lexsort((pool.ids, -scores))
+    return pool.take(order[:acquisition_batch])

@@ -74,6 +74,12 @@ class TestRun:
         assert main(["run", path]) == 2
         assert "warp_speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["epochs_per_update=0", "minibatch_size=1"])
+    def test_invalid_loop_setting_is_config_error(self, config_path, capsys, setting):
+        path, _ = config_path()
+        assert main(["run", path, "--set", f"loop.{setting}"]) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
     def test_duplicate_section_key_rejected(self, config_path, capsys):
         path, _ = config_path(extra="\n[data]\ndims = 9\n")
         assert main(["run", path]) == 2

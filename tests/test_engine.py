@@ -22,7 +22,7 @@ def tiny_tasks(seed=0, n_classes=6, dims=8, npc=80):
 
 
 def tiny_config(seed=0, **overrides):
-    defaults = dict(acquisition_batch=48, buffer_capacity=100, ood_batch_size=8,
+    defaults = dict(acquisition_batch=48, buffer_capacity=100,
                     epochs_per_update=1, pretrain_epochs=10, minibatch_size=32,
                     bootstrap=ThresholdConfig(30, 4, 0.99), learning_rate=0.1,
                     momentum=0.9, weight_decay=5e-4, eval_every_update=False,
@@ -167,6 +167,12 @@ class TestLoopStructure:
         with pytest.raises(ValueError, match="variant"):
             run_variant(tiny_net(), tiny_config(), tiny_tasks(), "mystery")
 
+    @pytest.mark.parametrize("field, value", [("epochs_per_update", 0),
+                                              ("minibatch_size", 1)])
+    def test_invalid_loop_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+
 
 class TestVariants:
     @pytest.mark.parametrize("variant", ["full", "no_ood", "random_query", "no_cl",
@@ -177,6 +183,19 @@ class TestVariants:
         assert set(rep.task_accuracies) == {0, 1, 2}
         assert all(0.0 <= a <= 1.0 for a in rep.task_accuracies.values())
         assert rep.total_steps > 0
+
+    @pytest.mark.parametrize("variant", ["full", "no_ood", "random_query", "no_cl",
+                                         "finetune", "balanced_buffer"])
+    def test_minibatch_of_one(self, variant):
+        """129 pretraining samples at minibatch 64 leave a last minibatch of
+        one; every training path duplicates it instead of crashing batch norm."""
+        train = synth_generate(4, 8, 0.3, 0.1, 257, seed=1, clip_unit=True)
+        test = synth_generate(4, 8, 0.3, 0.1, 80, seed=2, clip_unit=True)
+        tasks = split_experiment(train, test, [[0, 1], [2, 3]], 8, seed=3)
+        assert tasks.pretrain_inputs.shape[0] % 64 == 1
+        rep = run_variant(tiny_net(), tiny_config(minibatch_size=64), tasks, variant)
+        assert not rep.aborted
+        assert len(rep.tasks) == 1 and rep.total_steps > rep.pretrain_steps
 
     def test_finetune_observes_all_task_samples(self):
         tasks = tiny_tasks()
@@ -208,7 +227,7 @@ class TestEmpiricalBehaviors:
                               clip_unit=True)
         tasks = split_experiment(train, test, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]],
                                  8, seed=3000 + seed)
-        cfg = LoopConfig(acquisition_batch=128, buffer_capacity=300, ood_batch_size=8,
+        cfg = LoopConfig(acquisition_batch=128, buffer_capacity=300,
                          epochs_per_update=2, pretrain_epochs=30, minibatch_size=64,
                          bootstrap=ThresholdConfig(100, 3, 0.99), weight_decay=5e-4,
                          eval_every_update=False, seed=seed)
@@ -239,7 +258,7 @@ class TestEmpiricalBehaviors:
                               clip_unit=True)
         tasks = split_experiment(train, test, [[0, 1], [2, 3], [4, 5]], 8,
                                  seed=3000 + seed)
-        cfg = LoopConfig(acquisition_batch=128, buffer_capacity=300, ood_batch_size=8,
+        cfg = LoopConfig(acquisition_batch=128, buffer_capacity=300,
                          epochs_per_update=2, pretrain_epochs=30, minibatch_size=64,
                          bootstrap=ThresholdConfig(100, 3, 0.99), weight_decay=5e-4,
                          eval_every_update=False, seed=seed)

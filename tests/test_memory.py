@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from bowl.memory import (MemoryBuffer, MemoryEntry, MemoryScores, init_buffer,
-                         memory_scores, update_buffer)
+from bowl.memory import MemoryBuffer, MemoryScores, init_buffer, memory_scores, update_buffer
 from bowl.nn import build_mlp
-from bowl.query import QueriedSample, mean_pairwise_cosine
+from bowl.query import mean_pairwise_cosine
+from bowl.samples import SampleSet
+
+NONE_QUERIED = SampleSet.empty()
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +21,13 @@ def _buffer(inputs, entropies, capacity=None, labels=None, ids=None):
     n = inputs.shape[0]
     labels = labels if labels is not None else [0] * n
     ids = ids if ids is not None else list(range(n))
-    entries = [MemoryEntry(inputs[i], labels[i], float(entropies[i]), 0, ids[i])
-               for i in range(n)]
+    entries = SampleSet(inputs, labels, ids, np.asarray(entropies, dtype=np.float64))
     return MemoryBuffer(capacity or n, entries)
+
+
+def _queried(rng, n, label, first_id, dim=4):
+    return SampleSet(rng.normal(size=(n, dim)).astype(np.float32), [label] * n,
+                     np.arange(first_id, first_id + n))
 
 
 class TestInitBuffer:
@@ -63,13 +69,13 @@ class TestMemoryScores:
     def test_identical_candidates_score_zero(self, net):
         x = np.tile([0.5, 0.5, 0.5, 0.5], (5, 1))
         buf = _buffer(x, entropies=[1.0] * 5)
-        scores = memory_scores(buf, [], net)
+        scores = memory_scores(buf, NONE_QUERIED, net)
         np.testing.assert_allclose(scores.gamma, np.zeros(5), atol=1e-9)
 
     def test_orthogonal_candidate_scores_its_entropy(self, net):
         x = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=np.float32)
         buf = _buffer(x, entropies=[2.0, 0.5, 0.25])
-        scores = memory_scores(buf, [], net)
+        scores = memory_scores(buf, NONE_QUERIED, net)
         # every pair is orthogonal: bracket = 1, gamma = H
         np.testing.assert_allclose(scores.gamma, [2.0, 0.5, 0.25], atol=1e-9)
 
@@ -79,7 +85,7 @@ class TestMemoryScores:
         b = np.array([0.0, 0.1, 1.0, 0.0])
         x = np.stack([a, a, b])
         buf = _buffer(x, entropies=[1.0, 1.0, 1.0])
-        scores = memory_scores(buf, [], net)
+        scores = memory_scores(buf, NONE_QUERIED, net)
         # direct-evaluation oracle for the 3-vector instance
         cos = mean_pairwise_cosine(x)
         np.testing.assert_allclose(scores.gamma, 1.0 * (1.0 - cos), atol=1e-12)
@@ -89,7 +95,7 @@ class TestMemoryScores:
     def test_fresh_entropy_for_queried(self, net):
         rng = np.random.default_rng(6)
         buf = _buffer(rng.normal(size=(4, 4)), entropies=[0.1, 0.2, 0.3, 0.4])
-        queried = [QueriedSample(rng.normal(size=4).astype(np.float32), 0, 100, 0.0)]
+        queried = _queried(rng, 1, 0, 100)
         scores = memory_scores(buf, queried, net)
         assert scores.n_buffer == 4
         assert len(scores.gamma) == 5
@@ -102,7 +108,7 @@ class TestMemoryScores:
         distinct = np.array([1.0, -1.0, 1.0, -1.0])
         x = np.stack([base, base * 1.01, distinct])
         buf = _buffer(x, entropies=[0.5, 0.5, 1.5])
-        scores = memory_scores(buf, [], net)
+        scores = memory_scores(buf, NONE_QUERIED, net)
         assert scores.gamma[2] > scores.gamma[0]
         assert scores.gamma[2] > scores.gamma[1]
 
@@ -111,8 +117,8 @@ class TestUpdateBuffer:
     def test_empty_queried_is_identity(self, net):
         rng = np.random.default_rng(7)
         buf = _buffer(rng.normal(size=(5, 4)), entropies=rng.uniform(1, 2, 5))
-        scores = memory_scores(buf, [], net)
-        new, inserted = update_buffer(buf, [], scores, 1)
+        scores = memory_scores(buf, NONE_QUERIED, net)
+        new, inserted = update_buffer(buf, NONE_QUERIED, scores)
         assert inserted == []
         assert new.ids() == buf.ids()
         np.testing.assert_array_equal(new.inputs_matrix(), buf.inputs_matrix())
@@ -120,10 +126,9 @@ class TestUpdateBuffer:
     def test_everything_kept_when_under_capacity(self, net):
         rng = np.random.default_rng(8)
         buf = _buffer(rng.normal(size=(3, 4)), entropies=[1, 1, 1], capacity=10)
-        queried = [QueriedSample(rng.normal(size=4).astype(np.float32), 1, 50 + i, 0.0)
-                   for i in range(4)]
+        queried = _queried(rng, 4, 1, 50)
         scores = memory_scores(buf, queried, net)
-        new, inserted = update_buffer(buf, queried, scores, 2)
+        new, inserted = update_buffer(buf, queried, scores)
         assert len(new) == 7
         assert inserted == [50, 51, 52, 53]
 
@@ -133,13 +138,12 @@ class TestUpdateBuffer:
         n_buf, n_new, capacity = 2500, 7500, 2500
         buf = _buffer(rng.normal(size=(n_buf, 4)), entropies=np.ones(n_buf),
                       capacity=capacity, ids=list(range(n_buf)))
-        queried = [QueriedSample(rng.normal(size=4).astype(np.float32), 0,
-                                 n_buf + i, 0.0) for i in range(n_new)]
+        queried = _queried(rng, n_new, 0, n_buf)
         gamma = rng.normal(size=n_buf + n_new)
         gamma[rng.choice(n_buf + n_new, 500, replace=False)] = 0.25  # force ties
         scores = MemoryScores(gamma=gamma, entropy=np.ones(n_buf + n_new),
                               n_buffer=n_buf)
-        new, inserted = update_buffer(buf, queried, scores, 3)
+        new, inserted = update_buffer(buf, queried, scores)
         # oracle: python sort over (-gamma, id)
         ids = list(range(n_buf + n_new))
         oracle = sorted(ids, key=lambda i: (-gamma[i], i))[:capacity]
@@ -151,10 +155,9 @@ class TestUpdateBuffer:
         buf = _buffer(rng.normal(size=(6, 4)), entropies=np.arange(6, dtype=float),
                       capacity=6)
         cached = {e.id: e.entropy for e in buf.entries}
-        queried = [QueriedSample(rng.normal(size=4).astype(np.float32), 1, 90 + i, 0.0)
-                   for i in range(5)]
+        queried = _queried(rng, 5, 1, 90)
         scores = memory_scores(buf, queried, net)
-        new, inserted = update_buffer(buf, queried, scores, 4)
+        new, inserted = update_buffer(buf, queried, scores)
         assert len(new) == 6
         for e in new.entries:
             if e.id in cached:  # survivors keep their cached entropy

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.memory import MemoryBuffer, MemoryEntry
+from bowl.memory import MemoryBuffer
+from bowl.samples import SampleSet
 from bowl.nn import (BatchNorm, Dense, Network, ReLU, SgdOptimizer, backward_and_step,
                      build_mlp, eval_mode, expand_head, load_checkpoint,
                      save_checkpoint, softmax_cross_entropy, train_one_epoch)
@@ -217,8 +218,8 @@ class TestTraining:
 
     def _buffer_of(self, n, dim=3):
         rng = np.random.default_rng(8)
-        entries = [MemoryEntry(rng.normal(size=dim).astype(np.float32), i % 2, 1.0, 0, i)
-                   for i in range(n)]
+        entries = SampleSet(rng.normal(size=(n, dim)).astype(np.float32), np.arange(n) % 2,
+                            np.arange(n), np.ones(n))
         return MemoryBuffer(capacity=max(n, 1), entries=entries)
 
     def test_epoch_step_count_is_ceiling_division(self):
