@@ -7,7 +7,7 @@ to rank pool samples for active labeling, and to decide which samples a
 fixed-size replay buffer keeps while the model trains continually.
 """
 
-from .engine import LoopConfig, RunReport, evaluate, run_bowl, run_variant
+from .engine import LoopConfig, RunReport, evaluate, run_variant
 from .memory import MemoryBuffer, init_buffer, memory_scores, update_buffer
 from .metrics import auroc, average_accuracy, count_odp, ema
 from .nn import (ActivationTrace, BatchNorm, Dense, Network, ReLU, SgdOptimizer,

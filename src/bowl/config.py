@@ -59,7 +59,7 @@ _REQUIRED = object()
 
 SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "variant": (_choice(VARIANTS), "full"),
+        "variant": (_choice(tuple(VARIANTS)), "full"),
         "seed": (int, 0),
         "seeds": (_parse_int_list, None),  # ablation sweeps; defaults to [seed]
         "output_dir": (str, "runs/out"),

@@ -1,14 +1,30 @@
 """Open-world training loop across class-incremental timesteps.
 
 Timestep 0 pretrains on the first task's data under the traditional setup
-and fills the memory buffer. Every later timestep bootstraps an acceptance
-threshold from the buffer, filters its stream into a candidate pool, expands
-the output head by the newly discovered classes, then repeatedly queries the
-top-scoring samples, repopulates the buffer by memory score, and trains on
-the buffer until the pool is empty.
+and draws a uniform sample of it as the initial memory buffer. Every later
+timestep runs one path through three stages, and each variant in the
+``VARIANTS`` table names the implementation of each stage:
 
-Ablation variants drop one mechanism each (no_ood / random_query / no_cl),
-and two simple baselines (finetune, balanced_buffer) bracket the behavior.
+- OoD filter: bootstrap a threshold tau from the buffer and admit only the
+  stream batches whose eta1 lies below it, or admit every batch. Admitted
+  samples form the candidate pool, and the head grows by the new classes.
+- round policy: which pool samples each round queries (labels revealed):
+  the top-gamma_q acquisition batch until the pool is empty, uniform random
+  batches capped at one buffer's worth, or the whole pool in one round.
+- memory policy: what a round trains on: the buffer repopulated by gamma_m,
+  a class-balanced buffer filled greedily at random, or none, which trains
+  on the round's labeled rows.
+
+    full            = (filter,    top gamma_q, gamma_m)
+    no_ood          = (admit all, top gamma_q, gamma_m)
+    random_query    = (filter,    random,      gamma_m)
+    no_cl           = (filter,    top gamma_q, none)
+    finetune        = (admit all, whole pool,  none)
+    balanced_buffer = (admit all, whole pool,  balanced)
+
+A whole-pool round trains for ``baseline_epochs``, every other round for
+``epochs_per_update``. Pretraining and every round train through the one
+epoch loop ``_train_supervised``.
 """
 
 from __future__ import annotations
@@ -16,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,15 +40,16 @@ import numpy as np
 from .memory import (MemoryBuffer, export_composition_csv, init_buffer, memory_scores,
                      update_buffer)
 from .metrics import MetricSeries, average_accuracy, count_odp, ema, write_metrics_csv
-from .nn import (Network, NonFiniteLossError, SgdOptimizer, backward_and_step,
-                 eval_mode, expand_head, minibatches, train_one_epoch)
+from .nn import (Network, NonFiniteLossError, SgdOptimizer, eval_mode, expand_head,
+                 train_one_epoch)
+from .nn import backward_and_step  # noqa: F401  (engine attribute that tracing wraps)
 from .ood import ThresholdConfig, bootstrap_threshold, filter_stream
 from .query import CandidatePool, query_scores, select_top
 from .samples import SampleSet
 from .serialization import atomic_write_text
 from .stream import SENTINEL_LABEL, SplitTasks, StreamBatch
 
-VARIANTS = ("full", "no_ood", "random_query", "no_cl", "finetune", "balanced_buffer")
+EVAL_BATCH = 512
 
 
 @dataclass
@@ -46,8 +64,8 @@ class LoopConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     eval_every_update: bool = True
-    # Per-task epochs for the traditionally trained baselines (finetune,
-    # balanced_buffer); defaults to the pretraining budget.
+    # Epochs of a whole-pool round (the finetune and balanced_buffer
+    # baselines); defaults to the pretraining budget.
     baseline_epochs_per_task: int | None = None
     seed: int = 0
 
@@ -125,8 +143,7 @@ class RunReport:
         return average_accuracy(incremental)
 
 
-def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
-             batch_size: int = 512) -> float:
+def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of correct argmax predictions; sentinel labels are excluded."""
     inputs = np.asarray(inputs)
     labels = np.asarray(labels)
@@ -137,10 +154,10 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
     class_ids = np.asarray(net.class_ids, dtype=np.int64)
     correct = 0
     with eval_mode(net):
-        for start in range(0, inputs.shape[0], batch_size):
-            logits, _ = net.forward(inputs[start:start + batch_size])
+        for start in range(0, inputs.shape[0], EVAL_BATCH):
+            logits, _ = net.forward(inputs[start:start + EVAL_BATCH])
             preds = class_ids[np.argmax(logits, axis=1)]
-            correct += int((preds == labels[start:start + batch_size]).sum())
+            correct += int((preds == labels[start:start + EVAL_BATCH]).sum())
     return correct / labels.size
 
 
@@ -152,24 +169,17 @@ def _evaluate_discovered(net: Network, tasks: SplitTasks) -> float:
 
 def _train_supervised(net: Network, inputs: np.ndarray, labels: np.ndarray,
                       opt: SgdOptimizer, epochs: int, minibatch_size: int,
-                      rng: np.random.Generator) -> tuple[int, float]:
-    """Plain shuffled-minibatch training; the traditional (non-buffer) path."""
-    inputs = np.asarray(inputs)
-    labels = np.asarray(labels)
-    keep = labels != SENTINEL_LABEL
-    inputs, labels = inputs[keep], labels[keep]
-    n = inputs.shape[0]
-    if n == 0 or epochs == 0:
-        return 0, float("nan")
-    targets = net.head_rows(labels)
-    net.train()
-    steps = 0
-    last_loss = float("nan")
-    for _ in range(epochs):
-        for sel in minibatches(n, minibatch_size, rng):
-            last_loss = backward_and_step(net, inputs[sel], targets[sel], opt)
-            steps += 1
-    return steps, last_loss
+                      rng: np.random.Generator) -> float:
+    """The one epoch loop: ``epochs`` shuffled passes of ``train_one_epoch``.
+
+    Returns the mean over epochs of each epoch's mean minibatch loss, or nan
+    when there are no rows or no epochs (nothing is trained then).
+    """
+    if len(labels) == 0 or epochs == 0:
+        return float("nan")
+    losses = [train_one_epoch(net, inputs, labels, opt, minibatch_size, rng)[1]
+              for _ in range(epochs)]
+    return float(np.mean(losses))
 
 
 def _rng_for(seed: int, purpose: int) -> np.random.Generator:
@@ -187,162 +197,10 @@ def _assign_ids(batches: list[StreamBatch], next_id: int):
 
 def _discover_classes(net: Network, labels, rng: np.random.Generator) -> int:
     """Expand the head for labels not seen before; returns how many were new."""
-    novel = sorted(set(int(l) for l in labels)
-                   - set(net.class_ids) - {SENTINEL_LABEL})
+    novel = sorted(set(labels) - set(net.class_ids))
     if novel:
         expand_head(net, len(novel), rng, novel)
     return len(novel)
-
-
-def run_bowl(net: Network, config: LoopConfig, tasks: SplitTasks) -> RunReport:
-    """The full loop: OoD filter, active query, and buffer-only training."""
-    return run_variant(net, config, tasks, "full")
-
-
-def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
-                variant: str = "full") -> RunReport:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    rng_buffer = _rng_for(config.seed, 3)
-    rng_bootstrap = _rng_for(config.seed, 4)
-    rng_shuffle = _rng_for(config.seed, 5)
-    rng_query = _rng_for(config.seed, 6)
-    rng_expand = _rng_for(config.seed, 7)
-
-    opt = SgdOptimizer(config.learning_rate, config.momentum, config.weight_decay)
-    report = RunReport(variant=variant, seed=config.seed)
-
-    # Timestep 0: traditional supervised pretraining on the first task.
-    pre_steps, _ = _train_supervised(net, tasks.pretrain_inputs, tasks.pretrain_labels,
-                                     opt, config.pretrain_epochs,
-                                     config.minibatch_size, rng_shuffle)
-    report.pretrain_steps = pre_steps
-    report.task_accuracies[0] = _evaluate_discovered(net, tasks)
-
-    n_pretrain = int(tasks.pretrain_inputs.shape[0])
-    next_id = n_pretrain
-    uses_buffer = variant in ("full", "no_ood", "random_query", "balanced_buffer")
-    uses_ood = variant in ("full", "random_query", "no_cl")
-    buffer: MemoryBuffer | None = None
-    threshold_reference: np.ndarray | None = None
-    if uses_buffer:
-        buffer = init_buffer(tasks.pretrain_inputs, tasks.pretrain_labels,
-                             config.buffer_capacity, net, rng_buffer,
-                             ids=np.arange(n_pretrain))
-    elif uses_ood:
-        # no_cl keeps a frozen reference sample purely for thresholding.
-        take = min(config.buffer_capacity, n_pretrain)
-        sel = np.sort(rng_buffer.choice(n_pretrain, size=take, replace=False))
-        threshold_reference = tasks.pretrain_inputs[sel]
-
-    try:
-        for t in range(1, tasks.n_timesteps + 1):
-            batches = tasks.streams[t - 1]
-            batch_ids, next_id = _assign_ids(batches, next_id)
-
-            if variant == "finetune":
-                buffer_comp = {}
-                tau, n_acc, n_rej, pool_size, n_new = _run_finetune_task(
-                    net, config, opt, report, t, batches, batch_ids,
-                    rng_shuffle, rng_expand)
-            elif variant == "balanced_buffer":
-                tau, n_acc, n_rej, pool_size, n_new, buffer = _run_balanced_task(
-                    net, config, opt, report, t, batches, batch_ids, buffer,
-                    rng_shuffle, rng_expand, rng_query)
-                buffer_comp = buffer.composition()
-            else:
-                tau, n_acc, n_rej, pool_size, n_new, buffer = _run_pool_task(
-                    net, config, opt, report, t, batches, batch_ids, buffer,
-                    threshold_reference, variant, tasks,
-                    rng_bootstrap, rng_shuffle, rng_query, rng_expand)
-                buffer_comp = buffer.composition() if buffer is not None else {}
-
-            accuracy = _evaluate_discovered(net, tasks)
-            report.task_accuracies[t] = accuracy
-            report.tasks.append(TaskRecord(
-                timestep=t, tau=tau, accepted_batches=n_acc, rejected_batches=n_rej,
-                pool_size=pool_size, new_classes=n_new, head_width=net.n_classes,
-                accuracy=accuracy, buffer_composition=buffer_comp))
-    except NonFiniteLossError as exc:
-        report.aborted = True
-        report.abort_reason = str(exc)
-
-    report.total_steps = opt.step_count
-    return report
-
-
-def _run_pool_task(net, config, opt, report, t, batches, batch_ids, buffer,
-                   threshold_reference, variant, tasks,
-                   rng_bootstrap, rng_shuffle, rng_query, rng_expand):
-    """full / no_ood / random_query / no_cl share the pool machinery."""
-    if variant in ("full", "random_query", "no_cl"):
-        reference = buffer.inputs_matrix() if buffer is not None else threshold_reference
-        tau = bootstrap_threshold(net, reference, config.bootstrap, rng_bootstrap)
-        filtered = filter_stream(net, batches, tau)
-        flags, n_rejected = filtered.accept_flags, filtered.rejected_count
-    else:  # no_ood admits the entire stream
-        tau = float("nan")
-        flags, n_rejected = [True] * len(batches), 0
-
-    rows = _stream_rows(batches, batch_ids, flags)
-    pool = CandidatePool()
-    pool.append_batch(rows.inputs, rows.labels, rows.ids)
-    pool_size = len(pool)
-    n_new = _discover_classes(net, pool.peek_unique_labels(), rng_expand)
-
-    update_index = 0
-    if variant in ("full", "no_ood"):
-        while len(pool) > 0:
-            queried = select_top(pool, query_scores(net, pool), config.acquisition_batch)
-            buffer = _buffer_update_and_train(net, config, opt, report, t,
-                                              update_index, buffer, queried,
-                                              tasks, rng_shuffle)
-            update_index += 1
-    elif variant == "random_query":
-        # Fixed-size uniform queries at the start of the task, capped at one
-        # buffer's worth of data; the rest of the pool is never queried.
-        target = min(len(pool), config.buffer_capacity)
-        rounds = math.ceil(target / config.acquisition_batch) if target else 0
-        for _ in range(rounds):
-            k = min(config.acquisition_batch, len(pool))
-            chosen = rng_query.choice(len(pool), size=k, replace=False)
-            queried = pool.take(np.sort(chosen))
-            buffer = _buffer_update_and_train(net, config, opt, report, t,
-                                              update_index, buffer, queried,
-                                              tasks, rng_shuffle)
-            update_index += 1
-    elif variant == "no_cl":
-        while len(pool) > 0:
-            queried = select_top(pool, query_scores(net, pool), config.acquisition_batch)
-            trainable = _labeled(queried)
-            loss = float("nan")
-            if len(trainable):
-                _, loss = _train_supervised(net, trainable.inputs, trainable.labels, opt,
-                                            config.epochs_per_update,
-                                            config.minibatch_size, rng_shuffle)
-                report.insert_log.extend((i, t) for i in trainable.ids.tolist())
-            acc = _evaluate_discovered(net, tasks) if config.eval_every_update else float("nan")
-            report.updates.append(UpdateRecord(t, update_index, opt.step_count,
-                                               len(queried), len(trainable), loss, acc))
-            update_index += 1
-
-    report.oracle_reveals += pool.oracle_reveals
-    return tau, len(batches) - n_rejected, n_rejected, pool_size, n_new, buffer
-
-
-def _buffer_update_and_train(net, config, opt, report, t, update_index, buffer,
-                             queried, tasks, rng_shuffle) -> MemoryBuffer:
-    """One acquisition round: rescore memory, repopulate, train on the buffer."""
-    trainable = _labeled(queried)
-    scores = memory_scores(buffer, trainable, net)
-    buffer, inserted = update_buffer(buffer, trainable, scores)
-    report.insert_log.extend((i, t) for i in inserted)
-    losses = [train_one_epoch(net, buffer, opt, config.minibatch_size, rng_shuffle)[1]
-              for _ in range(config.epochs_per_update)]
-    acc = _evaluate_discovered(net, tasks) if config.eval_every_update else float("nan")
-    report.updates.append(UpdateRecord(t, update_index, opt.step_count, len(queried),
-                                       len(inserted), float(np.mean(losses)), acc))
-    return buffer
 
 
 def _stream_rows(batches, batch_ids, keep) -> SampleSet:
@@ -360,37 +218,46 @@ def _labeled(rows: SampleSet) -> SampleSet:
     return rows.subset(rows.labels != SENTINEL_LABEL)
 
 
-def _run_finetune_task(net, config, opt, report, t, batches, batch_ids,
-                       rng_shuffle, rng_expand):
-    """Sequential full-data training on each task; no buffer, no filtering."""
-    rows = _labeled(_stream_rows(batches, batch_ids, [True] * len(batches)))
-    n_new = _discover_classes(net, rows.labels, rng_expand)
-    steps, loss = _train_supervised(net, rows.inputs, rows.labels, opt,
-                                    config.baseline_epochs,
-                                    config.minibatch_size, rng_shuffle)
-    report.insert_log.extend((i, t) for i in rows.ids.tolist())
-    report.updates.append(UpdateRecord(t, 0, opt.step_count, len(rows),
-                                       len(rows), loss, float("nan")))
-    return float("nan"), len(batches), 0, len(rows), n_new
+# ---------------------------------------------------------------------------
+# Round policies: (net, pool, config, rng) -> iterator of (queried rows, epochs).
+# Each round is drawn after the previous one has trained.
 
 
-def _run_balanced_task(net, config, opt, report, t, batches, batch_ids, buffer,
-                       rng_shuffle, rng_expand, rng_query):
-    """Class-balanced random buffer (greedy fill), trained like the baselines."""
-    rows = _labeled(_stream_rows(batches, batch_ids, [True] * len(batches)))
-    n_new = _discover_classes(net, rows.labels, rng_expand)
-    buffer, inserted = _balanced_fill(buffer, rows, rng_query)
-    report.insert_log.extend((i, t) for i in inserted)
-    loss = float("nan")
-    for _ in range(config.baseline_epochs):
-        _, loss = train_one_epoch(net, buffer, opt, config.minibatch_size, rng_shuffle)
-    report.updates.append(UpdateRecord(t, 0, opt.step_count, len(rows),
-                                       len(inserted), loss, float("nan")))
-    return float("nan"), len(batches), 0, len(rows), n_new, buffer
+def _top_gamma_q_rounds(net, pool, config, rng):
+    """Top-gamma_q acquisition batches until the pool is empty."""
+    while len(pool) > 0:
+        queried = select_top(pool, query_scores(net, pool), config.acquisition_batch)
+        yield queried, config.epochs_per_update
 
 
-def _balanced_fill(buffer: MemoryBuffer, rows: SampleSet, rng: np.random.Generator
-                   ) -> tuple[MemoryBuffer, list[int]]:
+def _random_rounds(net, pool, config, rng):
+    """Uniform random acquisition batches at the start of the task, capped at
+    one buffer's worth of data; the rest of the pool is never queried."""
+    target = min(len(pool), config.buffer_capacity)
+    for _ in range(math.ceil(target / config.acquisition_batch)):
+        k = min(config.acquisition_batch, len(pool))
+        chosen = rng.choice(len(pool), size=k, replace=False)
+        yield pool.take(np.sort(chosen)), config.epochs_per_update
+
+
+def _whole_pool_round(net, pool, config, rng):
+    """The whole pool in one round, trained for the baseline budget."""
+    if len(pool) > 0:
+        yield pool.take(np.arange(len(pool))), config.baseline_epochs
+
+
+# ---------------------------------------------------------------------------
+# Memory policies: (buffer, labeled rows, net, rng) -> (buffer, inserted ids).
+
+
+def _gamma_m_memory(buffer: MemoryBuffer, rows: SampleSet, net: Network,
+                    rng: np.random.Generator) -> tuple[MemoryBuffer, list[int]]:
+    """Rescore buffer + rows by gamma_m and keep the top capacity."""
+    return update_buffer(buffer, rows, memory_scores(buffer, rows, net))
+
+
+def _balanced_fill(buffer: MemoryBuffer, rows: SampleSet, net: Network,
+                   rng: np.random.Generator) -> tuple[MemoryBuffer, list[int]]:
     """Visit rows in random order; append while there is room, then let a row
     replace a random member of the largest class (ties to the higher class id)
     when its own class is smaller. Returns the new buffer and the inserted ids."""
@@ -419,6 +286,102 @@ def _balanced_fill(buffer: MemoryBuffer, rows: SampleSet, rng: np.random.Generat
     fresh = replace(rows, entropy=np.zeros(len(rows)))
     index = np.where(source[:n] >= 0, len(buffer) + source[:n], np.arange(n))
     return MemoryBuffer(buffer.capacity, buffer.entries.concat(fresh).subset(index)), inserted
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One loop variant as its three stage choices."""
+
+    ood_filter: bool  # bootstrap tau and filter the stream, or admit every batch
+    rounds: Callable  # a round policy
+    memory: Callable | None  # a memory policy; None trains on the round's labeled rows
+
+
+VARIANTS: dict[str, Variant] = {
+    "full": Variant(True, _top_gamma_q_rounds, _gamma_m_memory),
+    "no_ood": Variant(False, _top_gamma_q_rounds, _gamma_m_memory),
+    "random_query": Variant(True, _random_rounds, _gamma_m_memory),
+    "no_cl": Variant(True, _top_gamma_q_rounds, None),
+    "finetune": Variant(False, _whole_pool_round, None),
+    "balanced_buffer": Variant(False, _whole_pool_round, _balanced_fill),
+}
+
+
+def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
+                variant: str = "full") -> RunReport:
+    try:
+        stages = VARIANTS[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}; "
+                         f"expected one of {tuple(VARIANTS)}") from None
+    rng_buffer = _rng_for(config.seed, 3)
+    rng_bootstrap = _rng_for(config.seed, 4)
+    rng_shuffle = _rng_for(config.seed, 5)
+    rng_query = _rng_for(config.seed, 6)
+    rng_expand = _rng_for(config.seed, 7)
+
+    opt = SgdOptimizer(config.learning_rate, config.momentum, config.weight_decay)
+    report = RunReport(variant=variant, seed=config.seed)
+
+    # Timestep 0: traditional supervised pretraining on the first task.
+    _train_supervised(net, tasks.pretrain_inputs, tasks.pretrain_labels, opt,
+                      config.pretrain_epochs, config.minibatch_size, rng_shuffle)
+    report.pretrain_steps = opt.step_count
+    report.task_accuracies[0] = _evaluate_discovered(net, tasks)
+
+    # A uniform sample of the pretraining data: the replay buffer's start, and
+    # the frozen tau reference of a variant without a memory policy.
+    n_pretrain = int(tasks.pretrain_inputs.shape[0])
+    buffer = init_buffer(tasks.pretrain_inputs, tasks.pretrain_labels,
+                         config.buffer_capacity, net, rng_buffer, ids=np.arange(n_pretrain))
+    next_id = n_pretrain
+
+    try:
+        for t in range(1, tasks.n_timesteps + 1):
+            batches = tasks.streams[t - 1]
+            batch_ids, next_id = _assign_ids(batches, next_id)
+            if stages.ood_filter:
+                tau = bootstrap_threshold(net, buffer.inputs_matrix(), config.bootstrap,
+                                          rng_bootstrap)
+                flags = filter_stream(net, batches, tau).accept_flags
+            else:
+                tau, flags = float("nan"), [True] * len(batches)
+            rows = _stream_rows(batches, batch_ids, flags)
+            pool = CandidatePool()
+            pool.append_batch(rows.inputs, rows.labels, rows.ids)
+            n_new = _discover_classes(net, pool.peek_unique_labels(), rng_expand)
+
+            rounds = stages.rounds(net, pool, config, rng_query)
+            for update_index, (queried, epochs) in enumerate(rounds):
+                labeled = _labeled(queried)
+                if stages.memory is None:
+                    train, inserted = labeled, labeled.ids.tolist()
+                else:
+                    buffer, inserted = stages.memory(buffer, labeled, net, rng_query)
+                    train = buffer.entries
+                report.insert_log.extend((i, t) for i in inserted)
+                loss = _train_supervised(net, train.inputs, train.labels, opt, epochs,
+                                         config.minibatch_size, rng_shuffle)
+                acc = (_evaluate_discovered(net, tasks) if config.eval_every_update
+                       else float("nan"))
+                report.updates.append(UpdateRecord(t, update_index, opt.step_count,
+                                                   len(queried), len(inserted), loss, acc))
+            report.oracle_reveals += pool.oracle_reveals
+
+            accuracy = _evaluate_discovered(net, tasks)
+            report.task_accuracies[t] = accuracy
+            n_rejected = flags.count(False)
+            report.tasks.append(TaskRecord(
+                timestep=t, tau=tau, accepted_batches=len(batches) - n_rejected,
+                rejected_batches=n_rejected, pool_size=len(rows), new_classes=n_new,
+                head_width=net.n_classes, accuracy=accuracy,
+                buffer_composition={} if stages.memory is None else buffer.composition()))
+    except NonFiniteLossError as exc:
+        report.aborted = True
+        report.abort_reason = str(exc)
+
+    report.total_steps = opt.step_count
+    return report
 
 
 # ---------------------------------------------------------------------------

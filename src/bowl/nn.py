@@ -370,18 +370,21 @@ def minibatches(n: int, minibatch_size: int, rng: np.random.Generator):
         yield np.repeat(sel, 2) if sel.size == 1 else sel
 
 
-def train_one_epoch(net: Network, buffer, opt: SgdOptimizer, minibatch_size: int,
+def train_one_epoch(net: Network, inputs: np.ndarray, labels: np.ndarray,
+                    opt: SgdOptimizer, minibatch_size: int,
                     rng: np.random.Generator) -> tuple[int, float]:
-    """One shuffled pass over a memory buffer; returns (steps, mean loss).
+    """The one minibatch loop: a shuffled pass over labeled rows; returns
+    (steps, mean minibatch loss).
 
-    Visits every buffer entry exactly once in ceil(len/minibatch) minibatches.
+    Visits every row exactly once in ceil(n / minibatch) minibatches. Every
+    label must be one of the head's classes.
     """
-    n = len(buffer)
+    n = len(labels)
     if n == 0:
-        raise ValueError("cannot train on an empty buffer")
+        raise ValueError("cannot train on an empty set")
     net.train()
-    inputs = buffer.inputs_matrix()
-    targets = net.head_rows(buffer.entries.labels)
+    inputs = np.asarray(inputs)
+    targets = net.head_rows(np.asarray(labels))
     steps = 0
     total_loss = 0.0
     for sel in minibatches(n, minibatch_size, rng):

@@ -15,8 +15,7 @@ from .samples import SampleSet
 from .stream import SENTINEL_LABEL
 
 
-class DegenerateInputError(ValueError):
-    """A zero-norm input has no direction; cosine similarity is undefined."""
+FORWARD_BATCH = 256
 
 
 class CandidatePool:
@@ -44,11 +43,9 @@ class CandidatePool:
     def inputs_matrix(self) -> np.ndarray:
         return self._samples.inputs
 
-    def peek_unique_labels(self, exclude_sentinel: bool = True) -> list[int]:
+    def peek_unique_labels(self) -> list[int]:
         labels = np.unique(self._samples.labels)
-        if exclude_sentinel:
-            labels = labels[labels != SENTINEL_LABEL]
-        return labels.tolist()
+        return labels[labels != SENTINEL_LABEL].tolist()
 
     def take(self, index) -> SampleSet:
         """Remove the rows at ``index`` (positions, returned in the order given,
@@ -93,15 +90,14 @@ def entropy_term(sigma_sq):
     return out
 
 
-def sample_entropies(net: Network, inputs: np.ndarray, forward_batch: int = 256
-                     ) -> np.ndarray:
+def sample_entropies(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Activation-spread entropy per sample, computed with the current model."""
     inputs = np.asarray(inputs)
     n = inputs.shape[0]
     out = np.empty(n, dtype=np.float64)
     with eval_mode(net):
-        for start in range(0, n, forward_batch):
-            stop = min(start + forward_batch, n)
+        for start in range(0, n, FORWARD_BATCH):
+            stop = min(start + FORWARD_BATCH, n)
             _, trace = net.forward(inputs[start:stop], capture=True)
             out[start:stop] = entropy_term(activation_spread(trace))
     return out
@@ -111,21 +107,21 @@ def mean_pairwise_cosine(x: np.ndarray) -> np.ndarray:
     """For every row, the mean cosine similarity to all *other* rows.
 
     With unit rows u_i and their sum S, the cosines of row i to every row sum
-    to u_i . S, self-similarity 1 included, so the mean over the other n - 1
-    rows is (u_i . S - 1) / (n - 1): one O(n * d) product. A pool of one
+    to u_i . S, self-similarity s_i included, so the mean over the other n - 1
+    rows is (u_i . S - s_i) / (n - 1): one O(n * d) product. A zero row has no
+    direction; it has cosine 0 to every row (u_i = 0, s_i = 0). A pool of one
     returns [0] (empty-average convention).
     """
     x = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
     n = x.shape[0]
     if n == 0:
         return np.zeros(0)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("zero-norm input vector in similarity computation")
     if n == 1:
         return np.zeros(1)
-    unit = x / norms[:, None]
-    return (unit @ unit.sum(axis=0) - 1.0) / (n - 1)
+    norms = np.linalg.norm(x, axis=1)
+    nonzero = norms > 0.0
+    unit = x / np.where(nonzero, norms, 1.0)[:, None]
+    return (unit @ unit.sum(axis=0) - nonzero) / (n - 1)
 
 
 def gamma_score(entropy: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -137,8 +133,7 @@ def gamma_score(entropy: np.ndarray, term: np.ndarray) -> np.ndarray:
     return out
 
 
-def query_scores(net: Network, pool: CandidatePool, forward_batch: int = 256
-                 ) -> np.ndarray:
+def query_scores(net: Network, pool: CandidatePool) -> np.ndarray:
     """gamma_q = alpha_q * beta_q for every pool row, in pool order.
 
     alpha_q is the activation-spread entropy (novelty), beta_q the mean
@@ -147,8 +142,7 @@ def query_scores(net: Network, pool: CandidatePool, forward_batch: int = 256
     if len(pool) == 0:
         raise ValueError("cannot score an empty pool")
     inputs = pool.inputs_matrix()
-    return gamma_score(sample_entropies(net, inputs, forward_batch),
-                       mean_pairwise_cosine(inputs))
+    return gamma_score(sample_entropies(net, inputs), mean_pairwise_cosine(inputs))
 
 
 def select_top(pool: CandidatePool, scores: np.ndarray, acquisition_batch: int

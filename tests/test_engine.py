@@ -1,15 +1,20 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bowl.engine as engine_mod
-from bowl.engine import (LoopConfig, evaluate, run_bowl, run_variant, write_summary)
+from bowl.engine import LoopConfig, evaluate, run_variant, write_summary
 from bowl.memory import MemoryBuffer
 from bowl.nn import build_mlp
 from bowl.ood import ThresholdConfig
-from bowl.stream import split_experiment, synth_generate
+from bowl.stream import SENTINEL_LABEL, SplitTasks, StreamBatch, split_experiment, synth_generate
+
+VARIANT_NAMES = list(engine_mod.VARIANTS)
 
 
 def tiny_tasks(seed=0, n_classes=6, dims=8, npc=80):
@@ -72,7 +77,7 @@ class TestDeterminism:
     def test_identical_config_identical_report(self):
         reports = []
         for _ in range(2):
-            rep = run_bowl(tiny_net(), tiny_config(), tiny_tasks())
+            rep = run_variant(tiny_net(), tiny_config(), tiny_tasks())
             reports.append(rep)
         a, b = reports
         assert a.task_accuracies == b.task_accuracies
@@ -85,7 +90,7 @@ class TestDeterminism:
     def test_summary_text_identical(self, tmp_path):
         paths = []
         for i in range(2):
-            rep = run_bowl(tiny_net(), tiny_config(), tiny_tasks())
+            rep = run_variant(tiny_net(), tiny_config(), tiny_tasks())
             p = tmp_path / f"summary{i}.txt"
             write_summary(rep, str(p))
             paths.append(p)
@@ -94,22 +99,34 @@ class TestDeterminism:
 
 class TestLoopStructure:
     def test_training_consumes_only_memory_buffer(self, monkeypatch):
-        calls = []
-        original = engine_mod.train_one_epoch
+        """After pretraining, every epoch of a buffer variant trains on exactly
+        the rows of the buffer made last (initial fill or latest update)."""
+        buffers, epochs = [], []
+        original_init = MemoryBuffer.__init__
+        original_epoch = engine_mod.train_one_epoch
 
-        def spy(net, buffer, opt, minibatch_size, rng):
-            calls.append(type(buffer))
-            assert isinstance(buffer, MemoryBuffer)
-            return original(net, buffer, opt, minibatch_size, rng)
+        def record_buffer(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            buffers.append(self)
 
+        def spy(net, inputs, labels, opt, minibatch_size, rng):
+            if buffers:
+                current = buffers[-1].entries
+                assert np.array_equal(inputs, current.inputs)
+                assert np.array_equal(labels, current.labels)
+                epochs.append(len(labels))
+            return original_epoch(net, inputs, labels, opt, minibatch_size, rng)
+
+        monkeypatch.setattr(MemoryBuffer, "__init__", record_buffer)
         monkeypatch.setattr(engine_mod, "train_one_epoch", spy)
         for variant in ("full", "no_ood", "random_query", "balanced_buffer"):
-            calls.clear()
+            buffers.clear()
+            epochs.clear()
             run_variant(tiny_net(), tiny_config(), tiny_tasks(), variant)
-            assert calls, f"{variant} never trained"
+            assert epochs, f"{variant} never trained on its buffer"
 
     def test_head_width_tracks_discovered_classes(self):
-        rep = run_bowl(tiny_net(), tiny_config(), tiny_tasks())
+        rep = run_variant(tiny_net(), tiny_config(), tiny_tasks())
         widths = [t.head_width for t in rep.tasks]
         assert widths == sorted(widths)
         assert widths[-1] == 6
@@ -117,7 +134,7 @@ class TestLoopStructure:
 
     def test_step_accounting(self):
         cfg = tiny_config()
-        rep = run_bowl(tiny_net(), cfg, tiny_tasks())
+        rep = run_variant(tiny_net(), cfg, tiny_tasks())
         assert rep.total_steps == rep.updates[-1].global_step
         # every update trains ceil(|M|/mb) * epochs steps on a full buffer
         per_update = np.diff([rep.pretrain_steps] + [u.global_step for u in rep.updates])
@@ -127,7 +144,7 @@ class TestLoopStructure:
     def test_empty_stream_carries_accuracy(self):
         tasks = tiny_tasks()
         tasks.streams[1] = []  # second incremental task has no data
-        rep = run_bowl(tiny_net(), tiny_config(), tasks)
+        rep = run_variant(tiny_net(), tiny_config(), tasks)
         assert rep.task_accuracies[2] == rep.task_accuracies[1]
         assert all(u.timestep != 2 for u in rep.updates)
 
@@ -140,7 +157,7 @@ class TestLoopStructure:
 
     def test_full_pool_fully_queried(self):
         tasks = tiny_tasks()
-        rep = run_bowl(tiny_net(), tiny_config(), tasks)
+        rep = run_variant(tiny_net(), tiny_config(), tasks)
         for t, record in zip((1, 2), rep.tasks):
             queried = sum(u.queried for u in rep.updates if u.timestep == t)
             assert queried == record.pool_size
@@ -155,7 +172,7 @@ class TestLoopStructure:
             assert queried < record.pool_size
 
     def test_odp_counts_unique_buffer_insertions(self):
-        rep = run_bowl(tiny_net(), tiny_config(), tiny_tasks())
+        rep = run_variant(tiny_net(), tiny_config(), tiny_tasks())
         assert rep.odp == len({i for i, _ in rep.insert_log})
         assert rep.odp <= sum(u.n_new_inserted for u in rep.updates)
 
@@ -175,8 +192,7 @@ class TestLoopStructure:
 
 
 class TestVariants:
-    @pytest.mark.parametrize("variant", ["full", "no_ood", "random_query", "no_cl",
-                                         "finetune", "balanced_buffer"])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_variant_completes_with_sane_report(self, variant):
         rep = run_variant(tiny_net(), tiny_config(), tiny_tasks(), variant)
         assert not rep.aborted
@@ -184,8 +200,7 @@ class TestVariants:
         assert all(0.0 <= a <= 1.0 for a in rep.task_accuracies.values())
         assert rep.total_steps > 0
 
-    @pytest.mark.parametrize("variant", ["full", "no_ood", "random_query", "no_cl",
-                                         "finetune", "balanced_buffer"])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_minibatch_of_one(self, variant):
         """129 pretraining samples at minibatch 64 leave a last minibatch of
         one; every training path duplicates it instead of crashing batch norm."""
@@ -196,6 +211,14 @@ class TestVariants:
         rep = run_variant(tiny_net(), tiny_config(minibatch_size=64), tasks, variant)
         assert not rep.aborted
         assert len(rep.tasks) == 1 and rep.total_steps > rep.pretrain_steps
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_zero_norm_stream_row(self, variant):
+        """A zero input has cosine 0 to every row; it no longer stops the run."""
+        tasks = tiny_tasks()
+        tasks.streams[0][0].inputs[0] = 0.0
+        rep = run_variant(tiny_net(), tiny_config(), tasks, variant)
+        assert not rep.aborted and len(rep.tasks) == 2
 
     def test_finetune_observes_all_task_samples(self):
         tasks = tiny_tasks()
@@ -214,7 +237,7 @@ class TestVariants:
         assert all(t.buffer_composition == {} for t in rep.tasks)
 
     def test_average_accuracy_over_incremental_steps(self):
-        rep = run_bowl(tiny_net(), tiny_config(), tiny_tasks())
+        rep = run_variant(tiny_net(), tiny_config(), tiny_tasks())
         expected = np.mean([rep.task_accuracies[1], rep.task_accuracies[2]])
         assert rep.average_task_accuracy == pytest.approx(expected)
 
@@ -239,7 +262,7 @@ class TestEmpiricalBehaviors:
     def test_procurement_declines_within_tasks(self):
         """Later acquisition rounds insert fewer new samples into the buffer."""
         net, cfg, tasks, _ = self._toy()
-        rep = run_bowl(net, cfg, tasks)
+        rep = run_variant(net, cfg, tasks)
         per_task = {}
         for u in rep.updates:
             per_task.setdefault(u.timestep, []).append(u.n_new_inserted)
@@ -271,7 +294,7 @@ class TestEmpiricalBehaviors:
         """On two disjoint tasks, dropping replay costs >= 30 points on the
         first incremental task's classes."""
         net, cfg, tasks, test = self._two_task()
-        run_bowl(net, cfg, tasks)
+        run_variant(net, cfg, tasks)
         net2, cfg2, tasks2, _ = self._two_task()
         run_variant(net2, cfg2, tasks2, "no_cl")
         first_task = np.isin(test.labels, [2, 3])
@@ -285,3 +308,79 @@ class TestEmpiricalBehaviors:
         old = np.isin(test.labels, [0, 1, 2, 3])
         acc_old = evaluate(net, test.inputs[old], test.labels[old])
         assert acc_old <= 1.0 / 6.0 + 0.10  # at or below chance plus slack
+
+
+def _drawn_tasks(seed, dims, n_pretrain, ood_batch, kinds, zero_row):
+    """Pretraining on classes 0 and 1, then one task per entry of ``kinds``:
+    "clean" (the next two classes), "empty" (no batches) or "foreign" (only
+    sentinel-labeled rows). ``zero_row`` zeroes the first stream row."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((2 + 2 * len(kinds), dims))
+
+    def rows(classes, n):
+        labels = np.resize(np.asarray(classes), n)
+        x = centers[labels] + 0.05 * rng.normal(size=(n, dims))
+        return x.astype(np.float32), labels
+
+    pre_x, pre_y = rows([0, 1], n_pretrain)
+    streams, test = [], [rows([0, 1], 8)]
+    for i, kind in enumerate(kinds):
+        classes = [2 + 2 * i, 3 + 2 * i]
+        if kind == "empty":
+            streams.append([])
+            continue
+        x, y = rows(classes, 3 * ood_batch)
+        if kind == "foreign":
+            x, y = rng.random(x.shape).astype(np.float32), np.full(len(y), SENTINEL_LABEL)
+        else:
+            test.append(rows(classes, 8))
+        streams.append([StreamBatch(x[s:s + ood_batch], y[s:s + ood_batch], kind)
+                        for s in range(0, len(y), ood_batch)])
+    if zero_row and any(streams):
+        next(batches for batches in streams if batches)[0].inputs[0] = 0.0
+    return SplitTasks(pre_x, pre_y, streams, np.concatenate([x for x, _ in test]),
+                      np.concatenate([y for _, y in test]),
+                      [[0, 1]] + [[2 + 2 * i, 3 + 2 * i] for i in range(len(kinds))])
+
+
+class TestLoopProperties:
+    @given(seed=st.integers(0, 2**16), minibatch=st.integers(2, 6),
+           odd_pretrain=st.booleans(), capacity=st.integers(2, 12),
+           acquisition=st.integers(1, 12), ood_batch=st.integers(1, 4),
+           kinds=st.lists(st.sampled_from(["clean", "empty", "foreign"]),
+                          min_size=1, max_size=3),
+           zero_row=st.booleans())
+    @example(seed=0, minibatch=4, odd_pretrain=True, capacity=3, acquisition=8,
+             ood_batch=2, kinds=["clean", "empty", "foreign"], zero_row=True)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_loop_invariants(self, seed, minibatch, odd_pretrain, capacity, acquisition,
+                             ood_batch, kinds, zero_row):
+        n_pretrain = 2 * minibatch + (1 if odd_pretrain else 3)
+        tasks = _drawn_tasks(seed, 4, n_pretrain, ood_batch, kinds, zero_row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # capacity below the acquisition batch
+            cfg = LoopConfig(acquisition_batch=acquisition, buffer_capacity=capacity,
+                             epochs_per_update=1, pretrain_epochs=2,
+                             minibatch_size=minibatch, bootstrap=ThresholdConfig(5, 2, 0.9),
+                             eval_every_update=False, baseline_epochs_per_task=2, seed=seed)
+        original = engine_mod.train_one_epoch
+
+        def spy(net, inputs, labels, opt, minibatch_size, rng):
+            assert not np.any(np.asarray(labels) == SENTINEL_LABEL)
+            return original(net, inputs, labels, opt, minibatch_size, rng)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "train_one_epoch", spy)
+            for variant in VARIANT_NAMES:
+                net = build_mlp(4, [5, 3], 2, np.random.default_rng(seed), class_ids=[0, 1])
+                rep = run_variant(net, cfg, tasks, variant)
+                if rep.aborted:
+                    assert rep.abort_reason.startswith("loss diverged")
+                    continue
+                assert len(rep.tasks) == len(kinds)
+                for record, batches in zip(rep.tasks, tasks.streams):
+                    assert record.accepted_batches + record.rejected_batches == len(batches)
+                    assert sum(record.buffer_composition.values()) <= capacity
+                assert rep.odp <= rep.oracle_reveals <= tasks.total_stream_size()
+                width = 2 + sum(record.new_classes for record in rep.tasks)
+                assert rep.tasks[-1].head_width == net.n_classes == width

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.memory import MemoryBuffer
-from bowl.samples import SampleSet
 from bowl.nn import (BatchNorm, Dense, Network, ReLU, SgdOptimizer, backward_and_step,
                      build_mlp, eval_mode, expand_head, load_checkpoint,
                      save_checkpoint, softmax_cross_entropy, train_one_epoch)
@@ -216,25 +214,24 @@ class TestTraining:
         loss, _ = softmax_cross_entropy(logits, np.array([0, 1, 0, 1]))
         assert abs(loss - math.log(2)) < 1e-7
 
-    def _buffer_of(self, n, dim=3):
+    def _rows(self, n, dim=3):
+        """(inputs, labels) of n random rows over classes 0 and 1."""
         rng = np.random.default_rng(8)
-        entries = SampleSet(rng.normal(size=(n, dim)).astype(np.float32), np.arange(n) % 2,
-                            np.arange(n), np.ones(n))
-        return MemoryBuffer(capacity=max(n, 1), entries=entries)
+        return rng.normal(size=(n, dim)).astype(np.float32), np.arange(n) % 2
 
     def test_epoch_step_count_is_ceiling_division(self):
         rng = np.random.default_rng(9)
         net = build_mlp(3, [4], 2, rng)
         opt = SgdOptimizer(0.01, 0.9, 0.0)
-        steps, _ = train_one_epoch(net, self._buffer_of(5000), opt, 256,
+        steps, _ = train_one_epoch(net, *self._rows(5000), opt, 256,
                                    np.random.default_rng(0))
         assert steps == 20
 
-    def test_single_entry_buffer_trains_one_step(self):
+    def test_single_row_trains_one_step(self):
         rng = np.random.default_rng(10)
         net = build_mlp(3, [4], 2, rng)
         opt = SgdOptimizer(0.01, 0.9, 0.0)
-        steps, loss = train_one_epoch(net, self._buffer_of(1), opt, 256,
+        steps, loss = train_one_epoch(net, *self._rows(1), opt, 256,
                                       np.random.default_rng(0))
         assert steps == 1
         assert math.isfinite(loss)
@@ -243,19 +240,19 @@ class TestTraining:
         rng = np.random.default_rng(11)
         net1 = build_mlp(3, [4], 2, rng)
         net2 = build_mlp(3, [4], 2, np.random.default_rng(11))
-        buf = self._buffer_of(40)
+        rows = self._rows(40)
         opt1 = SgdOptimizer(0.05, 0.9, 0.0)
         opt2 = SgdOptimizer(0.05, 0.9, 0.0)
-        train_one_epoch(net1, buf, opt1, 16, np.random.default_rng(5))
-        train_one_epoch(net2, buf, opt2, 16, np.random.default_rng(5))
+        train_one_epoch(net1, *rows, opt1, 16, np.random.default_rng(5))
+        train_one_epoch(net2, *rows, opt2, 16, np.random.default_rng(5))
         for (n1, p1), (_, p2) in zip(net1.named_parameters(), net2.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
-    def test_empty_buffer_rejected(self):
+    def test_empty_set_rejected(self):
         net = build_mlp(3, [4], 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
-            train_one_epoch(net, MemoryBuffer(capacity=4), SgdOptimizer(), 8,
-                            np.random.default_rng(0))
+            train_one_epoch(net, np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64),
+                            SgdOptimizer(), 8, np.random.default_rng(0))
 
 
 class TestExpandHead:

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bowl.nn import ActivationTrace, build_mlp
-from bowl.query import (CandidatePool, DegenerateInputError, activation_spread,
-                        entropy_term, mean_pairwise_cosine, query_scores,
-                        sample_entropies, select_top)
+from bowl.query import (CandidatePool, activation_spread, entropy_term,
+                        mean_pairwise_cosine, query_scores, sample_entropies, select_top)
 
 
 def _trace(a_layers):
@@ -80,10 +79,15 @@ class TestPoolSimilarity:
         np.testing.assert_allclose(mean_pairwise_cosine(x), naive_mean_cosine(x),
                                    rtol=0, atol=1e-12)
 
-    def test_zero_norm_rejected(self):
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateInputError):
-            mean_pairwise_cosine(x)
+    def test_zero_row_has_cosine_zero_to_every_row(self):
+        # u = (1, 0), 0, (1, 1)/sqrt2 and S = (1 + 1/sqrt2, 1/sqrt2): rows 0 and 2
+        # have cosine 1/sqrt2 to each other and 0 to the zero row, so each
+        # averages 1/(2 sqrt2) over its two others; the zero row averages 0.
+        x = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        half = 1.0 / (2.0 * math.sqrt(2.0))
+        np.testing.assert_allclose(mean_pairwise_cosine(x), [half, 0.0, half],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(mean_pairwise_cosine(np.zeros((3, 2))), np.zeros(3))
 
     def test_singleton_pool_convention(self):
         assert mean_pairwise_cosine(np.array([[1.0, 2.0]]))[0] == 0.0
@@ -94,8 +98,7 @@ class TestPoolSimilarity:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 30))
         x = rng.normal(size=(n, int(rng.integers(1, 8))))
-        if np.any(np.linalg.norm(x, axis=1) == 0):
-            return
+        x[rng.random(n) < 0.1] = 0.0  # zero rows have cosine 0 to every row
         beta = mean_pairwise_cosine(x)
         assert (beta >= -1.0 - 1e-12).all() and (beta <= 1.0 + 1e-12).all()
         nonneg = np.abs(x)
@@ -148,10 +151,11 @@ class TestQueryScores:
         np.testing.assert_allclose(scores_perm, scores[perm], rtol=1e-9)
 
     def test_batched_forward_independent_of_batching(self, net):
-        x = np.random.default_rng(4).normal(size=(30, 5)).astype(np.float32)
-        a = query_scores(net, _pool_from(x), forward_batch=7)
-        b = query_scores(net, _pool_from(x), forward_batch=256)
-        np.testing.assert_allclose(a, b, rtol=1e-9)
+        # 300 rows cross a forward-chunk boundary; eval-mode scores are per row.
+        x = np.random.default_rng(4).normal(size=(300, 5)).astype(np.float32)
+        row_by_row = np.concatenate([sample_entropies(net, x[i:i + 1]) for i in range(300)])
+        np.testing.assert_allclose(query_scores(net, _pool_from(x)),
+                                   row_by_row * mean_pairwise_cosine(x), rtol=1e-9)
 
     def test_empty_pool_rejected(self, net):
         with pytest.raises(ValueError, match="empty"):
@@ -208,7 +212,6 @@ class TestPoolLabelDiscipline:
     def test_peek_excludes_sentinel(self):
         pool = _pool_from(np.eye(3), labels=np.array([-1, 2, 2]))
         assert pool.peek_unique_labels() == [2]
-        assert pool.peek_unique_labels(exclude_sentinel=False) == [-1, 2]
         assert pool.oracle_reveals == 0
 
 
