@@ -19,11 +19,10 @@ from .engine import (RunReport, run_variant, write_buffer_composition,
 from .metrics import auroc
 from .nn import (Network, NonFiniteLossError, checkpoint_class_ids, load_checkpoint,
                  save_checkpoint)
-from .ood import (batch_ood_score, batch_predictive_entropy, export_score_csv,
+from .ood import (batch_ood_score, export_score_csv, predictive_entropy,
                   predictive_entropy_per_sample, sample_eta1_scores)
 from .serialization import FormatError, atomic_write_text
 from .stream import Dataset, load_dataset, save_dataset, synth_generate
-from .nn import eval_mode
 
 OUTPUT_DIR_ENV = "BOWL_OUTPUT_DIR"
 
@@ -159,21 +158,20 @@ def cmd_ablate(args) -> int:
 
 
 def _dataset_scores(net: Network, dataset: Dataset, batch_size: int, granularity: str):
-    """eta1 and predictive-entropy scores at batch or sample granularity."""
+    """eta1 and predictive-entropy scores at batch or sample granularity, both
+    from one eval-mode forward pass per chunk."""
     eta1: list[float] = []
     pe: list[float] = []
     if granularity == "sample":
         for start in range(0, dataset.n, 512):
-            chunk = dataset.inputs[start:start + 512]
-            eta1.extend(sample_eta1_scores(net, chunk).tolist())
-            with eval_mode(net):
-                logits, _ = net.forward(chunk)
+            scores, logits = sample_eta1_scores(net, dataset.inputs[start:start + 512])
+            eta1.extend(scores.tolist())
             pe.extend(predictive_entropy_per_sample(logits).tolist())
         return eta1, pe
     for start in range(0, dataset.n, batch_size):
-        chunk = dataset.inputs[start:start + batch_size]
-        eta1.append(batch_ood_score(net, chunk).eta1)
-        pe.append(batch_predictive_entropy(net, chunk))
+        score = batch_ood_score(net, dataset.inputs[start:start + batch_size])
+        eta1.append(score.eta1)
+        pe.append(predictive_entropy(score.logits))
     return eta1, pe
 
 

@@ -77,6 +77,9 @@ class LoopConfig:
         if self.minibatch_size < 2:
             raise ValueError("minibatch_size must be >= 2: train-mode batch norm "
                              "needs two rows")
+        if self.buffer_capacity < self.bootstrap.bootstrap_size:
+            raise ValueError(f"buffer_capacity {self.buffer_capacity} is below the bootstrap "
+                             f"size {self.bootstrap.bootstrap_size}: tau resamples the buffer")
         if self.buffer_capacity < self.acquisition_batch:
             warnings.warn("buffer capacity below acquisition batch; churn will be high",
                           stacklevel=2)

@@ -4,6 +4,15 @@ Dense / BatchNorm / ReLU layers carry hand-written backward passes. Forward
 passes can capture per-layer batch-norm activations (standardized and
 post-affine) for the scoring modules. The output head can grow rows as new
 classes appear, preserving existing logits exactly.
+
+Parameter arena: a ``Network`` keeps all its parameters in one flat vector
+(``flat_params``) and their gradients in another (``flat_grads``). Every
+``Param.data`` and ``Param.grad`` is a view into them, laid out in
+``named_parameters()`` order: the body's layers first, the head's weight and
+bias last, from ``head_offset`` on. Backward passes write gradients into the
+arena in place, and ``SgdOptimizer.step`` updates the whole vector at once.
+Growing the head rebuilds the arena; the optimizer then keeps the body's
+momentum and restarts the head's at zero.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ class NonFiniteLossError(RuntimeError):
 
 
 class Param:
-    """A trainable array together with its gradient buffer."""
+    """A trainable array together with its gradient buffer (in a ``Network``,
+    both are views into its arena)."""
 
     __slots__ = ("data", "grad")
 
@@ -52,13 +62,16 @@ class Dense:
             raise ValueError(f"dense layer expects {self.in_dim} inputs, got {x.shape[1]}")
         if train:
             self._x = x
-        return x @ self.weight.data + self.bias.data
+        y = x @ self.weight.data
+        y += self.bias.data
+        return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
-        self.weight.grad[...] = x.T @ dy
-        self.bias.grad[...] = dy.sum(axis=0)
-        return dy @ self.weight.data.T
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Write the parameter gradients; return the input gradient, or None
+        when ``input_grad`` is false (the network's first layer)."""
+        np.matmul(self._x.T, dy, out=self.weight.grad)
+        np.add.reduce(dy, axis=0, out=self.bias.grad)
+        return dy @ self.weight.data.T if input_grad else None
 
     def params(self, prefix: str) -> list[tuple[str, Param]]:
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -68,8 +81,9 @@ class BatchNorm:
     """Per-channel normalization with tracked running statistics.
 
     Train mode normalizes with batch statistics (biased variance) and updates
-    the running estimates by EMA ``running <- (1 - m) * running + m * batch``.
-    Eval mode normalizes with the running estimates and never mutates state.
+    the running estimates in place by EMA ``running <- (1 - m) * running + m *
+    batch``. Eval mode normalizes with the running estimates and never mutates
+    state.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5, stat_momentum: float = 0.1,
@@ -93,31 +107,47 @@ class BatchNorm:
         if x.shape[1] != self.dim:
             raise ValueError(f"batchnorm expects {self.dim} channels, got {x.shape[1]}")
         if train:
-            if x.shape[0] < 2:
+            n = x.shape[0]
+            if n < 2:
                 raise ValueError("train-mode batch norm needs batch size >= 2")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            # One pass, the same float ops as np.mean and np.var (whose sum is
+            # np.add.reduce): sum, divide by n; d is taken once for var and z.
+            mean = np.add.reduce(x, axis=0)
+            mean /= n
+            d = x - mean
+            var = np.add.reduce(d * d, axis=0)
+            var /= n
             inv = 1.0 / np.sqrt(var + self.eps)
-            z = (x - mean) * inv
+            z = d * inv
             m = self.stat_momentum
-            self.running_mean = ((1.0 - m) * self.running_mean + m * mean).astype(x.dtype)
-            self.running_var = ((1.0 - m) * self.running_var + m * var).astype(x.dtype)
+            self.running_mean *= 1.0 - m
+            self.running_mean += m * mean
+            self.running_var *= 1.0 - m
+            self.running_var += m * var
             self._cache = (z, inv)
         else:
             z = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-        y = self.gamma.data * z + self.beta.data
+        y = z * self.gamma.data
+        y += self.beta.data
         if keep:
             self.captured = (z, y)
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         z, inv = self._cache
         n = z.shape[0]
-        self.gamma.grad[...] = (dy * z).sum(axis=0)
-        self.beta.grad[...] = dy.sum(axis=0)
+        np.add.reduce(dy * z, axis=0, out=self.gamma.grad)
+        np.add.reduce(dy, axis=0, out=self.beta.grad)
+        if not input_grad:
+            return None
         dz = dy * self.gamma.data
-        # Gradient through the batch statistics themselves.
-        return (inv / n) * (n * dz - dz.sum(axis=0) - z * (dz * z).sum(axis=0))
+        # Gradient through the batch statistics themselves:
+        # (inv / n) * (n * dz - sum(dz) - z * sum(dz * z)).
+        dx = dz * n
+        dx -= np.add.reduce(dz, axis=0)
+        dx -= z * np.add.reduce(dz * z, axis=0)
+        dx *= inv / n
+        return dx
 
     def params(self, prefix: str) -> list[tuple[str, Param]]:
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
@@ -132,8 +162,8 @@ class ReLU:
             self._mask = x > 0
         return np.maximum(x, 0)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        return dy * self._mask if input_grad else None
 
     def params(self, prefix: str) -> list[tuple[str, Param]]:
         return []
@@ -168,7 +198,11 @@ class ActivationTrace:
 
 
 class Network:
-    """Ordered layers plus a dense output head mapping to known class ids."""
+    """Ordered layers plus a dense output head mapping to known class ids.
+
+    All parameters live in one flat arena, head last (see the module
+    docstring); ``copy.deepcopy`` and pickling rebuild it for the copy.
+    """
 
     def __init__(self, layers: list, head: Dense, class_ids: list[int] | None = None):
         if not any(isinstance(l, BatchNorm) for l in layers):
@@ -179,19 +213,45 @@ class Network:
         if len(self.class_ids) != head.out_dim:
             raise ValueError("class_ids length must match head width")
         self.training = True
+        self.in_dim = next((l.in_dim for l in layers if isinstance(l, Dense)), head.in_dim)
+        self._build_arena()
+
+    def _build_arena(self) -> None:
+        """Copy every parameter and gradient into two fresh flat vectors, head
+        last, and rebind each ``Param`` to views of them."""
+        params = [p for _, p in self.named_parameters()]
+        dtypes = {p.data.dtype for p in params}
+        if len(dtypes) != 1:
+            raise ValueError(f"all parameters must share one dtype, got "
+                             f"{sorted(map(str, dtypes))}")
+        total = sum(p.data.size for p in params)
+        self.flat_params = np.empty(total, dtype=dtypes.pop())
+        self.flat_grads = np.empty_like(self.flat_params)
+        start = 0
+        for p in params:
+            end = start + p.data.size
+            self.flat_params[start:end] = p.data.reshape(-1)
+            self.flat_grads[start:end] = p.grad.reshape(-1)
+            p.data = self.flat_params[start:end].reshape(p.data.shape)
+            p.grad = self.flat_grads[start:end].reshape(p.grad.shape)
+            start = end
+        self.head_offset = total - self.head.weight.data.size - self.head.bias.data.size
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["flat_params"], state["flat_grads"]
+        return state
+
+    def __setstate__(self, state):
+        # A copied Param holds a copy of its view, no longer part of an arena.
+        self.__dict__.update(state)
+        self._build_arena()
 
     def train(self) -> None:
         self.training = True
 
     def eval(self) -> None:
         self.training = False
-
-    @property
-    def in_dim(self) -> int:
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                return layer.in_dim
-        return self.head.in_dim
 
     @property
     def n_classes(self) -> int:
@@ -234,8 +294,9 @@ class Network:
 
     def backward(self, dlogits: np.ndarray) -> None:
         dy = self.head.backward(dlogits)
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
+        for i in range(len(self.layers) - 1, -1, -1):
+            # Nobody reads the gradient with respect to the network's input.
+            dy = self.layers[i].backward(dy, input_grad=i > 0)
 
     def named_parameters(self) -> list[tuple[str, Param]]:
         out: list[tuple[str, Param]] = []
@@ -320,27 +381,40 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 
 class SgdOptimizer:
-    """SGD with momentum and weight decay; velocities keyed by parameter name."""
+    """SGD with momentum and weight decay, one update of a network's arena.
+
+    The velocity is one vector laid out like the arena: body parameters first,
+    the head last. ``step`` computes v <- momentum * v + (grad + decay * w) and
+    w <- w - lr * v on the whole vector, the same float ops per element as a
+    per-parameter step. When the arena grows (``expand_head``), the body's
+    velocity carries over and the head's restarts at zero, old rows included.
+    """
 
     def __init__(self, learning_rate: float = 0.1, momentum: float = 0.9,
                  weight_decay: float = 0.0005):
         if learning_rate < 0 or momentum < 0 or weight_decay < 0:
             raise ValueError("optimizer hyperparameters must be nonnegative")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: dict[str, np.ndarray] = {}
+        # Python floats, so they take the parameters' dtype in every op.
+        self.learning_rate = float(learning_rate)
+        self.momentum = float(momentum)
+        self.weight_decay = float(weight_decay)
+        self.velocity: np.ndarray | None = None
         self.step_count = 0
 
-    def step(self, named_params: list[tuple[str, Param]]) -> None:
-        for name, p in named_params:
-            g = p.grad + self.weight_decay * p.data
-            v = self._velocity.get(name)
-            if v is None or v.shape != g.shape:
-                v = np.zeros_like(g)
-            v = self.momentum * v + g
-            self._velocity[name] = v
-            p.data -= (self.learning_rate * v).astype(p.data.dtype)
+    def step(self, net: Network) -> None:
+        w = net.flat_params
+        v = self.velocity
+        if v is None or v.shape != w.shape:
+            v = np.zeros_like(w)
+            if self.velocity is not None:
+                body = net.head_offset
+                v[:body] = self.velocity[:body]
+            self.velocity = v
+        g = w * self.weight_decay
+        g += net.flat_grads
+        v *= self.momentum
+        v += g
+        w -= v * self.learning_rate
         self.step_count += 1
 
 
@@ -354,7 +428,7 @@ def backward_and_step(net: Network, x: np.ndarray, targets: np.ndarray,
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss diverged: {loss}")
     net.backward(dlogits)
-    opt.step(net.named_parameters())
+    opt.step(net)
     return loss
 
 
@@ -408,6 +482,7 @@ def expand_head(net: Network, n_new_classes: int, rng: np.random.Generator,
     head.weight = Param(np.concatenate([head.weight.data, new_cols], axis=1))
     head.bias = Param(np.concatenate([head.bias.data,
                                       np.zeros(n_new_classes, dtype=dtype)]))
+    net._build_arena()
     if new_class_ids is None:
         start = max(net.class_ids) + 1 if net.class_ids else 0
         new_class_ids = list(range(start, start + n_new_classes))

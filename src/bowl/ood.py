@@ -23,6 +23,7 @@ class OodScore:
     eta0: float
     eta1: float
     d: int
+    logits: np.ndarray = field(repr=False, compare=False)  # of the same eval pass
 
 
 @dataclass(frozen=True)
@@ -70,17 +71,19 @@ def batch_ood_score(net: Network, x: np.ndarray) -> OodScore:
     if x.shape[0] == 0:
         raise ValueError("cannot score an empty batch")
     with eval_mode(net):
-        _, trace = net.forward(x, capture=True)
+        logits, trace = net.forward(x, capture=True)
     per_sample = eta0_per_sample(trace)
     eta0 = float(per_sample.mean())
-    return OodScore(eta0=eta0, eta1=eta1_from_eta0(eta0, trace.total_dim), d=trace.total_dim)
+    return OodScore(eta0=eta0, eta1=eta1_from_eta0(eta0, trace.total_dim), d=trace.total_dim,
+                    logits=logits)
 
 
-def sample_eta1_scores(net: Network, x: np.ndarray) -> np.ndarray:
-    """Per-sample eta1 scores (histogram granularity 'sample')."""
+def sample_eta1_scores(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample eta1 scores (histogram granularity 'sample') and the logits
+    of the same eval-mode pass."""
     with eval_mode(net):
-        _, trace = net.forward(np.asarray(x), capture=True)
-    return np.asarray(eta1_from_eta0(eta0_per_sample(trace), trace.total_dim))
+        logits, trace = net.forward(np.asarray(x), capture=True)
+    return np.asarray(eta1_from_eta0(eta0_per_sample(trace), trace.total_dim)), logits
 
 
 def empirical_quantile(values: np.ndarray, alpha: float) -> float:

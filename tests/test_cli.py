@@ -3,6 +3,9 @@ import os
 import pytest
 
 from bowl.cli import main
+from bowl.config import load_run_config
+from bowl.nn import Network, checkpoint_class_ids, eval_mode, load_checkpoint
+from bowl.ood import predictive_entropy_per_sample
 from bowl.stream import load_dataset
 
 BASE_CONFIG = """
@@ -74,7 +77,8 @@ class TestRun:
         assert main(["run", path]) == 2
         assert "warp_speed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["epochs_per_update=0", "minibatch_size=1"])
+    @pytest.mark.parametrize("setting", ["epochs_per_update=0", "minibatch_size=1",
+                                         "buffer_capacity=3"])
     def test_invalid_loop_setting_is_config_error(self, config_path, capsys, setting):
         path, _ = config_path()
         assert main(["run", path, "--set", f"loop.{setting}"]) == 2
@@ -176,6 +180,40 @@ class TestOodHist:
                      "--granularity", "sample", "--output-dir", hist_dir]) == 0
         lines = open(os.path.join(hist_dir, "hist_eta1.csv")).read().splitlines()
         assert len(lines) == 1 + 480 + 480
+
+    @pytest.mark.parametrize("granularity, chunks", [("batch", 480 // 8), ("sample", 1)])
+    def test_one_forward_pass_per_chunk(self, trained_run, tmp_path, monkeypatch,
+                                        granularity, chunks):
+        """eta1 and predictive entropy come from one eval pass per chunk, and
+        the entropy is that of a separate plain eval pass."""
+        path, outdir, in_set, out_set = trained_run
+        checkpoint = os.path.join(outdir, "checkpoint.bnt")
+        hist_dir = str(tmp_path / "hist")
+        calls = []
+        forward = Network.forward
+        monkeypatch.setattr(Network, "forward",
+                            lambda net, *a, **k: calls.append(1) or forward(net, *a, **k))
+        assert main(["ood-hist", path, "--checkpoint", checkpoint, "--in-set", in_set,
+                     "--out-set", out_set, "--granularity", granularity,
+                     "--output-dir", hist_dir]) == 0
+        monkeypatch.undo()
+        assert len(calls) == 2 * chunks
+        class_ids = checkpoint_class_ids(checkpoint)
+        net = load_run_config(path).build_network(n_classes=len(class_ids),
+                                                  class_ids=class_ids)
+        load_checkpoint(net, checkpoint)
+        chunk = 8 if granularity == "batch" else 512
+        expected = []
+        for name in (in_set, out_set):
+            inputs = load_dataset(name).inputs
+            for start in range(0, len(inputs), chunk):
+                with eval_mode(net):
+                    logits, _ = net.forward(inputs[start:start + chunk])
+                entropy = predictive_entropy_per_sample(logits)
+                values = [entropy.mean()] if granularity == "batch" else entropy
+                expected += [f"{float(e):.8g}" for e in values]
+        rows = open(os.path.join(hist_dir, "hist_pe.csv")).read().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == expected
 
     def test_missing_dataset_file_is_run_failure(self, trained_run, tmp_path):
         path, outdir, in_set, _ = trained_run

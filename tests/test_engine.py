@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import bowl.engine as engine_mod
 from bowl.engine import LoopConfig, evaluate, run_variant, write_summary
-from bowl.memory import MemoryBuffer
-from bowl.nn import build_mlp
-from bowl.ood import ThresholdConfig
+from bowl.memory import MemoryBuffer, init_buffer, memory_scores
+from bowl.nn import SgdOptimizer, build_mlp
+from bowl.ood import ThresholdConfig, bootstrap_threshold, filter_stream
+from bowl.query import CandidatePool, query_scores, sample_entropies
+from bowl.samples import SampleSet
 from bowl.stream import SENTINEL_LABEL, SplitTasks, StreamBatch, split_experiment, synth_generate
 
 VARIANT_NAMES = list(engine_mod.VARIANTS)
@@ -71,6 +73,40 @@ class TestEvaluate:
         x = rng.normal(size=(50, 4)).astype(np.float32)
         logits, _ = net.forward(x)
         assert (np.argmax(logits, axis=1) == np.argmax(3.7 * logits, axis=1)).all()
+
+
+class TestScoringIsReadOnly:
+    def test_scoring_leaves_network_bit_identical(self):
+        """query_scores, memory_scores, sample_entropies, bootstrap_threshold,
+        filter_stream and evaluate run in eval mode: every parameter and every
+        batch-norm running statistic is bit-identical afterwards, both in the
+        live state_dict() views and against copies, and train mode is restored."""
+        tasks = tiny_tasks()
+        net = tiny_net()
+        engine_mod._train_supervised(net, tasks.pretrain_inputs, tasks.pretrain_labels,
+                                     SgdOptimizer(), 2, 32, np.random.default_rng(0))
+        live = net.state_dict()
+        before = {name: array.copy() for name, array in live.items()}
+        assert any(name.endswith("running_mean") for name in before)
+        inputs, labels = tasks.pretrain_inputs, tasks.pretrain_labels
+        rng = np.random.default_rng(1)
+        buffer = init_buffer(inputs, labels, 40, net, rng)
+        pool = CandidatePool()
+        pool.append_batch(inputs[:30], labels[:30], np.arange(30))
+        queried = SampleSet(inputs[30:40], labels[30:40], np.arange(30, 40))
+
+        query_scores(net, pool)
+        memory_scores(buffer, queried, net)
+        sample_entropies(net, inputs[:50])
+        tau = bootstrap_threshold(net, buffer.inputs_matrix(), ThresholdConfig(10, 4, 0.9), rng)
+        filter_stream(net, tasks.streams[0], tau)
+        evaluate(net, tasks.test_inputs, tasks.test_labels)
+
+        assert net.training
+        after = net.state_dict()
+        for name, array in before.items():
+            np.testing.assert_array_equal(live[name], array, err_msg=name)
+            np.testing.assert_array_equal(after[name], array, err_msg=name)
 
 
 class TestDeterminism:
@@ -185,8 +221,11 @@ class TestLoopStructure:
             run_variant(tiny_net(), tiny_config(), tiny_tasks(), "mystery")
 
     @pytest.mark.parametrize("field, value", [("epochs_per_update", 0),
-                                              ("minibatch_size", 1)])
+                                              ("minibatch_size", 1),
+                                              ("buffer_capacity", 3)])
     def test_invalid_loop_settings_rejected(self, field, value):
+        """A buffer smaller than the bootstrap size (4 here) would fail only
+        after pretraining, when the first filtering task bootstraps tau."""
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -133,6 +135,28 @@ class TestBatchNorm:
             bn.forward(x, train=True)
         assert np.abs(bn.running_mean / true_mean - 1.0).max() < 0.05
         assert np.abs(bn.running_var / true_std**2 - 1.0).max() < 0.05
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 37, 64, 129])
+    def test_one_pass_statistics_match_numpy_bitwise(self, dtype, n):
+        """Train-mode statistics are np.mean / np.var's floats exactly, and z
+        is (x - mean) / sqrt(var + eps) as a product with the inverse."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(3.0, 2.0, size=(n, 7)).astype(dtype)
+        bn = BatchNorm(7, stat_momentum=1.0, dtype=dtype)
+        z = bn.forward(x, train=True)
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        np.testing.assert_array_equal(bn.running_mean, mean)
+        np.testing.assert_array_equal(bn.running_var, var)
+        np.testing.assert_array_equal(z, (x - mean) * (1.0 / np.sqrt(var + bn.eps)))
+        assert bn.running_mean.dtype == bn.running_var.dtype == dtype
+
+    def test_running_stats_update_in_place(self):
+        bn = BatchNorm(3)
+        mean, var = bn.running_mean, bn.running_var
+        bn.forward(np.random.default_rng(0).normal(size=(8, 3)).astype(np.float32), train=True)
+        assert bn.running_mean is mean and bn.running_var is var
+        assert not np.all(mean == 0.0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -307,3 +331,129 @@ class TestCheckpoint:
         with eval_mode(net):
             assert not net.training
         assert net.training
+
+
+class ReferenceSgd:
+    """The per-parameter, name-keyed step the flat arena replaced."""
+
+    def __init__(self, learning_rate, momentum, weight_decay):
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.velocity = {}
+
+    def step(self, named_params):
+        for name, p in named_params:
+            g = p.grad + self.weight_decay * p.data
+            v = self.velocity.get(name)
+            if v is None or v.shape != g.shape:
+                v = np.zeros_like(g)
+            v = self.momentum * v + g
+            self.velocity[name] = v
+            p.data -= (self.learning_rate * v).astype(p.data.dtype)
+
+
+def assert_in_arena(net):
+    """Every Param is a view into the arena, in named_parameters order, head last."""
+    start = 0
+    for _, p in net.named_parameters():
+        for array, arena in ((p.data, net.flat_params), (p.grad, net.flat_grads)):
+            assert array.base is arena
+            offset = array.__array_interface__["data"][0] - arena.__array_interface__["data"][0]
+            assert offset == start * arena.itemsize
+        start += p.data.size
+    assert start == net.flat_params.size == net.flat_grads.size
+    head = net.head.weight.data.size + net.head.bias.data.size
+    assert net.head_offset == start - head
+
+
+def assert_same_params(a, b):
+    for (name, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+    for la, lb in zip(a.layers, b.layers):
+        if isinstance(la, BatchNorm):
+            np.testing.assert_array_equal(la.running_mean, lb.running_mean)
+            np.testing.assert_array_equal(la.running_var, lb.running_var)
+
+
+def _batch(rng, n_classes, n=16, dim=5):
+    x = rng.normal(size=(n, dim)).astype(np.float32)
+    return x, rng.integers(0, n_classes, size=n)
+
+
+class TestArena:
+    def test_params_are_arena_views(self, tmp_path):
+        rng = np.random.default_rng(20)
+        net = build_mlp(5, [7, 3], 3, rng)
+        assert_in_arena(net)
+        expand_head(net, 2, rng)
+        assert_in_arena(net)
+        path = str(tmp_path / "model.bnt")
+        save_checkpoint(net, path)
+        load_checkpoint(net, path)
+        assert_in_arena(net)
+        for clone in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert_in_arena(clone)
+            assert not np.shares_memory(clone.flat_params, net.flat_params)
+            assert_same_params(clone, net)
+
+    def test_mixed_dtypes_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="dtype"):
+            Network([Dense(4, 3, rng), BatchNorm(3, dtype=np.float64)], Dense(3, 2, rng))
+
+    def test_deep_copy_trains_independently_and_identically(self):
+        rng = np.random.default_rng(21)
+        net = build_mlp(5, [7, 3], 3, rng)
+        backward_and_step(net, *_batch(rng, 3), SgdOptimizer())
+        snapshot = copy.deepcopy(net)
+        clone = copy.deepcopy(net)
+        batches = [_batch(rng, 3) for _ in range(5)]
+        opt = SgdOptimizer(0.1, 0.9, 1e-3)
+        for x, y in batches:
+            backward_and_step(clone, x, y, opt)
+        assert_same_params(net, snapshot)  # the original did not move
+        assert not np.array_equal(clone.flat_params, net.flat_params)
+        opt = SgdOptimizer(0.1, 0.9, 1e-3)
+        for x, y in batches:
+            backward_and_step(net, x, y, opt)
+        assert_same_params(net, clone)
+
+    def test_expand_head_keeps_body_velocity_and_zeroes_head(self):
+        rng = np.random.default_rng(22)
+        net = build_mlp(5, [7, 3], 3, rng)
+        opt = SgdOptimizer(0.1, 1.0, 0.0)
+        for _ in range(3):
+            backward_and_step(net, *_batch(rng, 3), opt)
+        before = opt.velocity.copy()
+        body = net.head_offset
+        expand_head(net, 2, rng)
+        assert net.head_offset == body
+        net.flat_grads[...] = 0.0  # with momentum 1 and no decay, v is carried as is
+        opt.step(net)
+        np.testing.assert_array_equal(opt.velocity[:body], before[:body])
+        assert opt.velocity.shape == net.flat_params.shape
+        assert not opt.velocity[body:].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_parameter_reference_bitwise(self, dtype):
+        """30 steps with a head expansion after 15: every parameter and running
+        statistic equals the per-parameter, name-keyed step's bit for bit."""
+        net = build_mlp(5, [7, 3], 2, np.random.default_rng(23), dtype=dtype)
+        ref_net = copy.deepcopy(net)
+        opt = SgdOptimizer(0.1, 0.9, 5e-4)
+        ref = ReferenceSgd(0.1, 0.9, 5e-4)
+        rng = np.random.default_rng(24)
+        for step in range(30):
+            if step == 15:
+                expand_head(net, 2, np.random.default_rng(25))
+                expand_head(ref_net, 2, np.random.default_rng(25))
+            x, y = _batch(rng, net.n_classes)
+            x = x.astype(dtype)
+            loss = backward_and_step(net, x, y, opt)
+            logits, _ = ref_net.forward(x)
+            ref_loss, dlogits = softmax_cross_entropy(logits, y)
+            ref_net.backward(dlogits)
+            ref.step(ref_net.named_parameters())
+            assert loss == ref_loss
+            assert_same_params(net, ref_net)
