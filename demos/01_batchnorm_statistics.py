@@ -11,7 +11,7 @@ Run:  python3 demos/01_batchnorm_statistics.py
 
 import numpy as np
 
-from bowl import BatchNorm, build_mlp
+from bowl import BatchNorm, build_mlp, eval_rows
 
 rng = np.random.default_rng(0)
 
@@ -45,11 +45,10 @@ probe = np.tile(bn.running_mean, (1, 1)).astype(np.float32)
 print("input at the running mean maps to beta exactly:",
       bn.forward(probe, train=False)[0])
 
-# --- 4. A network exposes every layer's standardized activations ------------
+# --- 4. One read-only pass reduces every layer's activations per sample -----
 
 net = build_mlp(8, [16, 8], 4, rng)
-net.eval()
-logits, trace = net.forward(rng.normal(size=(5, 8)).astype(np.float32), capture=True)
-print("\ncaptured batch-norm layers:", len(trace.standardized))
-print("total standardized entries per sample (the score dimension d):",
-      trace.total_dim)
+logits, eta0, spread = eval_rows(net, rng.normal(size=(5, 8)).astype(np.float32))
+print("\nbatch-norm layers read by the pass:",
+      sum(isinstance(layer, BatchNorm) for layer in net.layers))
+print("total standardized entries per sample (the score dimension d):", net.bn_dim)

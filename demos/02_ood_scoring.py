@@ -12,12 +12,10 @@ Run:  python3 demos/02_ood_scoring.py
 import numpy as np
 
 from bowl import (SgdOptimizer, ThresholdConfig, batch_ood_score, bootstrap_threshold,
-                  build_mlp, corrupt, eta1_from_eta0, init_buffer, predictive_entropy,
-                  synth_generate)
+                  build_mlp, corrupt, eta1_from_eta0, init_buffer, synth_generate)
 from bowl.engine import _train_supervised
 from bowl.metrics import auroc
-from bowl.nn import eval_mode
-from bowl.ood import export_score_csv
+from bowl.ood import export_score_csv, predictive_entropy_per_sample, segment_means
 
 rng = np.random.default_rng(0)
 
@@ -38,14 +36,20 @@ _train_supervised(net, train.inputs, train.labels, opt, 40, 64,
                   np.random.default_rng(4))
 
 # --- 3. Score clean vs corrupted vs uniform-noise batches --------------------
+# A batch's eta1 is the eta1 of its rows' mean eta0, so one read-only pass
+# over all the batches' rows scores every batch.
+
+SIZES = [8] * 60
 
 
-def score_batches(inputs, n=60, scorer=lambda x: batch_ood_score(net, x).eta1):
-    out = []
-    for _ in range(n):
-        sel = rng.choice(inputs.shape[0], size=8, replace=False)
-        out.append(scorer(inputs[sel]))
-    return np.asarray(out)
+def draw_batches(inputs):
+    """60 batches of 8 distinct rows each, stacked."""
+    return np.concatenate([inputs[rng.choice(inputs.shape[0], size=8, replace=False)]
+                           for _ in SIZES])
+
+
+def score_batches(inputs):
+    return batch_ood_score(net, draw_batches(inputs), SIZES)[0]
 
 
 corrupted = corrupt(test.inputs, "gaussian", 0.5, seed=5)
@@ -73,11 +77,9 @@ print(f"noise batches accepted:     {(noise_scores < tau).mean():.2%}")
 
 
 def pe_batches(inputs):
-    def scorer(x):
-        with eval_mode(net):
-            logits, _ = net.forward(x)
-        return predictive_entropy(logits)
-    return score_batches(inputs, scorer=scorer)
+    """Each batch's mean predictive entropy, from the logits of the same pass."""
+    _, logits = batch_ood_score(net, draw_batches(inputs), SIZES)
+    return segment_means(predictive_entropy_per_sample(logits), SIZES)
 
 
 print(f"\nAUROC clean-vs-corrupted, eta1:               "

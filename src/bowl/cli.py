@@ -19,8 +19,8 @@ from .engine import (RunReport, run_variant, write_buffer_composition,
 from .metrics import auroc
 from .nn import (Network, NonFiniteLossError, checkpoint_class_ids, load_checkpoint,
                  save_checkpoint)
-from .ood import (batch_ood_score, export_score_csv, predictive_entropy,
-                  predictive_entropy_per_sample, sample_eta1_scores)
+from .ood import (batch_ood_score, export_score_csv, predictive_entropy_per_sample,
+                  sample_eta1_scores, segment_means)
 from .serialization import FormatError, atomic_write_text
 from .stream import Dataset, load_dataset, save_dataset, synth_generate
 
@@ -159,20 +159,13 @@ def cmd_ablate(args) -> int:
 
 def _dataset_scores(net: Network, dataset: Dataset, batch_size: int, granularity: str):
     """eta1 and predictive-entropy scores at batch or sample granularity, both
-    from one eval-mode forward pass per chunk."""
-    eta1: list[float] = []
-    pe: list[float] = []
+    from one read-only pass over the set; a batch's entropy is its rows' mean."""
     if granularity == "sample":
-        for start in range(0, dataset.n, 512):
-            scores, logits = sample_eta1_scores(net, dataset.inputs[start:start + 512])
-            eta1.extend(scores.tolist())
-            pe.extend(predictive_entropy_per_sample(logits).tolist())
-        return eta1, pe
-    for start in range(0, dataset.n, batch_size):
-        score = batch_ood_score(net, dataset.inputs[start:start + batch_size])
-        eta1.append(score.eta1)
-        pe.append(predictive_entropy(score.logits))
-    return eta1, pe
+        eta1, logits = sample_eta1_scores(net, dataset.inputs)
+        return eta1, predictive_entropy_per_sample(logits)
+    sizes = [min(batch_size, dataset.n - s) for s in range(0, dataset.n, batch_size)]
+    eta1, logits = batch_ood_score(net, dataset.inputs, sizes)
+    return eta1, segment_means(predictive_entropy_per_sample(logits), sizes)
 
 
 def cmd_ood_hist(args) -> int:

@@ -37,6 +37,18 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(part) for part in raw.split(",")]
 
 
+def _at_least_one(parse):
+    """``parse``, then reject a value below 1, or a list that is empty or has
+    an entry below 1."""
+    def check(raw: str):
+        value = parse(raw)
+        values = np.atleast_1d(value)
+        if values.size == 0 or (values < 1).any():
+            raise ValueError(f"must be >= 1, got {raw.strip()!r}")
+        return value
+    return check
+
+
 def _parse_schedule(raw: str) -> list[list[int]]:
     timesteps = [part for part in raw.split("|")]
     schedule = [_parse_int_list(part) for part in timesteps]
@@ -65,7 +77,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "output_dir": (str, "runs/out"),
     },
     "network": {
-        "hidden": (_parse_int_list, _REQUIRED),
+        "hidden": (_at_least_one(_parse_int_list), _REQUIRED),
         "bn_eps": (float, 1e-5),
         "bn_momentum": (float, 0.1),
     },
@@ -77,7 +89,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "loop": {
         "acquisition_batch": (int, 256),
         "buffer_capacity": (int, 5000),
-        "ood_batch_size": (int, 8),
+        "ood_batch_size": (_at_least_one(int), 8),
         "epochs_per_update": (int, 1),
         "pretrain_epochs": (int, 30),
         "baseline_epochs_per_task": (int, None),

@@ -40,7 +40,7 @@ import numpy as np
 from .memory import (MemoryBuffer, export_composition_csv, init_buffer, memory_scores,
                      update_buffer)
 from .metrics import MetricSeries, average_accuracy, count_odp, ema, write_metrics_csv
-from .nn import (Network, NonFiniteLossError, SgdOptimizer, eval_mode, expand_head,
+from .nn import (Network, NonFiniteLossError, SgdOptimizer, eval_rows, expand_head,
                  train_one_epoch)
 from .nn import backward_and_step  # noqa: F401  (engine attribute that tracing wraps)
 from .ood import ThresholdConfig, bootstrap_threshold, filter_stream
@@ -48,8 +48,6 @@ from .query import CandidatePool, query_scores, select_top
 from .samples import SampleSet
 from .serialization import atomic_write_text
 from .stream import SENTINEL_LABEL, SplitTasks, StreamBatch
-
-EVAL_BATCH = 512
 
 
 @dataclass
@@ -154,14 +152,9 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
     inputs, labels = inputs[mask], labels[mask]
     if labels.size == 0:
         raise ValueError("empty test set")
-    class_ids = np.asarray(net.class_ids, dtype=np.int64)
-    correct = 0
-    with eval_mode(net):
-        for start in range(0, inputs.shape[0], EVAL_BATCH):
-            logits, _ = net.forward(inputs[start:start + EVAL_BATCH])
-            preds = class_ids[np.argmax(logits, axis=1)]
-            correct += int((preds == labels[start:start + EVAL_BATCH]).sum())
-    return correct / labels.size
+    logits, _, _ = eval_rows(net, inputs)
+    preds = np.asarray(net.class_ids, dtype=np.int64)[np.argmax(logits, axis=1)]
+    return int((preds == labels).sum()) / labels.size
 
 
 def _evaluate_discovered(net: Network, tasks: SplitTasks) -> float:
@@ -206,14 +199,14 @@ def _discover_classes(net: Network, labels, rng: np.random.Generator) -> int:
     return len(novel)
 
 
-def _stream_rows(batches, batch_ids, keep) -> SampleSet:
-    """The samples of one task's kept stream batches, in emission order."""
-    kept = [(batch, ids) for batch, ids, k in zip(batches, batch_ids, keep) if k]
-    if not kept:
+def _stream_rows(batches, batch_ids, accepted) -> SampleSet:
+    """The samples of one task's accepted stream batches (ascending indices),
+    in emission order."""
+    if not len(accepted):
         return SampleSet.empty()
-    return SampleSet(np.concatenate([batch.inputs for batch, _ in kept]),
-                     np.concatenate([batch.labels for batch, _ in kept]),
-                     np.concatenate([ids for _, ids in kept]))
+    return SampleSet(np.concatenate([batches[i].inputs for i in accepted]),
+                     np.concatenate([batches[i].labels for i in accepted]),
+                     np.concatenate([batch_ids[i] for i in accepted]))
 
 
 def _labeled(rows: SampleSet) -> SampleSet:
@@ -346,10 +339,10 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
             if stages.ood_filter:
                 tau = bootstrap_threshold(net, buffer.inputs_matrix(), config.bootstrap,
                                           rng_bootstrap)
-                flags = filter_stream(net, batches, tau).accept_flags
+                accepted = filter_stream(net, batches, tau).accepted
             else:
-                tau, flags = float("nan"), [True] * len(batches)
-            rows = _stream_rows(batches, batch_ids, flags)
+                tau, accepted = float("nan"), range(len(batches))
+            rows = _stream_rows(batches, batch_ids, accepted)
             pool = CandidatePool()
             pool.append_batch(rows.inputs, rows.labels, rows.ids)
             n_new = _discover_classes(net, pool.peek_unique_labels(), rng_expand)
@@ -373,11 +366,10 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
 
             accuracy = _evaluate_discovered(net, tasks)
             report.task_accuracies[t] = accuracy
-            n_rejected = flags.count(False)
             report.tasks.append(TaskRecord(
-                timestep=t, tau=tau, accepted_batches=len(batches) - n_rejected,
-                rejected_batches=n_rejected, pool_size=len(rows), new_classes=n_new,
-                head_width=net.n_classes, accuracy=accuracy,
+                timestep=t, tau=tau, accepted_batches=len(accepted),
+                rejected_batches=len(batches) - len(accepted), pool_size=len(rows),
+                new_classes=n_new, head_width=net.n_classes, accuracy=accuracy,
                 buffer_composition={} if stages.memory is None else buffer.composition()))
     except NonFiniteLossError as exc:
         report.aborted = True

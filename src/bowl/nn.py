@@ -1,9 +1,10 @@
 """Minimal feed-forward network with batch normalization and SGD-momentum.
 
-Dense / BatchNorm / ReLU layers carry hand-written backward passes. Forward
-passes can capture per-layer batch-norm activations (standardized and
-post-affine) for the scoring modules. The output head can grow rows as new
-classes appear, preserving existing logits exactly.
+Dense / BatchNorm / ReLU layers carry hand-written backward passes. The one
+read-only pass ``eval_rows`` gives every row's logits together with two
+per-row reductions of the batch-norm activations, which every scorer reads.
+The output head can grow rows as new classes appear, preserving existing
+logits exactly.
 
 Parameter arena: a ``Network`` keeps all its parameters in one flat vector
 (``flat_params``) and their gradients in another (``flat_grads``). Every
@@ -18,7 +19,6 @@ momentum and restarts the head's at zero.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,13 +97,15 @@ class BatchNorm:
         self.eps = eps
         self.stat_momentum = stat_momentum
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
-        self.captured: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.gamma.data.shape[0]
 
-    def forward(self, x: np.ndarray, train: bool, keep: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, row_stats=None) -> np.ndarray:
+        """Normalize ``x``. With ``row_stats``, an (eta0, spread) pair of float64
+        per-row accumulators, add each row's sum of squared standardized
+        activations z to eta0 and its mean squared output y to spread."""
         if x.shape[1] != self.dim:
             raise ValueError(f"batchnorm expects {self.dim} channels, got {x.shape[1]}")
         if train:
@@ -129,8 +131,10 @@ class BatchNorm:
             z = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
         y = z * self.gamma.data
         y += self.beta.data
-        if keep:
-            self.captured = (z, y)
+        if row_stats is not None:
+            eta0, spread = row_stats
+            eta0 += np.square(z.astype(np.float64)).sum(axis=1)
+            spread += np.square(y.astype(np.float64)).mean(axis=1)
         return y
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -169,34 +173,6 @@ class ReLU:
         return []
 
 
-@dataclass
-class ActivationTrace:
-    """Per-batch-norm-layer activations captured during one forward pass.
-
-    ``standardized`` holds z = (x - mean) / sqrt(var + eps) and ``activated``
-    the post-affine gamma * z + beta, each (n_samples, channels), ordered as
-    the network's batch-norm layers.
-    """
-
-    standardized: list[np.ndarray]
-    activated: list[np.ndarray]
-
-    @property
-    def n_samples(self) -> int:
-        return self.standardized[0].shape[0]
-
-    @property
-    def total_dim(self) -> int:
-        """Scalar entries per sample summed over all batch-norm layers."""
-        return sum(int(np.prod(z.shape[1:])) for z in self.standardized)
-
-    def concat(self, other: "ActivationTrace") -> "ActivationTrace":
-        return ActivationTrace(
-            [np.concatenate([a, b]) for a, b in zip(self.standardized, other.standardized)],
-            [np.concatenate([a, b]) for a, b in zip(self.activated, other.activated)],
-        )
-
-
 class Network:
     """Ordered layers plus a dense output head mapping to known class ids.
 
@@ -214,6 +190,8 @@ class Network:
             raise ValueError("class_ids length must match head width")
         self.training = True
         self.in_dim = next((l.in_dim for l in layers if isinstance(l, Dense)), head.in_dim)
+        # Batch-norm entries per row: the dimension d of the eta1 score.
+        self.bn_dim = sum(l.dim for l in layers if isinstance(l, BatchNorm))
         self._build_arena()
 
     def _build_arena(self) -> None:
@@ -267,8 +245,10 @@ class Network:
             raise ValueError("label outside the head's classes")
         return rows
 
-    def forward(self, x: np.ndarray, capture: bool = False):
-        """Run the network; returns (logits, trace) with trace None unless captured."""
+    def forward(self, x: np.ndarray, row_stats=None) -> np.ndarray:
+        """Run the network and return its logits. ``row_stats``, an (eta0,
+        spread) pair of float64 per-row accumulators, collects every batch-norm
+        layer's per-row reductions (see ``BatchNorm.forward`` and ``eval_rows``)."""
         x = np.asarray(x)
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
@@ -276,21 +256,12 @@ class Network:
             x = x.reshape(1, -1)
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input dim {x.shape[1]} does not match network dim {self.in_dim}")
-        standardized: list[np.ndarray] = []
-        activated: list[np.ndarray] = []
         for layer in self.layers:
             if isinstance(layer, BatchNorm):
-                x = layer.forward(x, self.training, keep=capture)
-                if capture:
-                    z, a = layer.captured
-                    standardized.append(z)
-                    activated.append(a)
-                    layer.captured = None
+                x = layer.forward(x, self.training, row_stats)
             else:
                 x = layer.forward(x, self.training)
-        logits = self.head.forward(x, self.training)
-        trace = ActivationTrace(standardized, activated) if capture else None
-        return logits, trace
+        return self.head.forward(x, self.training)
 
     def backward(self, dlogits: np.ndarray) -> None:
         dy = self.head.backward(dlogits)
@@ -362,22 +333,48 @@ def eval_mode(net: Network):
         net.training = was_training
 
 
+EVAL_CHUNK = 512
+
+
+def eval_rows(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one read-only pass: (logits, eta0, spread) of every row of ``x``.
+
+    Runs in eval mode, ``EVAL_CHUNK`` rows per forward pass. eta0 is a row's
+    sum of squared standardized batch-norm activations over all layers (the
+    raw OoD score, of dimension ``net.bn_dim``); spread is the mean over
+    layers of its mean squared post-affine activation. Both are float64.
+    Eval-mode rows do not interact, so a row's numbers do not depend on the
+    other rows, up to how the matrix product rounds at a given row count.
+    """
+    x = np.asarray(x)
+    n = len(x)
+    eta0 = np.zeros(n, dtype=np.float64)
+    spread = np.zeros(n, dtype=np.float64)
+    chunks = [np.empty((0, net.n_classes), dtype=net.flat_params.dtype)]  # if x is empty
+    with eval_mode(net):
+        for start in range(0, n, EVAL_CHUNK):
+            rows = slice(start, start + EVAL_CHUNK)
+            chunks.append(net.forward(x[rows], (eta0[rows], spread[rows])))
+    spread /= sum(isinstance(layer, BatchNorm) for layer in net.layers)
+    return np.concatenate(chunks), eta0, spread
+
+
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean cross-entropy and its gradient w.r.t. logits.
 
     ``targets`` are head-row indices. Accumulates in float64 for stability,
     returns the gradient in the logits dtype.
     """
-    z = logits.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    expz = np.exp(z)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    probs = logits.astype(np.float64)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    loss = float(-np.log(probs[np.arange(n), targets] + 1e-300).mean())
-    dlogits = probs
-    dlogits[np.arange(n), targets] -= 1.0
-    dlogits /= n
-    return loss, dlogits.astype(logits.dtype)
+    rows = np.arange(n)
+    loss = float(-np.log(probs[rows, targets] + 1e-300).mean())
+    probs[rows, targets] -= 1.0  # the gradient now, up to the mean's 1/n
+    probs /= n
+    return loss, probs.astype(logits.dtype)
 
 
 class SgdOptimizer:
@@ -423,7 +420,7 @@ def backward_and_step(net: Network, x: np.ndarray, targets: np.ndarray,
     """One gradient step on a batch; returns the pre-step mean cross-entropy."""
     if not net.training:
         raise ValueError("backward_and_step requires train mode")
-    logits, _ = net.forward(x)
+    logits = net.forward(x)
     loss, dlogits = softmax_cross_entropy(logits, np.asarray(targets))
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss diverged: {loss}")
@@ -475,6 +472,12 @@ def expand_head(net: Network, n_new_classes: int, rng: np.random.Generator,
     """
     if n_new_classes < 1:
         raise ValueError("head expansion requires at least one new class")
+    # Validate before touching the head, so a rejected call changes nothing.
+    if new_class_ids is None:
+        start = max(net.class_ids) + 1 if net.class_ids else 0
+        new_class_ids = list(range(start, start + n_new_classes))
+    if len(new_class_ids) != n_new_classes:
+        raise ValueError("new_class_ids length must equal n_new_classes")
     head = net.head
     dtype = head.weight.data.dtype
     limit = 1.0 / np.sqrt(head.in_dim)
@@ -483,11 +486,6 @@ def expand_head(net: Network, n_new_classes: int, rng: np.random.Generator,
     head.bias = Param(np.concatenate([head.bias.data,
                                       np.zeros(n_new_classes, dtype=dtype)]))
     net._build_arena()
-    if new_class_ids is None:
-        start = max(net.class_ids) + 1 if net.class_ids else 0
-        new_class_ids = list(range(start, start + n_new_classes))
-    if len(new_class_ids) != n_new_classes:
-        raise ValueError("new_class_ids length must equal n_new_classes")
     net.class_ids.extend(int(c) for c in new_class_ids)
     return net
 

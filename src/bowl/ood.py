@@ -4,26 +4,20 @@ The raw score eta0 sums squared standardized activations (a diagonal
 Mahalanobis distance against the running batch-norm Gaussian). The two-sided
 score eta1 = eta0 - d * ln(eta0) is large both for unusually large and
 unusually small activations; stream batches are admitted when eta1 falls
-below a bootstrap threshold tau.
+below a bootstrap threshold tau. A batch's eta1 is the eta1 of its rows' mean
+eta0, so many batches are scored by one read-only pass (``nn.eval_rows``)
+over their concatenated rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ActivationTrace, Network, eval_mode
+from .nn import Network, eval_rows
 from .serialization import atomic_write_text
-
-
-@dataclass(frozen=True)
-class OodScore:
-    eta0: float
-    eta1: float
-    d: int
-    logits: np.ndarray = field(repr=False, compare=False)  # of the same eval pass
 
 
 @dataclass(frozen=True)
@@ -41,16 +35,6 @@ class ThresholdConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
 
-def eta0_per_sample(trace: ActivationTrace) -> np.ndarray:
-    """Sum of squared standardized activations over all batch-norm layers."""
-    if not trace.standardized:
-        raise ValueError("trace has no batch-norm layers")
-    total = np.zeros(trace.n_samples, dtype=np.float64)
-    for z in trace.standardized:
-        total += np.square(z.astype(np.float64)).reshape(z.shape[0], -1).sum(axis=1)
-    return total
-
-
 def eta1_from_eta0(eta0, d: int):
     """Two-sided score eta0 - d * ln(eta0); eta0 = 0 maps to +inf.
 
@@ -65,25 +49,31 @@ def eta1_from_eta0(eta0, d: int):
     return out
 
 
-def batch_ood_score(net: Network, x: np.ndarray) -> OodScore:
-    """Score one stream batch: eta1 of the batch-mean eta0, per-sample d."""
-    x = np.asarray(x)
-    if x.shape[0] == 0:
+def segment_means(values: np.ndarray, sizes) -> np.ndarray:
+    """The mean of each consecutive run of ``sizes`` entries of ``values`` (a
+    batch's mean of per-row scores); every run must be nonempty."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes < 1).any():
         raise ValueError("cannot score an empty batch")
-    with eval_mode(net):
-        logits, trace = net.forward(x, capture=True)
-    per_sample = eta0_per_sample(trace)
-    eta0 = float(per_sample.mean())
-    return OodScore(eta0=eta0, eta1=eta1_from_eta0(eta0, trace.total_dim), d=trace.total_dim,
-                    logits=logits)
+    if sizes.sum() != len(values):
+        raise ValueError(f"batch sizes sum to {sizes.sum()}, not to the {len(values)} rows")
+    ends = np.cumsum(sizes)
+    # Slice by slice: np.add.reduceat rounds differently from a batch's .mean().
+    return np.array([values[s:e].mean() for s, e in zip(ends - sizes, ends)])
+
+
+def batch_ood_score(net: Network, x: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """eta1 of each consecutive batch of ``sizes`` rows of ``x`` (eta1 of the
+    batch's mean eta0), and every row's logits, all from one read-only pass."""
+    logits, eta0, _ = eval_rows(net, x)
+    return eta1_from_eta0(segment_means(eta0, sizes), net.bn_dim), logits
 
 
 def sample_eta1_scores(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample eta1 scores (histogram granularity 'sample') and the logits
-    of the same eval-mode pass."""
-    with eval_mode(net):
-        logits, trace = net.forward(np.asarray(x), capture=True)
-    return np.asarray(eta1_from_eta0(eta0_per_sample(trace), trace.total_dim)), logits
+    """eta1 of every row of ``x`` (histogram granularity 'sample') and its
+    logits, from one read-only pass."""
+    logits, eta0, _ = eval_rows(net, x)
+    return eta1_from_eta0(eta0, net.bn_dim), logits
 
 
 def empirical_quantile(values: np.ndarray, alpha: float) -> float:
@@ -102,37 +92,28 @@ def bootstrap_threshold(net: Network, inputs: np.ndarray, cfg: ThresholdConfig,
     n = inputs.shape[0]
     if n < cfg.bootstrap_size:
         raise ValueError(f"buffer of {n} smaller than bootstrap size {cfg.bootstrap_size}")
-    scores = np.empty(cfg.k_bootstrap, dtype=np.float64)
-    for k in range(cfg.k_bootstrap):
-        sel = rng.integers(0, n, size=cfg.bootstrap_size)
-        scores[k] = batch_ood_score(net, inputs[sel]).eta1
+    # One (K, b) draw leaves the generator where K draws of b would.
+    sel = rng.integers(0, n, size=(cfg.k_bootstrap, cfg.bootstrap_size))
+    scores, _ = batch_ood_score(net, inputs[sel.ravel()],
+                                [cfg.bootstrap_size] * cfg.k_bootstrap)
     return empirical_quantile(scores, cfg.alpha)
 
 
 @dataclass
 class FilterResult:
-    accepted: list = field(default_factory=list)
-    rejected_count: int = 0
-    scores: list[float] = field(default_factory=list)
-    accept_flags: list[bool] = field(default_factory=list)
+    scores: np.ndarray  # eta1 of every batch, in stream order
+    accepted: np.ndarray  # indices of the admitted batches, ascending
 
 
 def filter_stream(net: Network, batches, tau: float) -> FilterResult:
-    """Admit each batch iff its eta1 lies below tau, preserving order."""
+    """Admit each batch iff its eta1 lies below tau; one pass scores them all."""
     if math.isnan(tau) or tau == math.inf:
         raise ValueError("tau must be finite (or -inf to reject everything)")
-    result = FilterResult()
-    for batch in batches:
-        inputs = batch.inputs if hasattr(batch, "inputs") else batch
-        score = batch_ood_score(net, inputs).eta1
-        result.scores.append(score)
-        if score < tau:
-            result.accepted.append(batch)
-            result.accept_flags.append(True)
-        else:
-            result.rejected_count += 1
-            result.accept_flags.append(False)
-    return result
+    inputs = [batch.inputs if hasattr(batch, "inputs") else batch for batch in batches]
+    if not inputs:
+        return FilterResult(np.zeros(0), np.zeros(0, dtype=np.int64))
+    scores, _ = batch_ood_score(net, np.concatenate(inputs), [len(x) for x in inputs])
+    return FilterResult(scores, np.flatnonzero(scores < tau))
 
 
 def predictive_entropy_per_sample(logits: np.ndarray) -> np.ndarray:
@@ -147,12 +128,6 @@ def predictive_entropy_per_sample(logits: np.ndarray) -> np.ndarray:
 def predictive_entropy(logits: np.ndarray) -> float:
     """Mean softmax entropy of a batch; the classical output-only OoD baseline."""
     return float(predictive_entropy_per_sample(logits).mean())
-
-
-def batch_predictive_entropy(net: Network, x: np.ndarray) -> float:
-    with eval_mode(net):
-        logits, _ = net.forward(np.asarray(x))
-    return predictive_entropy(logits)
 
 
 def export_score_csv(path: str, in_scores, out_scores, value_name: str = "eta1") -> None:

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import ActivationTrace, Network, eval_mode
+from .nn import Network, eval_rows
 from .samples import SampleSet
 from .stream import SENTINEL_LABEL
-
-
-FORWARD_BATCH = 256
 
 
 class CandidatePool:
@@ -60,24 +57,6 @@ class CandidatePool:
         return taken
 
 
-def activation_spread(trace: ActivationTrace, sample_index: int | None = None):
-    """Mean over layers of the per-layer mean squared post-affine activation.
-
-    With ideal normalization this is the activation variance; it measures how
-    spread out a sample's intermediate values are relative to the training
-    data the batch-norm statistics describe.
-    """
-    n = trace.n_samples
-    acc = np.zeros(n, dtype=np.float64)
-    for a in trace.activated:
-        flat = a.astype(np.float64).reshape(n, -1)
-        acc += np.square(flat).mean(axis=1)
-    acc /= len(trace.activated)
-    if sample_index is None:
-        return acc
-    return float(acc[sample_index])
-
-
 def entropy_term(sigma_sq):
     """Gaussian differential entropy 0.5 * (1 + ln(2 pi sigma^2)); 0 -> -inf."""
     sigma_sq = np.asarray(sigma_sq, dtype=np.float64)
@@ -91,16 +70,14 @@ def entropy_term(sigma_sq):
 
 
 def sample_entropies(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Activation-spread entropy per sample, computed with the current model."""
-    inputs = np.asarray(inputs)
-    n = inputs.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    with eval_mode(net):
-        for start in range(0, n, FORWARD_BATCH):
-            stop = min(start + FORWARD_BATCH, n)
-            _, trace = net.forward(inputs[start:stop], capture=True)
-            out[start:stop] = entropy_term(activation_spread(trace))
-    return out
+    """Activation-spread entropy per sample, computed with the current model.
+
+    The spread (``nn.eval_rows``) is the mean over batch-norm layers of a
+    sample's mean squared post-affine activation. With ideal normalization it
+    is the activation variance: how spread out the sample's intermediate values
+    are relative to the training data the batch-norm statistics describe.
+    """
+    return entropy_term(eval_rows(net, inputs)[2])
 
 
 def mean_pairwise_cosine(x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ CORRUPTION_KINDS = ("gaussian", "shot", "impulse")
 class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
-    class_names: list[str] | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float32)
@@ -47,7 +46,7 @@ class Dataset:
 
     def restrict(self, class_ids) -> "Dataset":
         mask = np.isin(self.labels, np.asarray(list(class_ids)))
-        return Dataset(self.inputs[mask], self.labels[mask], self.class_names)
+        return Dataset(self.inputs[mask], self.labels[mask])
 
 
 @dataclass
@@ -97,41 +96,20 @@ def simplex_means(n_classes: int, dims: int, separation: float) -> np.ndarray:
 
 
 def synth_generate(n_classes: int, dims: int, separation: float, within_std: float,
-                   n_samples: int, seed: int, clip_unit: bool = False,
-                   modes_per_class: int = 1, mode_offset: float = 0.0,
-                   minor_mode_weight: float = 0.25,
-                   scale_spread: float = 0.0) -> Dataset:
+                   n_samples: int, seed: int, clip_unit: bool = False) -> Dataset:
     """Gaussian blobs with means on a scaled simplex; labels round-robin.
 
     With ``clip_unit`` the samples are clamped into [0, 1] so they can feed
-    the corruption operators. ``modes_per_class`` > 1 splits each class into
-    sub-blobs offset by ``mode_offset`` along per-class random directions,
-    with the non-core modes sharing ``minor_mode_weight`` of the mass; this
-    gives classes internal structure a diverse memory has to cover.
-    ``scale_spread`` > 0 draws a lognormal per-sample noise scale so sample
-    "difficulty" varies naturally, as it does for real images.
+    the corruption operators.
     """
     if separation <= 0:
         raise ValueError("separation must be positive")
     if n_samples < 1:
         raise ValueError("cannot generate an empty dataset")
-    if modes_per_class < 1:
-        raise ValueError("modes_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     means = simplex_means(n_classes, dims, separation)
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
-    noise = rng.normal(0.0, within_std, size=(n_samples, dims))
-    if scale_spread > 0.0:
-        noise *= np.exp(scale_spread * rng.normal(size=(n_samples, 1)))
-    inputs = means[labels] + noise
-    if modes_per_class > 1:
-        directions = rng.normal(size=(n_classes, modes_per_class - 1, dims))
-        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
-        minor_each = minor_mode_weight / (modes_per_class - 1)
-        mode_probs = [1.0 - minor_mode_weight] + [minor_each] * (modes_per_class - 1)
-        modes = rng.choice(modes_per_class, size=n_samples, p=mode_probs)
-        shifted = modes > 0
-        inputs[shifted] += mode_offset * directions[labels[shifted], modes[shifted] - 1]
+    inputs = means[labels] + rng.normal(0.0, within_std, size=(n_samples, dims))
     if clip_unit:
         inputs = np.clip(inputs, 0.0, 1.0)
     return Dataset(inputs.astype(np.float32), labels)

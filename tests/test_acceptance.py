@@ -16,9 +16,9 @@ from bowl.cli import main as cli_main
 from bowl.engine import LoopConfig, run_variant
 from bowl.memory import MemoryBuffer, MemoryScores, init_buffer, update_buffer
 from bowl.metrics import auroc
-from bowl.nn import BatchNorm, build_mlp, SgdOptimizer
-from bowl.ood import (ThresholdConfig, batch_ood_score, batch_predictive_entropy,
-                      bootstrap_threshold, eta1_from_eta0)
+from bowl.nn import BatchNorm, build_mlp, eval_rows, SgdOptimizer
+from bowl.ood import (ThresholdConfig, batch_ood_score, bootstrap_threshold, eta1_from_eta0,
+                      predictive_entropy)
 from bowl.query import mean_pairwise_cosine
 from bowl.samples import SampleSet
 from bowl.stream import MixSpec, corrupt, split_experiment, synth_generate
@@ -106,7 +106,11 @@ def batch_scores(net, inputs, n_batches, batch_size, seed, scorer):
 
 
 def eta1_scorer(net, x):
-    return batch_ood_score(net, x).eta1
+    return batch_ood_score(net, x, [len(x)])[0][0]
+
+
+def pe_scorer(net, x):
+    return predictive_entropy(eval_rows(net, x)[0])
 
 
 class TestCriterion1:
@@ -185,8 +189,8 @@ class TestCriterion4:
         corrupted = corrupt(test.inputs, "gaussian", 0.5, seed=42)
         clean_eta1 = batch_scores(net, test.inputs, 80, 8, 1, eta1_scorer)
         corr_eta1 = batch_scores(net, corrupted, 80, 8, 2, eta1_scorer)
-        clean_pe = batch_scores(net, test.inputs, 80, 8, 1, batch_predictive_entropy)
-        corr_pe = batch_scores(net, corrupted, 80, 8, 2, batch_predictive_entropy)
+        clean_pe = batch_scores(net, test.inputs, 80, 8, 1, pe_scorer)
+        corr_pe = batch_scores(net, corrupted, 80, 8, 2, pe_scorer)
         auroc_eta1 = auroc(clean_eta1, corr_eta1)
         auroc_pe = auroc(clean_pe, corr_pe)
         elapsed = time.time() - start

@@ -71,7 +71,7 @@ class TestEvaluate:
         net.eval()
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 4)).astype(np.float32)
-        logits, _ = net.forward(x)
+        logits = net.forward(x)
         assert (np.argmax(logits, axis=1) == np.argmax(3.7 * logits, axis=1)).all()
 
 

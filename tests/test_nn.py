@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.nn import (BatchNorm, Dense, Network, ReLU, SgdOptimizer, backward_and_step,
-                     build_mlp, eval_mode, expand_head, load_checkpoint,
-                     save_checkpoint, softmax_cross_entropy, train_one_epoch)
+from bowl.nn import (EVAL_CHUNK, BatchNorm, Dense, Network, ReLU, SgdOptimizer,
+                     backward_and_step, build_mlp, eval_mode, eval_rows, expand_head,
+                     load_checkpoint, save_checkpoint, softmax_cross_entropy,
+                     train_one_epoch)
+
+from bn_reference import reference_rows
 
 
 def _test_loss(net, x, targets):
     """Independent cross-entropy for the finite-difference oracle."""
-    logits, _ = net.forward(x)
+    logits = net.forward(x)
     z = logits.astype(np.float64)
     z = z - z.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -40,7 +43,7 @@ def numeric_gradients(net, x, targets, h=1e-3):
 
 
 def analytic_gradients(net, x, targets):
-    logits, _ = net.forward(x)
+    logits = net.forward(x)
     _, dlogits = softmax_cross_entropy(logits, targets)
     net.backward(dlogits)
     return {name: p.grad.copy() for name, p in net.named_parameters()}
@@ -182,25 +185,24 @@ class TestForward:
         net.head.weight.data[...] = 0.0
         net.head.bias.data[...] = 0.0
         net.eval()
-        logits, _ = net.forward(rng.normal(size=(5, 4)).astype(np.float32))
+        logits = net.forward(rng.normal(size=(5, 4)).astype(np.float32))
         np.testing.assert_array_equal(logits, np.zeros((5, 3), dtype=np.float32))
 
-    def test_trace_total_dim_sums_bn_widths(self):
+    def test_bn_dim_sums_bn_widths(self):
         rng = np.random.default_rng(2)
         net = build_mlp(10, [16, 8], 4, rng)
-        net.eval()
-        _, trace = net.forward(rng.normal(size=(3, 10)).astype(np.float32), capture=True)
-        assert trace.total_dim == 24
-        assert len(trace.standardized) == 2
-        assert trace.n_samples == 3
+        assert net.bn_dim == 24
+        logits, eta0, spread = eval_rows(net, rng.normal(size=(3, 10)).astype(np.float32))
+        assert logits.shape == (3, 4)
+        assert eta0.shape == spread.shape == (3,)
 
     def test_eval_forward_deterministic(self):
         rng = np.random.default_rng(3)
         net = build_mlp(6, [8], 2, rng)
         net.eval()
         x = rng.normal(size=(4, 6)).astype(np.float32)
-        a, _ = net.forward(x)
-        b, _ = net.forward(x)
+        a = net.forward(x)
+        b = net.forward(x)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
@@ -222,7 +224,7 @@ class TestTraining:
         x = rng.normal(size=(2, 3)).astype(np.float32)
         y = np.array([1, 0])
         before = {n: p.data.copy() for n, p in net.named_parameters()}
-        logits, _ = net.forward(x)  # train-mode logits seen by the step
+        logits = net.forward(x)  # train-mode logits seen by the step
         z = logits.astype(np.float64)
         z -= z.max(axis=1, keepdims=True)
         expected = float(-(z[np.arange(2), y]
@@ -232,6 +234,23 @@ class TestTraining:
         assert abs(net2_loss - expected) < 1e-6
         for n, p in net.named_parameters():
             np.testing.assert_array_equal(before[n], p.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_matches_out_of_place_softmax_bitwise(self, dtype):
+        rng = np.random.default_rng(16)
+        logits = (5 * rng.normal(size=(9, 4))).astype(dtype)
+        targets = rng.integers(0, 4, size=9)
+        z = logits.astype(np.float64)
+        z = z - z.max(axis=1, keepdims=True)
+        expz = np.exp(z)
+        probs = expz / expz.sum(axis=1, keepdims=True)
+        expected_loss = float(-np.log(probs[np.arange(9), targets] + 1e-300).mean())
+        expected = probs.copy()
+        expected[np.arange(9), targets] -= 1.0
+        expected /= 9
+        loss, dlogits = softmax_cross_entropy(logits, targets)
+        assert loss == expected_loss
+        np.testing.assert_array_equal(dlogits, expected.astype(dtype))
 
     def test_uniform_logits_loss_is_log_n_classes(self):
         logits = np.zeros((4, 2), dtype=np.float32)
@@ -279,6 +298,54 @@ class TestTraining:
                             SgdOptimizer(), 8, np.random.default_rng(0))
 
 
+class TestEvalRows:
+    @pytest.fixture(scope="class")
+    def net(self):
+        rng = np.random.default_rng(30)
+        net = build_mlp(6, [12, 5], 3, rng)
+        opt = SgdOptimizer(0.1, 0.9, 0.0)
+        for _ in range(5):  # running statistics away from their initial values
+            backward_and_step(net, rng.normal(1.0, 2.0, size=(32, 6)).astype(np.float32),
+                              rng.integers(0, 3, size=32), opt)
+        return net
+
+    @pytest.mark.parametrize("n", [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 1300])
+    def test_chunked_pass_matches_one_forward(self, net, n):
+        """Each chunk's rows get the numbers of one forward over all rows: the
+        reductions exactly, the float32 logits up to matrix-product rounding."""
+        x = np.random.default_rng(n).normal(size=(n, 6)).astype(np.float32)
+        logits, eta0, spread = eval_rows(net, x)
+        ref_logits, ref_eta0, ref_spread = reference_rows(net, x)
+        np.testing.assert_allclose(logits, ref_logits, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(eta0, ref_eta0, rtol=1e-6)
+        np.testing.assert_allclose(spread, ref_spread, rtol=1e-6)
+        for rows in (slice(0, EVAL_CHUNK), slice(EVAL_CHUNK, None)):
+            if len(x[rows]):
+                chunk = reference_rows(net, x[rows])
+                np.testing.assert_array_equal(eta0[rows], chunk[1])
+                np.testing.assert_array_equal(spread[rows], chunk[2])
+
+    def test_one_forward_per_chunk_and_state_untouched(self, net, monkeypatch):
+        calls = []
+        forward = Network.forward
+        monkeypatch.setattr(Network, "forward",
+                            lambda self, x, *a: calls.append(len(x)) or forward(self, x, *a))
+        before = copy.deepcopy(net)
+        net.train()
+        eval_rows(net, np.zeros((1300, 6), dtype=np.float32))
+        assert calls == [EVAL_CHUNK, EVAL_CHUNK, 1300 - 2 * EVAL_CHUNK]
+        assert net.training
+        np.testing.assert_array_equal(net.flat_params, before.flat_params)
+        for layer, old in zip(net.layers, before.layers):
+            if isinstance(layer, BatchNorm):
+                np.testing.assert_array_equal(layer.running_mean, old.running_mean)
+                np.testing.assert_array_equal(layer.running_var, old.running_var)
+
+    def test_zero_rows(self, net):
+        logits, eta0, spread = eval_rows(net, np.zeros((0, 6), dtype=np.float32))
+        assert logits.shape == (0, 3) and eta0.shape == spread.shape == (0,)
+
+
 class TestExpandHead:
     def test_two_plus_two_classes(self):
         rng = np.random.default_rng(12)
@@ -292,14 +359,28 @@ class TestExpandHead:
         with pytest.raises(ValueError, match="at least one"):
             expand_head(net, 0, np.random.default_rng(0))
 
+    def test_rejected_call_changes_nothing(self):
+        rng = np.random.default_rng(15)
+        net = build_mlp(4, [6], 2, rng)
+        net.eval()
+        x = rng.normal(size=(5, 4)).astype(np.float32)
+        logits = net.forward(x)
+        params = net.flat_params.copy()
+        with pytest.raises(ValueError, match="new_class_ids"):
+            expand_head(net, 2, rng, new_class_ids=[7])
+        assert net.n_classes == 2
+        assert net.class_ids == [0, 1]
+        np.testing.assert_array_equal(net.flat_params, params)
+        np.testing.assert_array_equal(net.forward(x), logits)
+
     def test_old_logits_preserved_exactly(self):
         rng = np.random.default_rng(13)
         net = build_mlp(4, [6], 3, rng)
         net.eval()
         x = rng.normal(size=(5, 4)).astype(np.float32)
-        before, _ = net.forward(x)
+        before = net.forward(x)
         expand_head(net, 2, rng)
-        after, _ = net.forward(x)
+        after = net.forward(x)
         np.testing.assert_array_equal(before, after[:, :3])
 
 
@@ -321,8 +402,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p1.data, p2.data)
         net.eval()
         other.eval()
-        a, _ = net.forward(x)
-        b, _ = other.forward(x)
+        a = net.forward(x)
+        b = other.forward(x)
         np.testing.assert_array_equal(a, b)
 
     def test_eval_mode_context_restores(self):
@@ -451,7 +532,7 @@ class TestArena:
             x, y = _batch(rng, net.n_classes)
             x = x.astype(dtype)
             loss = backward_and_step(net, x, y, opt)
-            logits, _ = ref_net.forward(x)
+            logits = ref_net.forward(x)
             ref_loss, dlogits = softmax_cross_entropy(logits, y)
             ref_net.backward(dlogits)
             ref.step(ref_net.named_parameters())

@@ -5,44 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.nn import ActivationTrace, build_mlp, save_checkpoint
-from bowl.ood import (ThresholdConfig, batch_ood_score,
-                      bootstrap_threshold, empirical_quantile, eta0_per_sample,
-                      eta1_from_eta0, export_score_csv, filter_stream,
-                      predictive_entropy, sample_eta1_scores)
+from bowl.nn import SgdOptimizer, backward_and_step, build_mlp, eval_rows, save_checkpoint
+from bowl.ood import (ThresholdConfig, batch_ood_score, bootstrap_threshold,
+                      empirical_quantile, eta1_from_eta0, export_score_csv, filter_stream,
+                      predictive_entropy, sample_eta1_scores, segment_means)
 from bowl.stream import StreamBatch
 
+from bn_reference import bn_net, per_batch_eta1, reference_rows
 
-def _trace(z_layers):
-    zs = [np.asarray(z, dtype=np.float64) for z in z_layers]
-    return ActivationTrace(zs, [z.copy() for z in zs])
+
+def _eta0(x, gammas=(1.0,)):
+    """Per-row eta0 of a batch-norm-only network whose first layer's z is x."""
+    x = np.asarray(x, dtype=np.float32)
+    return eval_rows(bn_net(x.shape[1], gammas), x)[1]
 
 
 class TestEta0:
     def test_zero_when_at_running_mean(self):
-        trace = _trace([np.zeros((4, 6))])
-        np.testing.assert_array_equal(eta0_per_sample(trace), np.zeros(4))
+        np.testing.assert_array_equal(_eta0(np.zeros((4, 6))), np.zeros(4))
 
     def test_direct_sum_of_squares(self):
-        trace = _trace([np.array([[1.0, -2.0, 0.5]])])
-        assert eta0_per_sample(trace)[0] == pytest.approx(5.25)
+        assert _eta0([[1.0, -2.0, 0.5]])[0] == 5.25
 
     def test_chi_squared_mean_monte_carlo(self):
         # For iid standard-normal standardized activations the score is a
         # chi-squared draw with d degrees of freedom, so its mean is d.
         rng = np.random.default_rng(123)
         d = 100
-        trace = _trace([rng.normal(size=(10_000, d))])
-        assert eta0_per_sample(trace).mean() == pytest.approx(100.0, abs=5.0)
+        assert _eta0(rng.normal(size=(10_000, d))).mean() == pytest.approx(100.0, abs=5.0)
 
     def test_sums_across_layers(self):
-        trace = _trace([np.full((2, 3), 1.0), np.full((2, 2), 2.0)])
-        np.testing.assert_allclose(eta0_per_sample(trace), [11.0, 11.0])
+        # the second layer sees gamma_1 * z_1 = 2: 3 * 1 + 3 * 4
+        np.testing.assert_array_equal(_eta0(np.ones((2, 3)), gammas=(2.0, 1.0)), [15.0, 15.0])
 
     def test_nonnegative_property(self):
         rng = np.random.default_rng(5)
-        trace = _trace([rng.normal(size=(64, 7)) * 10])
-        assert (eta0_per_sample(trace) >= 0).all()
+        assert (_eta0(rng.normal(size=(64, 7)) * 10) >= 0).all()
 
 
 class TestEta1:
@@ -86,28 +84,29 @@ def toy_net():
 
 class TestBatchScore:
     def test_identical_points_equal_single_sample_score(self, toy_net):
-        x = np.tile(np.random.default_rng(1).normal(size=6).astype(np.float32), (8, 1))
-        batch = batch_ood_score(toy_net, x)
-        single = batch_ood_score(toy_net, x[:1])
-        assert batch.eta1 == pytest.approx(single.eta1, rel=1e-6)
+        x = np.tile(np.random.default_rng(1).normal(size=6).astype(np.float32), (9, 1))
+        (batch, single), logits = batch_ood_score(toy_net, x, [8, 1])
+        assert batch == pytest.approx(single, rel=1e-6)
+        assert logits.shape == (9, 3)
 
     def test_scaled_activations_score_higher(self):
-        rng = np.random.default_rng(2)
-        z = rng.normal(size=(8, 20))
-        ref = eta1_from_eta0(eta0_per_sample(_trace([z])).mean(), 20)
-        scaled = eta1_from_eta0(eta0_per_sample(_trace([10 * z])).mean(), 20)
+        z = np.random.default_rng(2).normal(size=(8, 20)).astype(np.float32)
+        (ref, scaled), _ = batch_ood_score(bn_net(20), np.concatenate([z, 10 * z]), [8, 8])
         assert scaled > ref
 
     def test_empty_batch_rejected(self, toy_net):
         with pytest.raises(ValueError, match="empty"):
-            batch_ood_score(toy_net, np.zeros((0, 6), dtype=np.float32))
+            batch_ood_score(toy_net, np.zeros((0, 6), dtype=np.float32), [0])
+        with pytest.raises(ValueError, match="empty"):
+            filter_stream(toy_net, [np.zeros((3, 6), np.float32),
+                                    np.zeros((0, 6), np.float32)], 0.0)
 
     def test_scoring_never_mutates_network(self, toy_net, tmp_path):
         before = str(tmp_path / "before.bnt")
         after = str(tmp_path / "after.bnt")
         save_checkpoint(toy_net, before)
         x = np.random.default_rng(3).normal(size=(32, 6)).astype(np.float32)
-        batch_ood_score(toy_net, x[:8])
+        batch_ood_score(toy_net, x, [8, 24])
         sample_eta1_scores(toy_net, x)
         bootstrap_threshold(toy_net, x, ThresholdConfig(20, 4, 0.9),
                             np.random.default_rng(0))
@@ -126,7 +125,7 @@ class TestBootstrap:
 
     def test_repeated_point_gives_that_score(self, toy_net):
         x = np.tile(np.random.default_rng(4).normal(size=6).astype(np.float32), (32, 1))
-        expected = batch_ood_score(toy_net, x[:8]).eta1
+        expected = per_batch_eta1(toy_net, [x[:8]])[0]
         for alpha in (0.01, 0.5, 0.99):
             tau = bootstrap_threshold(toy_net, x, ThresholdConfig(50, 8, alpha),
                                       np.random.default_rng(1))
@@ -152,18 +151,21 @@ class TestFilterStream:
 
     def test_partition_and_order(self, toy_net):
         batches = self._batches(np.random.default_rng(5))
-        scores = [batch_ood_score(toy_net, b.inputs).eta1 for b in batches]
+        scores = per_batch_eta1(toy_net, [b.inputs for b in batches])
         tau = float(np.median(scores))
         result = filter_stream(toy_net, batches, tau)
-        assert result.rejected_count + len(result.accepted) == len(batches)
-        expected = [b for b, s in zip(batches, scores) if s < tau]
-        assert [id(b) for b in result.accepted] == [id(b) for b in expected]
+        np.testing.assert_array_equal(result.scores, scores)
+        assert result.accepted.tolist() == [i for i, s in enumerate(scores) if s < tau]
 
     def test_minus_infinity_rejects_everything(self, toy_net):
         batches = self._batches(np.random.default_rng(6), n=5)
         result = filter_stream(toy_net, batches, float("-inf"))
-        assert result.accepted == []
-        assert result.rejected_count == 5
+        assert len(result.accepted) == 0
+        assert len(result.scores) == 5
+
+    def test_empty_stream_admits_nothing(self, toy_net):
+        result = filter_stream(toy_net, [], 0.0)
+        assert len(result.accepted) == len(result.scores) == 0
 
     def test_nan_tau_rejected(self, toy_net):
         with pytest.raises(ValueError):
@@ -179,8 +181,8 @@ class TestFilterStream:
                    for s in (0.5, 1.0, 1.0, 2.0, 3.0, 5.0)]
 
         def log_odds_score(x):
-            score = batch_ood_score(toy_net, x)
-            return 0.5 * score.eta0 - (score.d / 2.0) * math.log(score.eta0)
+            eta0 = float(eval_rows(toy_net, x)[1].mean())
+            return 0.5 * eta0 - (toy_net.bn_dim / 2.0) * math.log(eta0)
 
         cfg = ThresholdConfig(100, 8, 0.99)
         tau_main = bootstrap_threshold(toy_net, reference, cfg, np.random.default_rng(8))
@@ -192,10 +194,79 @@ class TestFilterStream:
             k_scores.append(log_odds_score(reference[sel]))
         tau_scaled = empirical_quantile(np.asarray(k_scores), cfg.alpha)
 
-        accept_main = [batch_ood_score(toy_net, b).eta1 < tau_main for b in batches]
+        admitted = filter_stream(toy_net, batches, tau_main).accepted
+        accept_main = [i in admitted for i in range(len(batches))]
         accept_scaled = [log_odds_score(b) < tau_scaled for b in batches]
         assert accept_main == accept_scaled
         assert any(accept_main) and not all(accept_main)
+
+
+class TestOnePass:
+    """One pass over many batches against one eval forward per batch."""
+
+    @pytest.fixture(scope="class")
+    def bench_net(self):
+        """The benchmark's shapes: 64-dim inputs in [0, 1], hidden [64, 32],
+        ten classes; a few steps move the running statistics."""
+        rng = np.random.default_rng(40)
+        net = build_mlp(64, [64, 32], 10, rng)
+        opt = SgdOptimizer(0.1, 0.9, 0.0)
+        for _ in range(20):
+            backward_and_step(net, rng.uniform(size=(64, 64)).astype(np.float32),
+                              rng.integers(0, 10, size=64), opt)
+        return net
+
+    def test_filter_equals_per_batch_passes_at_bench_shapes(self, bench_net):
+        """75 stream batches of 8 (600 rows, across a chunk edge): bit for bit."""
+        rng = np.random.default_rng(41)
+        batches = [rng.uniform(0.0, 1.0 + (i % 3), size=(8, 64)).astype(np.float32)
+                   for i in range(75)]
+        expected = per_batch_eta1(bench_net, batches)
+        tau = float(np.median(expected))
+        result = filter_stream(bench_net, batches, tau)
+        np.testing.assert_array_equal(result.scores, expected)
+        np.testing.assert_array_equal(result.accepted, np.flatnonzero(expected < tau))
+
+    @pytest.mark.parametrize("k, b", [(100, 3), (100, 8)])
+    def test_bootstrap_equals_k_draw_loop_at_bench_shapes(self, bench_net, k, b):
+        """One (K, b) draw and one pass give the tau of K draws and K passes."""
+        inputs = np.random.default_rng(43).uniform(size=(300, 64)).astype(np.float32)
+        rng = np.random.default_rng(44)
+        draws = [inputs[rng.integers(0, len(inputs), size=b)] for _ in range(k)]
+        expected = empirical_quantile(per_batch_eta1(bench_net, draws), 0.99)
+        tau = bootstrap_threshold(bench_net, inputs, ThresholdConfig(k, b, 0.99),
+                                  np.random.default_rng(44))
+        assert tau == expected
+
+    @pytest.mark.parametrize("k, b", [(7, 1), (5, 3)])
+    def test_one_draw_leaves_the_generator_where_k_draws_do(self, k, b):
+        one, many = np.random.default_rng(45), np.random.default_rng(45)
+        np.testing.assert_array_equal(one.integers(0, 50, size=(k, b)).ravel(),
+                                      np.concatenate([many.integers(0, 50, size=b)
+                                                      for _ in range(k)]))
+        assert one.integers(0, 2**31) == many.integers(0, 2**31)
+
+    @pytest.mark.parametrize("dims, hidden", [(6, [12, 6]), (64, [64, 32]), (784, [64, 32])])
+    def test_per_row_eta0_close_to_per_batch_passes(self, dims, hidden):
+        """Elsewhere the matrix product may round a row differently at another
+        row count (one row takes the matrix-vector path): eta0 agrees to 1e-6,
+        with a batch of one and an uneven tail."""
+        rng = np.random.default_rng(46)
+        net = build_mlp(dims, hidden, 3, rng)
+        sizes = [8, 1, 3, 8, 300, 250, 5]
+        x = rng.uniform(size=(sum(sizes), dims)).astype(np.float32)
+        ends = np.cumsum(sizes)
+        expected = np.concatenate([reference_rows(net, x[e - s:e])[1]
+                                   for s, e in zip(sizes, ends)])
+        np.testing.assert_allclose(eval_rows(net, x)[1], expected, rtol=1e-6)
+
+    def test_segment_means_are_slice_means(self):
+        values = np.random.default_rng(47).normal(size=20)
+        np.testing.assert_array_equal(segment_means(values, [1, 12, 7]),
+                                      [values[:1].mean(), values[1:13].mean(),
+                                       values[13:].mean()])
+        with pytest.raises(ValueError, match="sum to"):
+            segment_means(values, [1, 12])
 
 
 class TestPredictiveEntropy:

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.nn import ActivationTrace, build_mlp
-from bowl.query import (CandidatePool, activation_spread, entropy_term,
-                        mean_pairwise_cosine, query_scores, sample_entropies, select_top)
+from bowl.nn import EVAL_CHUNK, build_mlp, eval_rows
+from bowl.query import (CandidatePool, entropy_term, mean_pairwise_cosine, query_scores,
+                        sample_entropies, select_top)
+
+from bn_reference import bn_net, reference_rows
 
 
-def _trace(a_layers):
-    arrs = [np.asarray(a, dtype=np.float64) for a in a_layers]
-    return ActivationTrace([a.copy() for a in arrs], arrs)
+def _spread(x, gammas=(1.0,)):
+    """Per-row spread of a batch-norm-only network whose first layer's z is x."""
+    x = np.asarray(x, dtype=np.float32)
+    return eval_rows(bn_net(x.shape[1], gammas), x)[2]
 
 
 def naive_mean_cosine(x):
@@ -29,17 +32,14 @@ def naive_mean_cosine(x):
 
 class TestActivationSpread:
     def test_all_zero_activations(self):
-        trace = _trace([np.zeros((3, 4))])
-        np.testing.assert_array_equal(activation_spread(trace), np.zeros(3))
+        np.testing.assert_array_equal(_spread(np.zeros((3, 4))), np.zeros(3))
 
     def test_mean_of_squares_single_layer(self):
-        trace = _trace([np.array([[1.0, -1.0]])])
-        assert activation_spread(trace, 0) == pytest.approx(1.0)
+        assert _spread([[1.0, -1.0]])[0] == 1.0
 
     def test_layer_mean_of_layer_means(self):
         # per-layer mean squares 0.5 and 1.5 -> spread 1.0
-        trace = _trace([np.array([[1.0, 0.0]]), np.array([[math.sqrt(1.5)]])])
-        assert activation_spread(trace, 0) == pytest.approx(1.0)
+        assert _spread([[1.0, 0.0]], gammas=(1.0, math.sqrt(3.0)))[0] == pytest.approx(1.0)
 
 
 class TestEntropyTerm:
@@ -151,15 +151,21 @@ class TestQueryScores:
         np.testing.assert_allclose(scores_perm, scores[perm], rtol=1e-9)
 
     def test_batched_forward_independent_of_batching(self, net):
-        # 300 rows cross a forward-chunk boundary; eval-mode scores are per row.
-        x = np.random.default_rng(4).normal(size=(300, 5)).astype(np.float32)
-        row_by_row = np.concatenate([sample_entropies(net, x[i:i + 1]) for i in range(300)])
+        # The rows cross a forward-chunk boundary; eval-mode scores are per row.
+        n = EVAL_CHUNK + 88
+        x = np.random.default_rng(4).normal(size=(n, 5)).astype(np.float32)
+        row_by_row = np.concatenate([sample_entropies(net, x[i:i + 1]) for i in range(n)])
         np.testing.assert_allclose(query_scores(net, _pool_from(x)),
                                    row_by_row * mean_pairwise_cosine(x), rtol=1e-9)
 
     def test_empty_pool_rejected(self, net):
         with pytest.raises(ValueError, match="empty"):
             query_scores(net, CandidatePool())
+
+    def test_entropies_are_those_of_the_layer_activations(self, net):
+        x = np.random.default_rng(5).normal(size=(40, 5)).astype(np.float32)
+        np.testing.assert_array_equal(sample_entropies(net, x),
+                                      entropy_term(reference_rows(net, x)[2]))
 
 
 class TestSelectTop:
