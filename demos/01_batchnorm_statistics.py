@@ -48,7 +48,8 @@ print("input at the running mean maps to beta exactly:",
 # --- 4. One read-only pass reduces every layer's activations per sample -----
 
 net = build_mlp(8, [16, 8], 4, rng)
-logits, eta0, spread = eval_rows(net, rng.normal(size=(5, 8)).astype(np.float32))
+logits, eta0, spread = eval_rows(net, rng.normal(size=(5, 8)).astype(np.float32),
+                                 eta0=True, spread=True)
 print("\nbatch-norm layers read by the pass:",
       sum(isinstance(layer, BatchNorm) for layer in net.layers))
 print("total standardized entries per sample (the score dimension d):", net.bn_dim)

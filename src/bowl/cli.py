@@ -17,8 +17,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .engine import (RunReport, run_variant, write_buffer_composition,
                      write_report_csv, write_summary, write_update_metrics)
 from .metrics import auroc
-from .nn import (Network, NonFiniteLossError, checkpoint_class_ids, load_checkpoint,
-                 save_checkpoint)
+from .nn import Network, NonFiniteLossError, read_checkpoint, save_checkpoint
 from .ood import (batch_ood_score, export_score_csv, predictive_entropy_per_sample,
                   sample_eta1_scores, segment_means)
 from .serialization import FormatError, atomic_write_text
@@ -84,9 +83,9 @@ def _resolve_outdir(args, cfg: RunConfig) -> str:
 
 
 def _restore_network(cfg: RunConfig, checkpoint: str) -> Network:
-    class_ids = checkpoint_class_ids(checkpoint)
-    net = cfg.build_network(n_classes=len(class_ids), class_ids=class_ids)
-    load_checkpoint(net, checkpoint)
+    class_ids, state = read_checkpoint(checkpoint)
+    net = cfg.build_network(class_ids=class_ids)
+    net.load_state_dict(state)
     return net
 
 
@@ -163,7 +162,8 @@ def _dataset_scores(net: Network, dataset: Dataset, batch_size: int, granularity
     if granularity == "sample":
         eta1, logits = sample_eta1_scores(net, dataset.inputs)
         return eta1, predictive_entropy_per_sample(logits)
-    sizes = [min(batch_size, dataset.n - s) for s in range(0, dataset.n, batch_size)]
+    n = dataset.n
+    sizes = [min(batch_size, n - s) for s in range(0, n, batch_size)]
     eta1, logits = batch_ood_score(net, dataset.inputs, sizes)
     return eta1, segment_means(predictive_entropy_per_sample(logits), sizes)
 

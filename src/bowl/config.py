@@ -37,16 +37,26 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(part) for part in raw.split(",")]
 
 
-def _at_least_one(parse):
-    """``parse``, then reject a value below 1, or a list that is empty or has
-    an entry below 1."""
+def _checked(parse, rule: str, ok):
+    """``parse``, then reject a value that breaks ``rule``: an empty list, or a
+    value or list entry for which the elementwise test ``ok`` fails (NaN
+    fails every range)."""
     def check(raw: str):
         value = parse(raw)
         values = np.atleast_1d(value)
-        if values.size == 0 or (values < 1).any():
-            raise ValueError(f"must be >= 1, got {raw.strip()!r}")
+        if values.size == 0 or not ok(values).all():
+            raise ValueError(f"must be {rule}, got {raw.strip()!r}")
         return value
     return check
+
+
+def _at_least_one(parse):
+    return _checked(parse, ">= 1", lambda v: v >= 1)
+
+
+_POSITIVE = _checked(float, "> 0", lambda v: v > 0)
+_NONNEGATIVE = _checked(float, ">= 0", lambda v: v >= 0)
+_FRACTION = _checked(float, "in [0, 1]", lambda v: (v >= 0) & (v <= 1))
 
 
 def _parse_schedule(raw: str) -> list[list[int]]:
@@ -78,13 +88,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "network": {
         "hidden": (_at_least_one(_parse_int_list), _REQUIRED),
-        "bn_eps": (float, 1e-5),
-        "bn_momentum": (float, 0.1),
+        "bn_eps": (_POSITIVE, 1e-5),
+        "bn_momentum": (_checked(float, "in (0, 1]", lambda v: (v > 0) & (v <= 1)), 0.1),
     },
     "optimizer": {
-        "learning_rate": (float, 0.1),
-        "momentum": (float, 0.9),
-        "weight_decay": (float, 0.0005),
+        "learning_rate": (_NONNEGATIVE, 0.1),
+        "momentum": (_NONNEGATIVE, 0.9),
+        "weight_decay": (_NONNEGATIVE, 0.0005),
     },
     "loop": {
         "acquisition_batch": (int, 256),
@@ -104,19 +114,19 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "schedule": (_parse_schedule, _REQUIRED),
         "n_classes": (int, 10),
         "dims": (int, 16),
-        "separation": (float, 0.3),
-        "within_std": (float, 0.05),
-        "train_per_class": (int, 400),
-        "test_per_class": (int, 200),
+        "separation": (_POSITIVE, 0.3),
+        "within_std": (_NONNEGATIVE, 0.05),
+        "train_per_class": (_at_least_one(int), 400),
+        "test_per_class": (_at_least_one(int), 200),
         "clip_unit": (_parse_bool, True),
         "train_path": (str, None),
         "test_path": (str, None),
     },
     "mix": {
-        "corrupted_fraction": (float, 0.0),
-        "ood_fraction": (float, 0.0),
+        "corrupted_fraction": (_FRACTION, 0.0),
+        "ood_fraction": (_FRACTION, 0.0),
         "corruption": (_choice(CORRUPTION_KINDS), "gaussian"),
-        "severity": (float, 0.5),
+        "severity": (_POSITIVE, 0.5),
         "foreign_source": (_choice(("synthetic", "file")), "synthetic"),
         "foreign_path": (str, None),
         "foreign_classes": (int, None),  # defaults to n_classes

@@ -152,7 +152,7 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
     inputs, labels = inputs[mask], labels[mask]
     if labels.size == 0:
         raise ValueError("empty test set")
-    logits, _, _ = eval_rows(net, inputs)
+    logits = eval_rows(net, inputs)[0]
     preds = np.asarray(net.class_ids, dtype=np.int64)[np.argmax(logits, axis=1)]
     return int((preds == labels).sum()) / labels.size
 
@@ -319,20 +319,23 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
     opt = SgdOptimizer(config.learning_rate, config.momentum, config.weight_decay)
     report = RunReport(variant=variant, seed=config.seed)
 
-    # Timestep 0: traditional supervised pretraining on the first task.
-    _train_supervised(net, tasks.pretrain_inputs, tasks.pretrain_labels, opt,
-                      config.pretrain_epochs, config.minibatch_size, rng_shuffle)
-    report.pretrain_steps = opt.step_count
-    report.task_accuracies[0] = _evaluate_discovered(net, tasks)
-
-    # A uniform sample of the pretraining data: the replay buffer's start, and
-    # the frozen tau reference of a variant without a memory policy.
-    n_pretrain = int(tasks.pretrain_inputs.shape[0])
-    buffer = init_buffer(tasks.pretrain_inputs, tasks.pretrain_labels,
-                         config.buffer_capacity, net, rng_buffer, ids=np.arange(n_pretrain))
-    next_id = n_pretrain
-
+    # A divergence anywhere, pretraining included, ends the run with the
+    # report as far as it got.
     try:
+        # Timestep 0: traditional supervised pretraining on the first task.
+        _train_supervised(net, tasks.pretrain_inputs, tasks.pretrain_labels, opt,
+                          config.pretrain_epochs, config.minibatch_size, rng_shuffle)
+        report.pretrain_steps = opt.step_count
+        report.task_accuracies[0] = _evaluate_discovered(net, tasks)
+
+        # A uniform sample of the pretraining data: the replay buffer's start, and
+        # the frozen tau reference of a variant without a memory policy.
+        n_pretrain = int(tasks.pretrain_inputs.shape[0])
+        buffer = init_buffer(tasks.pretrain_inputs, tasks.pretrain_labels,
+                             config.buffer_capacity, net, rng_buffer,
+                             ids=np.arange(n_pretrain))
+        next_id = n_pretrain
+
         for t in range(1, tasks.n_timesteps + 1):
             batches = tasks.streams[t - 1]
             batch_ids, next_id = _assign_ids(batches, next_id)

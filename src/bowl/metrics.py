@@ -24,14 +24,22 @@ def count_odp(insert_log) -> int:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged; exact for half-integer arithmetic."""
+    """1-based ranks with ties averaged; exact for half-integer arithmetic.
+    NaNs sort last and tie with each other, as in ``np.unique``."""
     order = np.argsort(values, kind="mergesort")
     sorted_vals = values[order]
-    uniq, inverse, counts = np.unique(sorted_vals, return_inverse=True, return_counts=True)
-    starts = np.cumsum(counts) - counts
+    n = sorted_vals.size
+    # Tie runs straight from the sorted values: a run starts where a value
+    # differs from the one before it.
+    new_run = np.ones(n, dtype=bool)
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=new_run[1:])
+    nan = np.isnan(sorted_vals)
+    new_run[1:] &= ~(nan[1:] & nan[:-1])
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(starts, append=n)
     avg = starts + (counts + 1) / 2.0
-    ranks = np.empty(values.shape[0])
-    ranks[order] = avg[inverse]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(avg, counts)
     return ranks
 
 

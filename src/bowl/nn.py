@@ -1,8 +1,9 @@
 """Minimal feed-forward network with batch normalization and SGD-momentum.
 
 Dense / BatchNorm / ReLU layers carry hand-written backward passes. The one
-read-only pass ``eval_rows`` gives every row's logits together with two
-per-row reductions of the batch-norm activations, which every scorer reads.
+read-only pass ``eval_rows`` gives every row's logits and, on request, two
+per-row reductions of the batch-norm activations (eta0 for the OoD scores,
+spread for the entropies); a caller pays only for the reductions it asks for.
 The output head can grow rows as new classes appear, preserving existing
 logits exactly.
 
@@ -22,7 +23,7 @@ import contextlib
 
 import numpy as np
 
-from .serialization import read_tensors, write_tensors
+from .serialization import FormatError, read_tensors, write_tensors
 
 
 class NonFiniteLossError(RuntimeError):
@@ -105,7 +106,8 @@ class BatchNorm:
     def forward(self, x: np.ndarray, train: bool, row_stats=None) -> np.ndarray:
         """Normalize ``x``. With ``row_stats``, an (eta0, spread) pair of float64
         per-row accumulators, add each row's sum of squared standardized
-        activations z to eta0 and its mean squared output y to spread."""
+        activations z to eta0 and its mean squared output y to spread; a None
+        accumulator is skipped."""
         if x.shape[1] != self.dim:
             raise ValueError(f"batchnorm expects {self.dim} channels, got {x.shape[1]}")
         if train:
@@ -133,8 +135,10 @@ class BatchNorm:
         y += self.beta.data
         if row_stats is not None:
             eta0, spread = row_stats
-            eta0 += np.square(z.astype(np.float64)).sum(axis=1)
-            spread += np.square(y.astype(np.float64)).mean(axis=1)
+            if eta0 is not None:
+                eta0 += _squares(z).sum(axis=1)
+            if spread is not None:
+                spread += _squares(y).mean(axis=1)
         return y
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -155,6 +159,12 @@ class BatchNorm:
 
     def params(self, prefix: str) -> list[tuple[str, Param]]:
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``a``, squared in place."""
+    a = a.astype(np.float64)
+    return np.square(a, out=a)
 
 
 class ReLU:
@@ -247,8 +257,9 @@ class Network:
 
     def forward(self, x: np.ndarray, row_stats=None) -> np.ndarray:
         """Run the network and return its logits. ``row_stats``, an (eta0,
-        spread) pair of float64 per-row accumulators, collects every batch-norm
-        layer's per-row reductions (see ``BatchNorm.forward`` and ``eval_rows``)."""
+        spread) pair of float64 per-row accumulators or None, collects every
+        batch-norm layer's per-row reductions (see ``BatchNorm.forward`` and
+        ``eval_rows``)."""
         x = np.asarray(x)
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
@@ -296,10 +307,12 @@ class Network:
             p.data[...] = state[name].astype(p.data.dtype)
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BatchNorm):
-                layer.running_mean[...] = state[f"layer{i}.running_mean"].astype(
-                    layer.running_mean.dtype)
-                layer.running_var[...] = state[f"layer{i}.running_var"].astype(
-                    layer.running_var.dtype)
+                for stat in ("running_mean", "running_var"):
+                    name = f"layer{i}.{stat}"
+                    if name not in state:
+                        raise ValueError(f"checkpoint missing tensor {name!r}")
+                    target = getattr(layer, stat)
+                    target[...] = state[name].astype(target.dtype)
         if "head.class_ids" in state:
             self.class_ids = [int(c) for c in state["head.class_ids"]]
 
@@ -336,27 +349,33 @@ def eval_mode(net: Network):
 EVAL_CHUNK = 512
 
 
-def eval_rows(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eval_rows(net: Network, x: np.ndarray, *, eta0: bool = False,
+              spread: bool = False) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """The one read-only pass: (logits, eta0, spread) of every row of ``x``.
 
     Runs in eval mode, ``EVAL_CHUNK`` rows per forward pass. eta0 is a row's
     sum of squared standardized batch-norm activations over all layers (the
     raw OoD score, of dimension ``net.bn_dim``); spread is the mean over
-    layers of its mean squared post-affine activation. Both are float64.
-    Eval-mode rows do not interact, so a row's numbers do not depend on the
-    other rows, up to how the matrix product rounds at a given row count.
+    layers of its mean squared post-affine activation. Both are float64, and
+    each is computed only when its flag asks for it; otherwise it is None.
+    The logits do not depend on the flags. Eval-mode rows do not interact, so
+    a row's numbers do not depend on the other rows, up to how the matrix
+    product rounds at a given row count.
     """
     x = np.asarray(x)
     n = len(x)
-    eta0 = np.zeros(n, dtype=np.float64)
-    spread = np.zeros(n, dtype=np.float64)
+    eta0_rows = np.zeros(n) if eta0 else None
+    spread_rows = np.zeros(n) if spread else None
     chunks = [np.empty((0, net.n_classes), dtype=net.flat_params.dtype)]  # if x is empty
     with eval_mode(net):
         for start in range(0, n, EVAL_CHUNK):
             rows = slice(start, start + EVAL_CHUNK)
-            chunks.append(net.forward(x[rows], (eta0[rows], spread[rows])))
-    spread /= sum(isinstance(layer, BatchNorm) for layer in net.layers)
-    return np.concatenate(chunks), eta0, spread
+            row_stats = (eta0_rows[rows] if eta0 else None,
+                         spread_rows[rows] if spread else None)
+            chunks.append(net.forward(x[rows], row_stats))
+    if spread:
+        spread_rows /= sum(isinstance(layer, BatchNorm) for layer in net.layers)
+    return np.concatenate(chunks), eta0_rows, spread_rows
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
@@ -498,9 +517,12 @@ def load_checkpoint(net: Network, path: str) -> None:
     net.load_state_dict(read_tensors(path))
 
 
-def checkpoint_class_ids(path: str) -> list[int]:
+def read_checkpoint(path: str) -> tuple[list[int], dict[str, np.ndarray]]:
+    """A checkpoint's head class ids and all its tensors, from one read."""
     state = read_tensors(path)
-    return [int(c) for c in state["head.class_ids"]]
+    if "head.class_ids" not in state:
+        raise FormatError(f"checkpoint {path!r} has no tensor 'head.class_ids'")
+    return [int(c) for c in state["head.class_ids"]], state
 
 
 def _as_storable(array: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ Mahalanobis distance against the running batch-norm Gaussian). The two-sided
 score eta1 = eta0 - d * ln(eta0) is large both for unusually large and
 unusually small activations; stream batches are admitted when eta1 falls
 below a bootstrap threshold tau. A batch's eta1 is the eta1 of its rows' mean
-eta0, so many batches are scored by one read-only pass (``nn.eval_rows``)
-over their concatenated rows.
+eta0, so many batches are scored by one read-only pass (``nn.eval_rows``,
+asked for eta0 only) over their concatenated rows, then cut into batches by
+``segment_means``: one reshape and row-wise mean per run of equal sizes.
 """
 
 from __future__ import annotations
@@ -57,22 +58,30 @@ def segment_means(values: np.ndarray, sizes) -> np.ndarray:
         raise ValueError("cannot score an empty batch")
     if sizes.sum() != len(values):
         raise ValueError(f"batch sizes sum to {sizes.sum()}, not to the {len(values)} rows")
-    ends = np.cumsum(sizes)
-    # Slice by slice: np.add.reduceat rounds differently from a batch's .mean().
-    return np.array([values[s:e].mean() for s, e in zip(ends - sizes, ends)])
+    if sizes.size == 0:
+        return np.zeros(0)
+    # A run of k equal sizes s is one (k, s) block, a row per batch, whose row
+    # means round exactly as each slice's own .mean() does (np.add.reduceat
+    # does not).
+    firsts = np.flatnonzero(np.diff(sizes, prepend=0))  # each run's first batch
+    counts = np.diff(firsts, append=sizes.size)
+    row_starts = np.cumsum(sizes) - sizes
+    means = [values[r:r + k * s].reshape(k, s).mean(axis=1) for r, k, s in
+             zip(row_starts[firsts].tolist(), counts.tolist(), sizes[firsts].tolist())]
+    return np.concatenate(means)
 
 
 def batch_ood_score(net: Network, x: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     """eta1 of each consecutive batch of ``sizes`` rows of ``x`` (eta1 of the
     batch's mean eta0), and every row's logits, all from one read-only pass."""
-    logits, eta0, _ = eval_rows(net, x)
+    logits, eta0, _ = eval_rows(net, x, eta0=True)
     return eta1_from_eta0(segment_means(eta0, sizes), net.bn_dim), logits
 
 
 def sample_eta1_scores(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eta1 of every row of ``x`` (histogram granularity 'sample') and its
     logits, from one read-only pass."""
-    logits, eta0, _ = eval_rows(net, x)
+    logits, eta0, _ = eval_rows(net, x, eta0=True)
     return eta1_from_eta0(eta0, net.bn_dim), logits
 
 
@@ -132,7 +141,9 @@ def predictive_entropy(logits: np.ndarray) -> float:
 
 def export_score_csv(path: str, in_scores, out_scores, value_name: str = "eta1") -> None:
     """Write (source, score) rows for in/out histogram comparison plots."""
-    lines = [f"source,{value_name}"]
-    lines.extend(f"in,{float(s):.8g}" for s in np.ravel(in_scores))
-    lines.extend(f"out,{float(s):.8g}" for s in np.ravel(out_scores))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    parts = [f"source,{value_name}\n"]
+    for source, scores in (("in", in_scores), ("out", out_scores)):
+        # One %-format over Python floats: the bytes of f"{float(s):.8g}" per row.
+        values = tuple(np.ravel(np.asarray(scores, dtype=np.float64)).tolist())
+        parts.append((f"{source},%.8g\n" * len(values)) % values)
+    atomic_write_text(path, "".join(parts))

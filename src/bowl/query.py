@@ -77,7 +77,7 @@ def sample_entropies(net: Network, inputs: np.ndarray) -> np.ndarray:
     is the activation variance: how spread out the sample's intermediate values
     are relative to the training data the batch-norm statistics describe.
     """
-    return entropy_term(eval_rows(net, inputs)[2])
+    return entropy_term(eval_rows(net, inputs, spread=True)[2])
 
 
 def mean_pairwise_cosine(x: np.ndarray) -> np.ndarray:

@@ -80,14 +80,14 @@ def write_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
 def read_tensors(path: str) -> dict[str, np.ndarray]:
     """Read every named tensor from ``path``; raises FormatError on damage."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())  # slices share the bytes: one copy per payload
     if data[:4] != MAGIC:
         raise FormatError(f"bad magic in {path!r}")
     out: dict[str, np.ndarray] = {}
     offset = 4
     total = len(data)
 
-    def need(n: int, what: str) -> bytes:
+    def need(n: int, what: str) -> memoryview:
         nonlocal offset
         if offset + n > total:
             raise FormatError(f"truncated {what} at offset {offset} in {path!r}")
@@ -97,7 +97,7 @@ def read_tensors(path: str) -> dict[str, np.ndarray]:
 
     while offset < total:
         (name_len,) = struct.unpack("<H", need(2, "name length"))
-        name = need(name_len, "name").decode("utf-8")
+        name = str(need(name_len, "name"), "utf-8")
         code, rank = struct.unpack("<BB", need(2, "dtype/rank"))
         if code not in _DTYPE_FOR_CODE:
             raise FormatError(f"unknown dtype code {code} for tensor {name!r}")

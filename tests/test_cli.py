@@ -4,8 +4,9 @@ import pytest
 
 from bowl.cli import main
 from bowl.config import load_run_config
-from bowl.nn import Network, checkpoint_class_ids, eval_mode, load_checkpoint
+from bowl.nn import Network, eval_mode, read_checkpoint
 from bowl.ood import predictive_entropy_per_sample
+from bowl.serialization import read_tensors, write_tensors
 from bowl.stream import load_dataset
 
 BASE_CONFIG = """
@@ -79,12 +80,36 @@ class TestRun:
 
     @pytest.mark.parametrize("setting", ["epochs_per_update=0", "minibatch_size=1",
                                          "buffer_capacity=3", "ood_batch_size=0",
-                                         "network.hidden=0", "network.hidden=16,0"])
+                                         "network.hidden=0", "network.hidden=16,0",
+                                         "network.bn_eps=-1", "network.bn_eps=0",
+                                         "network.bn_momentum=0", "network.bn_momentum=1.5",
+                                         "optimizer.learning_rate=-1",
+                                         "optimizer.momentum=nan",
+                                         "optimizer.weight_decay=-0.1",
+                                         "data.within_std=-1", "data.separation=0",
+                                         "data.train_per_class=0", "data.test_per_class=0",
+                                         "mix.corrupted_fraction=2", "mix.ood_fraction=-0.5",
+                                         "mix.severity=0"])
     def test_invalid_loop_setting_is_config_error(self, config_path, capsys, setting):
         path, _ = config_path()
         dotted = setting if "." in setting.split("=")[0] else f"loop.{setting}"
         assert main(["run", path, "--set", dotted]) == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_pretraining_divergence_writes_aborted_report(self, config_path, capsys):
+        """A NaN loss during pretraining takes the path of one in a task: the
+        outputs are written, the summary says aborted, and the exit code is 1."""
+        path, outdir = config_path()
+        assert main(["run", path, "--set", "optimizer.learning_rate=1e30"]) == 1
+        assert "run aborted: loss diverged" in capsys.readouterr().err
+        summary = open(os.path.join(outdir, "summary.txt")).read().splitlines()
+        assert "aborted=True" in summary
+        assert "timesteps=0" in summary
+        assert not any(line.startswith("accuracy_t0=") for line in summary)
+        for name in ("report.csv", "checkpoint.bnt"):
+            assert os.path.exists(os.path.join(outdir, name)), name
 
     def test_duplicate_section_key_rejected(self, config_path, capsys):
         path, _ = config_path(extra="\n[data]\ndims = 9\n")
@@ -201,10 +226,9 @@ class TestOodHist:
                      "--output-dir", hist_dir]) == 0
         monkeypatch.undo()
         assert len(calls) == 2 * chunks
-        class_ids = checkpoint_class_ids(checkpoint)
-        net = load_run_config(path).build_network(n_classes=len(class_ids),
-                                                  class_ids=class_ids)
-        load_checkpoint(net, checkpoint)
+        class_ids, state = read_checkpoint(checkpoint)
+        net = load_run_config(path).build_network(class_ids=class_ids)
+        net.load_state_dict(state)
         chunk = 8 if granularity == "batch" else 512
         expected = []
         for name in (in_set, out_set):
@@ -224,6 +248,55 @@ class TestOodHist:
                      os.path.join(outdir, "checkpoint.bnt"),
                      "--in-set", in_set, "--out-set", str(tmp_path / "missing.bnt"),
                      "--output-dir", str(tmp_path / "h")]) == 1
+
+
+def _damaged_copy(src, dst, damage):
+    """Copy a BNT1 file, cutting its last payload short ("truncated") or
+    giving its first tensor an unknown dtype code ("dtype")."""
+    with open(src, "rb") as fh:
+        data = bytearray(fh.read())
+    if damage == "truncated":
+        data = data[:-3]
+    else:
+        name_len = int.from_bytes(data[4:6], "little")
+        data[6 + name_len] = 7  # the dtype code follows the name
+    with open(dst, "wb") as fh:
+        fh.write(data)
+    return dst
+
+
+class TestDamagedFiles:
+    @pytest.mark.parametrize("damage, message", [("truncated", "truncated payload"),
+                                                 ("dtype", "unknown dtype code 7")])
+    def test_run_failure_with_format_message(self, trained_run, tmp_path, capsys,
+                                             damage, message):
+        """A damaged dataset or checkpoint is a run failure (exit 1) that names
+        the damage; no exception escapes main."""
+        path, outdir, in_set, out_set = trained_run
+        checkpoint = os.path.join(outdir, "checkpoint.bnt")
+        bad_set = _damaged_copy(in_set, str(tmp_path / "bad_set.bnt"), damage)
+        bad_ckpt = _damaged_copy(checkpoint, str(tmp_path / "bad_ckpt.bnt"), damage)
+        hist = ["--out-set", out_set, "--output-dir", str(tmp_path / "h")]
+        for argv in (["eval", path, "--checkpoint", checkpoint, "--dataset", bad_set],
+                     ["eval", path, "--checkpoint", bad_ckpt, "--dataset", in_set],
+                     ["ood-hist", path, "--checkpoint", checkpoint, "--in-set", bad_set,
+                      *hist]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, (argv, err)
+
+    @pytest.mark.parametrize("missing", ["head.class_ids", "layer1.running_var"])
+    def test_checkpoint_missing_tensor(self, trained_run, tmp_path, capsys, missing):
+        """A checkpoint without its class ids or a running statistic is a run
+        failure that names the tensor."""
+        path, outdir, in_set, _ = trained_run
+        state = read_tensors(os.path.join(outdir, "checkpoint.bnt"))
+        del state[missing]
+        checkpoint = str(tmp_path / "partial.bnt")
+        write_tensors(checkpoint, state)
+        assert main(["eval", path, "--checkpoint", checkpoint, "--dataset", in_set]) == 1
+        assert missing in capsys.readouterr().err
 
 
 class TestEval:

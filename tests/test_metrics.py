@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.metrics import MetricSeries, auroc, average_accuracy, count_odp, ema
+from bowl.metrics import (MetricSeries, _average_ranks, auroc, average_accuracy,
+                          count_odp, ema)
 
 
 def pairwise_auroc_oracle(in_scores, out_scores):
@@ -78,6 +79,29 @@ class TestAuroc:
         out_scores = np.round(rng.normal(0.5, 1.0, size=700), 1)
         assert auroc(in_scores, out_scores) == pairwise_auroc_oracle(
             in_scores.tolist(), out_scores.tolist())
+
+    @given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf]),
+                    min_size=1, max_size=40),
+           st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_many_ties_match_pairwise_oracle(self, in_scores, out_scores):
+        """Few distinct values (-0.0 and 0.0 tie, as do equal infinities)."""
+        assert auroc(in_scores, out_scores) == pairwise_auroc_oracle(in_scores, out_scores)
+
+    def test_ranks_match_unique_based_ranks(self):
+        """Tie runs taken from the sorted values give the ranks np.unique's
+        runs give, NaNs (sorted last, tied with each other) included."""
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 6, size=300).astype(float)
+        values[rng.random(300) < 0.1] = np.nan
+        values[rng.random(300) < 0.05] = -0.0
+        order = np.argsort(values, kind="mergesort")
+        _, inverse, counts = np.unique(values[order], return_inverse=True,
+                                       return_counts=True)
+        expected = np.empty(300)
+        expected[order] = (np.cumsum(counts) - counts + (counts + 1) / 2.0)[inverse]
+        np.testing.assert_array_equal(_average_ranks(values), expected)
+        assert _average_ranks(np.zeros(0)).shape == (0,)
 
     def test_complement_identity(self):
         rng = np.random.default_rng(3)

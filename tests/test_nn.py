@@ -192,7 +192,8 @@ class TestForward:
         rng = np.random.default_rng(2)
         net = build_mlp(10, [16, 8], 4, rng)
         assert net.bn_dim == 24
-        logits, eta0, spread = eval_rows(net, rng.normal(size=(3, 10)).astype(np.float32))
+        logits, eta0, spread = eval_rows(net, rng.normal(size=(3, 10)).astype(np.float32),
+                                         eta0=True, spread=True)
         assert logits.shape == (3, 4)
         assert eta0.shape == spread.shape == (3,)
 
@@ -314,7 +315,7 @@ class TestEvalRows:
         """Each chunk's rows get the numbers of one forward over all rows: the
         reductions exactly, the float32 logits up to matrix-product rounding."""
         x = np.random.default_rng(n).normal(size=(n, 6)).astype(np.float32)
-        logits, eta0, spread = eval_rows(net, x)
+        logits, eta0, spread = eval_rows(net, x, eta0=True, spread=True)
         ref_logits, ref_eta0, ref_spread = reference_rows(net, x)
         np.testing.assert_allclose(logits, ref_logits, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(eta0, ref_eta0, rtol=1e-6)
@@ -341,8 +342,23 @@ class TestEvalRows:
                 np.testing.assert_array_equal(layer.running_mean, old.running_mean)
                 np.testing.assert_array_equal(layer.running_var, old.running_var)
 
+    def test_reductions_only_on_request(self, net):
+        """Without flags no reduction is computed; the logits never depend on
+        the flags, and a reduction asked for alone equals the full pass's."""
+        x = np.random.default_rng(31).normal(size=(1300, 6)).astype(np.float32)
+        logits, eta0, spread = eval_rows(net, x, eta0=True, spread=True)
+        for flags in ({}, {"eta0": True}, {"spread": True}):
+            got = eval_rows(net, x, **flags)
+            np.testing.assert_array_equal(got[0], logits)
+            for i, (name, full) in enumerate((("eta0", eta0), ("spread", spread)), 1):
+                if flags.get(name):
+                    np.testing.assert_array_equal(got[i], full)
+                else:
+                    assert got[i] is None
+
     def test_zero_rows(self, net):
-        logits, eta0, spread = eval_rows(net, np.zeros((0, 6), dtype=np.float32))
+        logits, eta0, spread = eval_rows(net, np.zeros((0, 6), dtype=np.float32),
+                                         eta0=True, spread=True)
         assert logits.shape == (0, 3) and eta0.shape == spread.shape == (0,)
 
 

@@ -17,7 +17,7 @@ from bn_reference import bn_net, per_batch_eta1, reference_rows
 def _eta0(x, gammas=(1.0,)):
     """Per-row eta0 of a batch-norm-only network whose first layer's z is x."""
     x = np.asarray(x, dtype=np.float32)
-    return eval_rows(bn_net(x.shape[1], gammas), x)[1]
+    return eval_rows(bn_net(x.shape[1], gammas), x, eta0=True)[1]
 
 
 class TestEta0:
@@ -181,7 +181,7 @@ class TestFilterStream:
                    for s in (0.5, 1.0, 1.0, 2.0, 3.0, 5.0)]
 
         def log_odds_score(x):
-            eta0 = float(eval_rows(toy_net, x)[1].mean())
+            eta0 = float(eval_rows(toy_net, x, eta0=True)[1].mean())
             return 0.5 * eta0 - (toy_net.bn_dim / 2.0) * math.log(eta0)
 
         cfg = ThresholdConfig(100, 8, 0.99)
@@ -258,7 +258,7 @@ class TestOnePass:
         ends = np.cumsum(sizes)
         expected = np.concatenate([reference_rows(net, x[e - s:e])[1]
                                    for s, e in zip(sizes, ends)])
-        np.testing.assert_allclose(eval_rows(net, x)[1], expected, rtol=1e-6)
+        np.testing.assert_allclose(eval_rows(net, x, eta0=True)[1], expected, rtol=1e-6)
 
     def test_segment_means_are_slice_means(self):
         values = np.random.default_rng(47).normal(size=20)
@@ -267,6 +267,28 @@ class TestOnePass:
                                        values[13:].mean()])
         with pytest.raises(ValueError, match="sum to"):
             segment_means(values, [1, 12])
+        with pytest.raises(ValueError, match="empty batch"):
+            segment_means(values, [0, 20])
+        assert segment_means(np.zeros(0), []).shape == (0,)
+
+    @given(runs=st.lists(st.tuples(st.one_of(st.sampled_from([1, 7, 8, 9, 129]),
+                                             st.integers(1, 300)),
+                                   st.integers(1, 6)), min_size=1, max_size=12),
+           float32=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_segment_means_equal_slice_means_bit_for_bit(self, runs, float32, seed):
+        """Runs of equal sizes, mixed: each batch's mean is its slice's own
+        .mean(), in the values' dtype."""
+        sizes = [size for size, repeat in runs for _ in range(repeat)]
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(0.0, 3.0, size=sum(sizes))
+        if float32:
+            values = values.astype(np.float32)
+        ends = np.cumsum(sizes)
+        expected = np.array([values[e - s:e].mean() for s, e in zip(sizes, ends)])
+        got = segment_means(values, sizes)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestPredictiveEntropy:
@@ -296,3 +318,21 @@ class TestExport:
         assert lines[0] == "source,eta1"
         assert len(lines) == 4
         assert lines[1].startswith("in,") and lines[3].startswith("out,")
+
+    def test_bytes_equal_per_value_format(self, tmp_path):
+        """Every value is written as f"{float(s):.8g}" writes it."""
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1 / 3,
+                   -2.5e17, 123456789.5]
+        in_scores = np.array(special + list(np.random.default_rng(5).normal(size=50)))
+        out_scores = np.array([0.1, -7.25, 3e38, math.nan], dtype=np.float32)
+        path = str(tmp_path / "hist.csv")
+        export_score_csv(path, in_scores, out_scores, value_name="pe")
+        lines = ["source,pe"]
+        lines += [f"in,{float(s):.8g}" for s in in_scores]
+        lines += [f"out,{float(s):.8g}" for s in out_scores]
+        assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode()
+
+    def test_empty_sides(self, tmp_path):
+        path = str(tmp_path / "hist.csv")
+        export_score_csv(path, [], [], value_name="eta1")
+        assert open(path).read() == "source,eta1\n"

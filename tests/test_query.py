@@ -15,7 +15,7 @@ from bn_reference import bn_net, reference_rows
 def _spread(x, gammas=(1.0,)):
     """Per-row spread of a batch-norm-only network whose first layer's z is x."""
     x = np.asarray(x, dtype=np.float32)
-    return eval_rows(bn_net(x.shape[1], gammas), x)[2]
+    return eval_rows(bn_net(x.shape[1], gammas), x, spread=True)[2]
 
 
 def naive_mean_cosine(x):
