@@ -18,8 +18,8 @@ from .ood import (ThresholdConfig, batch_ood_score, bootstrap_threshold, eta1_fr
 from .query import (CandidatePool, entropy_term, mean_pairwise_cosine, query_scores,
                     sample_entropies, select_top)
 from .samples import SampleSet
-from .stream import (SENTINEL_LABEL, Dataset, MixSpec, SplitTasks, StreamBatch,
-                     corrupt, load_dataset, make_split_tasks, mix_streams,
-                     save_dataset, split_experiment, synth_generate)
+from .stream import (SENTINEL_LABEL, Dataset, MixSpec, SplitTasks, Stream, corrupt,
+                     load_dataset, make_split_tasks, mix_streams, save_dataset,
+                     split_experiment, synth_generate)
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ randomness derives from the single ``run.seed`` through named substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_int_list(raw: str) -> list[int]:
@@ -50,8 +50,8 @@ def _checked(parse, rule: str, ok):
     return check
 
 
-def _at_least_one(parse):
-    return _checked(parse, ">= 1", lambda v: v >= 1)
+def _at_least(low: int, parse=int):
+    return _checked(parse, f">= {low}", lambda v: v >= low)
 
 
 _POSITIVE = _checked(float, "> 0", lambda v: v > 0)
@@ -60,10 +60,11 @@ _FRACTION = _checked(float, "in [0, 1]", lambda v: (v >= 0) & (v <= 1))
 
 
 def _parse_schedule(raw: str) -> list[list[int]]:
-    timesteps = [part for part in raw.split("|")]
-    schedule = [_parse_int_list(part) for part in timesteps]
+    schedule = [_parse_int_list(part) for part in raw.split("|")]
     if any(not classes for classes in schedule):
-        raise ConfigError("schedule timesteps must be nonempty")
+        raise ValueError("schedule timesteps must be nonempty")
+    if len(schedule) < 2:
+        raise ValueError("schedule needs a pretraining timestep plus >= 1 task")
     return schedule
 
 
@@ -71,7 +72,7 @@ def _choice(options):
     def parse(raw: str) -> str:
         value = raw.strip()
         if value not in options:
-            raise ConfigError(f"expected one of {options}, got {value!r}")
+            raise ValueError(f"expected one of {options}, got {value!r}")
         return value
     return parse
 
@@ -82,12 +83,12 @@ _REQUIRED = object()
 SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "variant": (_choice(tuple(VARIANTS)), "full"),
-        "seed": (int, 0),
-        "seeds": (_parse_int_list, None),  # ablation sweeps; defaults to [seed]
+        "seed": (_at_least(0), 0),
+        "seeds": (_at_least(0, _parse_int_list), None),  # ablation sweeps; defaults to [seed]
         "output_dir": (str, "runs/out"),
     },
     "network": {
-        "hidden": (_at_least_one(_parse_int_list), _REQUIRED),
+        "hidden": (_at_least(1, _parse_int_list), _REQUIRED),
         "bn_eps": (_POSITIVE, 1e-5),
         "bn_momentum": (_checked(float, "in (0, 1]", lambda v: (v > 0) & (v <= 1)), 0.1),
     },
@@ -99,13 +100,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "loop": {
         "acquisition_batch": (int, 256),
         "buffer_capacity": (int, 5000),
-        "ood_batch_size": (_at_least_one(int), 8),
+        "ood_batch_size": (_at_least(1), 8),
         "epochs_per_update": (int, 1),
-        "pretrain_epochs": (int, 30),
-        "baseline_epochs_per_task": (int, None),
+        "pretrain_epochs": (_at_least(0), 30),
+        "baseline_epochs_per_task": (_at_least(1), None),
         "minibatch_size": (int, 256),
         "bootstrap_k": (int, 100),
-        "bootstrap_size": (int, None),  # defaults to ood_batch_size
+        "bootstrap_size": (_at_least(1), None),  # defaults to ood_batch_size
         "bootstrap_alpha": (float, 0.99),
         "eval_every_update": (_parse_bool, True),
     },
@@ -116,8 +117,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "dims": (int, 16),
         "separation": (_POSITIVE, 0.3),
         "within_std": (_NONNEGATIVE, 0.05),
-        "train_per_class": (_at_least_one(int), 400),
-        "test_per_class": (_at_least_one(int), 200),
+        "train_per_class": (_at_least(1), 400),
+        "test_per_class": (_at_least(1), 200),
         "clip_unit": (_parse_bool, True),
         "train_path": (str, None),
         "test_path": (str, None),
@@ -129,10 +130,10 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "severity": (_POSITIVE, 0.5),
         "foreign_source": (_choice(("synthetic", "file")), "synthetic"),
         "foreign_path": (str, None),
-        "foreign_classes": (int, None),  # defaults to n_classes
-        "foreign_separation_scale": (float, 20.0),
-        "foreign_std": (float, None),  # defaults to within_std
-        "foreign_per_class": (int, 200),
+        "foreign_classes": (_at_least(1), None),  # defaults to n_classes
+        "foreign_separation_scale": (_POSITIVE, 20.0),
+        "foreign_std": (_NONNEGATIVE, None),  # defaults to within_std
+        "foreign_per_class": (_at_least(1), 200),
     },
 }
 
@@ -178,7 +179,22 @@ def apply_overrides(raw: dict[str, dict[str, str]], overrides) -> None:
 
 @dataclass
 class RunConfig:
-    values: dict[str, dict[str, object]] = field(default_factory=dict)
+    values: dict[str, dict[str, object]]
+
+    def __post_init__(self):
+        """Cross-key rules of generated sets: their class means are simplex
+        vertices (dims >= classes), and the schedule names generated classes."""
+        d, m = self.values["data"], self.values["mix"]
+        generated = {"data.n_classes": d["n_classes"]} if d["source"] == "synthetic" else {}
+        if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
+            generated["mix.foreign_classes"] = m["foreign_classes"] or d["n_classes"]
+        for key, n_classes in generated.items():
+            if d["dims"] < n_classes:
+                raise ConfigError(f"data.dims {d['dims']} is below {key} {n_classes}")
+        outside = {c for group in d["schedule"] for c in group} - set(range(d["n_classes"]))
+        if "data.n_classes" in generated and outside:
+            raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
+                              f"data.n_classes {d['n_classes']}")
 
     def __getitem__(self, dotted: str):
         section, key = dotted.split(".", 1)
@@ -196,9 +212,7 @@ class RunConfig:
 
     def loop_config(self, seed: int | None = None) -> LoopConfig:
         v = self.values
-        bootstrap_size = v["loop"]["bootstrap_size"]
-        if bootstrap_size is None:
-            bootstrap_size = v["loop"]["ood_batch_size"]
+        bootstrap_size = v["loop"]["bootstrap_size"] or v["loop"]["ood_batch_size"]
         try:
             return LoopConfig(
                 acquisition_batch=v["loop"]["acquisition_batch"],
@@ -303,8 +317,6 @@ def load_run_config(path: str, overrides=None) -> RunConfig:
             else:
                 try:
                     values[section][key] = parser(raw_value)
-                except ConfigError:
-                    raise
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
     return RunConfig(values)

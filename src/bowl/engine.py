@@ -47,7 +47,7 @@ from .ood import ThresholdConfig, bootstrap_threshold, filter_stream
 from .query import CandidatePool, query_scores, select_top
 from .samples import SampleSet
 from .serialization import atomic_write_text
-from .stream import SENTINEL_LABEL, SplitTasks, StreamBatch
+from .stream import SENTINEL_LABEL, SplitTasks
 
 
 @dataclass
@@ -68,10 +68,11 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.acquisition_batch < 1:
-            raise ValueError("acquisition batch must be >= 1")
-        if self.epochs_per_update < 1:
-            raise ValueError("epochs_per_update must be >= 1")
+        for name, low in (("acquisition_batch", 1), ("epochs_per_update", 1),
+                          ("pretrain_epochs", 0), ("baseline_epochs_per_task", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:  # None: the baseline budget is unset
+                raise ValueError(f"{name} must be >= {low}")
         if self.minibatch_size < 2:
             raise ValueError("minibatch_size must be >= 2: train-mode batch norm "
                              "needs two rows")
@@ -182,31 +183,12 @@ def _rng_for(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, purpose]))
 
 
-def _assign_ids(batches: list[StreamBatch], next_id: int):
-    """Give every stream sample a stable id in emission order."""
-    ids = []
-    for batch in batches:
-        ids.append(np.arange(next_id, next_id + batch.size, dtype=np.int64))
-        next_id += batch.size
-    return ids, next_id
-
-
 def _discover_classes(net: Network, labels, rng: np.random.Generator) -> int:
     """Expand the head for labels not seen before; returns how many were new."""
     novel = sorted(set(labels) - set(net.class_ids))
     if novel:
         expand_head(net, len(novel), rng, novel)
     return len(novel)
-
-
-def _stream_rows(batches, batch_ids, accepted) -> SampleSet:
-    """The samples of one task's accepted stream batches (ascending indices),
-    in emission order."""
-    if not len(accepted):
-        return SampleSet.empty()
-    return SampleSet(np.concatenate([batches[i].inputs for i in accepted]),
-                     np.concatenate([batches[i].labels for i in accepted]),
-                     np.concatenate([batch_ids[i] for i in accepted]))
 
 
 def _labeled(rows: SampleSet) -> SampleSet:
@@ -336,18 +318,18 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
                              ids=np.arange(n_pretrain))
         next_id = n_pretrain
 
-        for t in range(1, tasks.n_timesteps + 1):
-            batches = tasks.streams[t - 1]
-            batch_ids, next_id = _assign_ids(batches, next_id)
+        for t, stream in enumerate(tasks.streams, start=1):
             if stages.ood_filter:
                 tau = bootstrap_threshold(net, buffer.inputs_matrix(), config.bootstrap,
                                           rng_bootstrap)
-                accepted = filter_stream(net, batches, tau).accepted
+                accepted = filter_stream(net, stream, tau).accepted
             else:
-                tau, accepted = float("nan"), range(len(batches))
-            rows = _stream_rows(batches, batch_ids, accepted)
+                tau, accepted = float("nan"), np.arange(len(stream))
+            admitted = np.repeat(np.isin(np.arange(len(stream)), accepted), stream.sizes)
+            ids = next_id + np.arange(len(admitted))  # stable, in emission order
+            next_id += len(ids)
             pool = CandidatePool()
-            pool.append_batch(rows.inputs, rows.labels, rows.ids)
+            pool.append_batch(stream.inputs[admitted], stream.labels[admitted], ids[admitted])
             n_new = _discover_classes(net, pool.peek_unique_labels(), rng_expand)
 
             rounds = stages.rounds(net, pool, config, rng_query)
@@ -371,12 +353,14 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
             report.task_accuracies[t] = accuracy
             report.tasks.append(TaskRecord(
                 timestep=t, tau=tau, accepted_batches=len(accepted),
-                rejected_batches=len(batches) - len(accepted), pool_size=len(rows),
+                rejected_batches=len(stream) - len(accepted), pool_size=int(admitted.sum()),
                 new_classes=n_new, head_width=net.n_classes, accuracy=accuracy,
                 buffer_composition={} if stages.memory is None else buffer.composition()))
     except NonFiniteLossError as exc:
         report.aborted = True
         report.abort_reason = str(exc)
+        if not report.task_accuracies:  # diverged during pretraining
+            report.pretrain_steps = opt.step_count
 
     report.total_steps = opt.step_count
     return report

@@ -19,6 +19,7 @@ import numpy as np
 
 from .nn import Network, eval_rows
 from .serialization import atomic_write_text
+from .stream import Stream
 
 
 @dataclass(frozen=True)
@@ -114,23 +115,22 @@ class FilterResult:
     accepted: np.ndarray  # indices of the admitted batches, ascending
 
 
-def filter_stream(net: Network, batches, tau: float) -> FilterResult:
-    """Admit each batch iff its eta1 lies below tau; one pass scores them all."""
+def filter_stream(net: Network, stream: Stream, tau: float) -> FilterResult:
+    """Admit each batch of ``stream`` iff its eta1 lies below tau; one pass scores all."""
     if math.isnan(tau) or tau == math.inf:
         raise ValueError("tau must be finite (or -inf to reject everything)")
-    inputs = [batch.inputs if hasattr(batch, "inputs") else batch for batch in batches]
-    if not inputs:
-        return FilterResult(np.zeros(0), np.zeros(0, dtype=np.int64))
-    scores, _ = batch_ood_score(net, np.concatenate(inputs), [len(x) for x in inputs])
+    scores, _ = batch_ood_score(net, stream.inputs, stream.sizes)
     return FilterResult(scores, np.flatnonzero(scores < tau))
 
 
 def predictive_entropy_per_sample(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
+    """Softmax entropy per row in float64; a probability of 0 adds 0."""
+    p = np.array(logits, dtype=np.float64)
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    plogp = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    plogp *= p
     return -plogp.sum(axis=1)
 
 

@@ -50,14 +50,35 @@ class Dataset:
 
 
 @dataclass
-class StreamBatch:
+class Stream:
+    """One task's stream: its rows in emission order, cut into batches.
+
+    ``inputs`` (n, d) float32 and ``labels`` (n,) int64 hold every row. Batch
+    i is the next ``sizes[i]`` >= 1 rows, and ``kinds[i]`` ("clean",
+    "corrupted" or "foreign") says how it entered. ``len()`` counts batches.
+    """
+
     inputs: np.ndarray
     labels: np.ndarray
-    kind: str = "clean"
+    sizes: np.ndarray
+    kinds: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return int(self.inputs.shape[0])
+    def __post_init__(self):
+        self.inputs = np.asarray(self.inputs, np.float32)
+        self.labels, self.sizes = np.asarray(self.labels, np.int64), np.asarray(self.sizes, np.int64)
+        self.kinds = np.asarray(self.kinds, str)
+        if (len(self.inputs) != len(self.labels) or self.sizes.sum() != len(self.labels)
+                or (self.sizes < 1).any() or self.kinds.shape != self.sizes.shape):
+            raise ValueError("a stream's batch sizes (each >= 1) and kinds must cover its rows")
+
+    @classmethod
+    def cut(cls, inputs, labels, batch_size: int, kind: str = "clean") -> "Stream":
+        """Rows as consecutive ``batch_size`` batches (the last may be shorter)."""
+        sizes = np.diff(np.append(np.arange(0, len(labels), batch_size), len(labels)))
+        return cls(inputs, labels, sizes, np.full(len(sizes), kind))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
 
 
 @dataclass
@@ -116,7 +137,7 @@ def synth_generate(n_classes: int, dims: int, separation: float, within_std: flo
 
 
 def make_split_tasks(dataset: Dataset, schedule: list[list[int]], batch_size: int,
-                     seed: int) -> list[list[StreamBatch]]:
+                     seed: int) -> list[Stream]:
     """One stream of shuffled fixed-size batches per timestep.
 
     Timestep t's stream holds exactly the samples of its class set (the final
@@ -128,15 +149,10 @@ def make_split_tasks(dataset: Dataset, schedule: list[list[int]], batch_size: in
         if missing:
             raise ValueError(f"schedule references unknown classes {sorted(missing)}")
     rng = np.random.default_rng(seed)
-    streams: list[list[StreamBatch]] = []
+    streams: list[Stream] = []
     for classes in schedule:
-        mask = np.isin(dataset.labels, np.asarray(classes))
-        idx = np.flatnonzero(mask)
-        idx = idx[rng.permutation(idx.shape[0])]
-        batches = [StreamBatch(dataset.inputs[idx[s:s + batch_size]],
-                               dataset.labels[idx[s:s + batch_size]])
-                   for s in range(0, idx.shape[0], batch_size)]
-        streams.append(batches)
+        idx = rng.permutation(np.flatnonzero(np.isin(dataset.labels, np.asarray(classes))))
+        streams.append(Stream.cut(dataset.inputs[idx], dataset.labels[idx], batch_size))
     return streams
 
 
@@ -168,54 +184,50 @@ def corrupt(inputs: np.ndarray, kind: str, severity: float, seed: int) -> np.nda
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
-def mix_streams(batches: list[StreamBatch], corrupted_fraction: float,
-                ood_dataset: Dataset | None, ood_fraction: float, seed: int,
-                corruption: str = "gaussian", severity: float = 0.5
-                ) -> list[StreamBatch]:
+def mix_streams(stream: Stream, mix: MixSpec, seed: int) -> Stream:
     """Interleave corrupted copies and foreign batches into a task stream.
 
-    For each clean batch, a corrupted copy is injected with probability
-    ``corrupted_fraction`` and a foreign batch (sentinel labels) with
-    probability ``ood_fraction``; injected batches land at seeded random
-    positions while the clean batches keep their relative order. With zero
-    fractions the stream passes through untouched.
+    For each batch, a corrupted copy is injected with probability
+    ``mix.corrupted_fraction`` and a foreign batch (sentinel labels) with
+    probability ``mix.ood_fraction``; injected batches land at seeded random
+    positions while the original batches keep their relative order. A stream
+    that draws no injection is returned as it is.
     """
-    if corrupted_fraction + ood_fraction > 1.0:
-        raise ValueError("fractions must sum to at most 1")
-    if ood_fraction > 0.0 and ood_dataset is None:
-        raise ValueError("foreign mixing requires an ood dataset")
     rng = np.random.default_rng(seed)
-    n = len(batches)
-    keyed: list[tuple[float, int, StreamBatch]] = [
-        (float(i), 0, b) for i, b in enumerate(batches)]
-    for i, batch in enumerate(batches):
-        if rng.random() < corrupted_fraction:
-            noisy = corrupt(batch.inputs, corruption, severity,
-                            int(rng.integers(0, 2**31)))
-            position = float(rng.uniform(0, n))
-            keyed.append((position, 1, StreamBatch(noisy, batch.labels.copy(), "corrupted")))
-        if rng.random() < ood_fraction:
-            sel = rng.choice(ood_dataset.n, size=batch.size,
-                             replace=ood_dataset.n < batch.size)
-            labels = np.full(batch.size, SENTINEL_LABEL, dtype=np.int64)
-            position = float(rng.uniform(0, n))
-            keyed.append((position, 1, StreamBatch(ood_dataset.inputs[sel], labels, "foreign")))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    return [b for _, _, b in keyed]
+    n = len(stream)
+    bounds = np.cumsum(stream.sizes)[:-1]
+    # One (inputs, labels, kind, position) per batch, injected ones appended.
+    batches = list(zip(np.split(stream.inputs, bounds), np.split(stream.labels, bounds),
+                       stream.kinds.tolist(), range(n)))
+    for x, y, _, _ in batches[:n]:
+        if rng.random() < mix.corrupted_fraction:
+            noisy = corrupt(x, mix.corruption, mix.severity, int(rng.integers(0, 2**31)))
+            batches.append((noisy, y, "corrupted", rng.uniform(0, n)))
+        if rng.random() < mix.ood_fraction:
+            sel = rng.choice(mix.foreign.n, size=len(y), replace=mix.foreign.n < len(y))
+            batches.append((mix.foreign.inputs[sel], np.full(len(y), SENTINEL_LABEL),
+                            "foreign", rng.uniform(0, n)))
+    if len(batches) == n:
+        return stream
+    # Stable: an injected batch at an original batch's exact position follows it.
+    order = np.lexsort((np.arange(len(batches)) >= n, [b[3] for b in batches]))
+    inputs, labels, kinds, _ = zip(*[batches[j] for j in order])
+    return Stream(np.concatenate(inputs), np.concatenate(labels), list(map(len, labels)), kinds)
 
 
 @dataclass
 class SplitTasks:
     """Everything one open-world run consumes.
 
-    ``streams[t-1]`` is the batch stream for incremental timestep t >= 1;
-    timestep 0 is the supervised pretraining set. Test data stays whole and
-    is filtered to discovered classes at evaluation time.
+    ``streams[t-1]`` is the ``Stream`` of incremental timestep t >= 1, and
+    ``len(streams[t-1])`` its batch count. Timestep 0 is the supervised
+    pretraining set. Test data stays whole and is filtered to discovered
+    classes at evaluation time.
     """
 
     pretrain_inputs: np.ndarray
     pretrain_labels: np.ndarray
-    streams: list[list[StreamBatch]]
+    streams: list[Stream]
     test_inputs: np.ndarray
     test_labels: np.ndarray
     schedule: list[list[int]] = field(default_factory=list)
@@ -224,11 +236,9 @@ class SplitTasks:
     def n_timesteps(self) -> int:
         return len(self.streams)
 
-    def stream_size(self, t: int) -> int:
-        return sum(b.size for b in self.streams[t - 1])
-
     def total_stream_size(self) -> int:
-        return sum(self.stream_size(t) for t in range(1, self.n_timesteps + 1))
+        """Rows over every task's stream."""
+        return sum(len(stream.labels) for stream in self.streams)
 
 
 def split_experiment(train: Dataset, test: Dataset, schedule: list[list[int]],
@@ -237,18 +247,12 @@ def split_experiment(train: Dataset, test: Dataset, schedule: list[list[int]],
     """Build pretraining data plus per-timestep (optionally mixed) streams."""
     if len(schedule) < 2:
         raise ValueError("schedule needs a pretraining timestep plus >= 1 task")
-    streams = make_split_tasks(train, schedule, batch_size, seed)
+    streams = make_split_tasks(train, schedule, batch_size, seed)[1:]
     pretrain = train.restrict(schedule[0])
-    mixed: list[list[StreamBatch]] = []
-    rng = np.random.default_rng(seed + 1)
-    for task_batches in streams[1:]:
-        if mix is None:
-            mixed.append(task_batches)
-        else:
-            mixed.append(mix_streams(task_batches, mix.corrupted_fraction, mix.foreign,
-                                     mix.ood_fraction, int(rng.integers(0, 2**31)),
-                                     mix.corruption, mix.severity))
-    return SplitTasks(pretrain.inputs, pretrain.labels, mixed,
+    if mix is not None:
+        rng = np.random.default_rng(seed + 1)
+        streams = [mix_streams(stream, mix, int(rng.integers(0, 2**31))) for stream in streams]
+    return SplitTasks(pretrain.inputs, pretrain.labels, streams,
                       test.inputs, test.labels, schedule)
 
 

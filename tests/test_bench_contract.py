@@ -15,7 +15,7 @@ import pytest
 
 from bowl import cli, memory, ood
 from bowl.nn import build_mlp
-from bowl.stream import Dataset, StreamBatch
+from bowl.stream import Dataset, Stream, split_experiment, synth_generate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -37,10 +37,10 @@ def _net():
     return build_mlp(6, [8, 4], 3, np.random.default_rng(0))
 
 
-def _batches(n_batches=5, size=8):
+def _stream(n_batches=5, size=8):
     rng = np.random.default_rng(1)
-    return [StreamBatch(rng.normal(size=(size, 6)).astype(np.float32),
-                        np.zeros(size, dtype=np.int64)) for _ in range(n_batches)]
+    return Stream.cut(rng.normal(size=(n_batches * size, 6)), np.zeros(n_batches * size),
+                      size)
 
 
 def test_every_traced_target_resolves(tracer):
@@ -61,7 +61,7 @@ def test_scorers_run_through_the_wrapped_functions(tracer):
     ood-hist scorers at both granularities and the buffer's entropies each
     leave their span."""
     net = _net()
-    ood.filter_stream(net, _batches(), 0.0)
+    ood.filter_stream(net, _stream(), 0.0)
     dataset = Dataset(np.random.default_rng(2).normal(size=(20, 6)), np.zeros(20))
     cli._dataset_scores(net, dataset, 8, "batch")
     cli._dataset_scores(net, dataset, 8, "sample")
@@ -72,9 +72,23 @@ def test_scorers_run_through_the_wrapped_functions(tracer):
 
 
 def test_filter_result_feeds_the_filter_counter():
-    tau = float(np.median(ood.filter_stream(_net(), _batches(), 0.0).scores))
-    result = ood.filter_stream(_net(), _batches(), tau)
+    """The counter reads ``FilterResult.scores`` (one per batch) and
+    ``.accepted`` (batch indices)."""
+    tau = float(np.median(ood.filter_stream(_net(), _stream(), 0.0).scores))
+    result = ood.filter_stream(_net(), _stream(), tau)
+    assert result.scores.shape == (5,) and result.accepted.dtype == np.int64
     counts = {}
     tracing._count_filter(counts, "ood.filter", (), result)
     assert counts == {"ood.stream_accepted": len(result.accepted), "ood.stream_scored": 5}
     assert 0 < counts["ood.stream_accepted"] < 5
+
+
+def test_tasks_give_the_counts_the_workload_checks_read():
+    """``perfbench/workloads.py`` compares a task's accepted plus rejected
+    batches with ``len(tasks.streams[t])`` and the rows the loop saw with
+    ``total_stream_size()``."""
+    train = synth_generate(4, 6, 0.4, 0.1, 203, seed=0)
+    tasks = split_experiment(train, train, [[0, 1], [2], [3]], 8, seed=1)
+    per_task = [int(np.isin(train.labels, c).sum()) for c in (2, 3)]
+    assert [len(stream) for stream in tasks.streams] == [-(-n // 8) for n in per_task]
+    assert tasks.total_stream_size() == sum(per_task)

@@ -89,12 +89,29 @@ class TestRun:
                                          "data.within_std=-1", "data.separation=0",
                                          "data.train_per_class=0", "data.test_per_class=0",
                                          "mix.corrupted_fraction=2", "mix.ood_fraction=-0.5",
-                                         "mix.severity=0"])
+                                         "mix.severity=0", "pretrain_epochs=-1",
+                                         "baseline_epochs_per_task=-2",
+                                         "baseline_epochs_per_task=0",
+                                         "mix.foreign_classes=0", "mix.foreign_classes=-3",
+                                         "mix.foreign_per_class=0", "mix.foreign_std=-1",
+                                         "mix.foreign_separation_scale=-1", "run.seed=-1",
+                                         "run.seeds=0,-1", "data.schedule=0,1",
+                                         # cross-key rules of a synthetic source
+                                         "data.dims=0", "data.dims=3", "data.n_classes=1",
+                                         "data.n_classes=4", "data.schedule=0,1 | 2,9"])
     def test_invalid_loop_setting_is_config_error(self, config_path, capsys, setting):
         path, _ = config_path()
         dotted = setting if "." in setting.split("=")[0] else f"loop.{setting}"
         assert main(["run", path, "--set", dotted]) == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+
+    def test_foreign_classes_beyond_dims_is_config_error(self, config_path, capsys):
+        """Synthetic foreign classes are simplex vertices in data.dims too."""
+        path, _ = config_path()
+        assert main(["run", path, "--set", "mix.ood_fraction=0.25",
+                     "--set", "mix.foreign_classes=9"]) == 2
+        err = capsys.readouterr().err
+        assert "data.dims" in err and "mix.foreign_classes" in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -107,6 +124,8 @@ class TestRun:
         summary = open(os.path.join(outdir, "summary.txt")).read().splitlines()
         assert "aborted=True" in summary
         assert "timesteps=0" in summary
+        # The steps taken before the divergence are all pretraining steps.
+        assert "pretrain_steps=1" in summary and "total_steps=1" in summary
         assert not any(line.startswith("accuracy_t0=") for line in summary)
         for name in ("report.csv", "checkpoint.bnt"):
             assert os.path.exists(os.path.join(outdir, name)), name

@@ -14,7 +14,7 @@ from bowl.nn import SgdOptimizer, build_mlp
 from bowl.ood import ThresholdConfig, bootstrap_threshold, filter_stream
 from bowl.query import CandidatePool, query_scores, sample_entropies
 from bowl.samples import SampleSet
-from bowl.stream import SENTINEL_LABEL, SplitTasks, StreamBatch, split_experiment, synth_generate
+from bowl.stream import SENTINEL_LABEL, SplitTasks, Stream, split_experiment, synth_generate
 
 VARIANT_NAMES = list(engine_mod.VARIANTS)
 
@@ -179,7 +179,7 @@ class TestLoopStructure:
 
     def test_empty_stream_carries_accuracy(self):
         tasks = tiny_tasks()
-        tasks.streams[1] = []  # second incremental task has no data
+        tasks.streams[1] = Stream.cut(np.zeros((0, 8)), np.zeros(0), 8)  # no data
         rep = run_variant(tiny_net(), tiny_config(), tasks)
         assert rep.task_accuracies[2] == rep.task_accuracies[1]
         assert all(u.timestep != 2 for u in rep.updates)
@@ -188,7 +188,7 @@ class TestLoopStructure:
         tasks = tiny_tasks()
         rep = run_variant(tiny_net(), tiny_config(), tasks, "no_ood")
         for task, record in zip(tasks.streams, rep.tasks):
-            assert record.pool_size == sum(b.size for b in task)
+            assert record.pool_size == len(task.labels)
             assert record.rejected_batches == 0
 
     def test_full_pool_fully_queried(self):
@@ -222,7 +222,10 @@ class TestLoopStructure:
 
     @pytest.mark.parametrize("field, value", [("epochs_per_update", 0),
                                               ("minibatch_size", 1),
-                                              ("buffer_capacity", 3)])
+                                              ("buffer_capacity", 3),
+                                              ("acquisition_batch", 0),
+                                              ("pretrain_epochs", -1),
+                                              ("baseline_epochs_per_task", 0)])
     def test_invalid_loop_settings_rejected(self, field, value):
         """A buffer smaller than the bootstrap size (4 here) would fail only
         after pretraining, when the first filtering task bootstraps tau."""
@@ -255,7 +258,7 @@ class TestVariants:
     def test_zero_norm_stream_row(self, variant):
         """A zero input has cosine 0 to every row; it no longer stops the run."""
         tasks = tiny_tasks()
-        tasks.streams[0][0].inputs[0] = 0.0
+        tasks.streams[0].inputs[0] = 0.0
         rep = run_variant(tiny_net(), tiny_config(), tasks, variant)
         assert not rep.aborted and len(rep.tasks) == 2
 
@@ -366,17 +369,16 @@ def _drawn_tasks(seed, dims, n_pretrain, ood_batch, kinds, zero_row):
     for i, kind in enumerate(kinds):
         classes = [2 + 2 * i, 3 + 2 * i]
         if kind == "empty":
-            streams.append([])
+            streams.append(Stream.cut(np.zeros((0, dims)), np.zeros(0), ood_batch))
             continue
         x, y = rows(classes, 3 * ood_batch)
         if kind == "foreign":
             x, y = rng.random(x.shape).astype(np.float32), np.full(len(y), SENTINEL_LABEL)
         else:
             test.append(rows(classes, 8))
-        streams.append([StreamBatch(x[s:s + ood_batch], y[s:s + ood_batch], kind)
-                        for s in range(0, len(y), ood_batch)])
-    if zero_row and any(streams):
-        next(batches for batches in streams if batches)[0].inputs[0] = 0.0
+        streams.append(Stream.cut(x, y, ood_batch, kind))
+    if zero_row and any(len(stream) for stream in streams):
+        next(stream for stream in streams if len(stream)).inputs[0] = 0.0
     return SplitTasks(pre_x, pre_y, streams, np.concatenate([x for x, _ in test]),
                       np.concatenate([y for _, y in test]),
                       [[0, 1]] + [[2 + 2 * i, 3 + 2 * i] for i in range(len(kinds))])
@@ -417,9 +419,18 @@ class TestLoopProperties:
                     assert rep.abort_reason.startswith("loss diverged")
                     continue
                 assert len(rep.tasks) == len(kinds)
-                for record, batches in zip(rep.tasks, tasks.streams):
-                    assert record.accepted_batches + record.rejected_batches == len(batches)
+                for record, stream in zip(rep.tasks, tasks.streams):
+                    assert record.accepted_batches + record.rejected_batches == len(stream)
                     assert sum(record.buffer_composition.values()) <= capacity
+                    # Pool conservation: every admitted row is queried, except
+                    # that random rounds stop after one buffer's worth.
+                    queried = sum(u.queried for u in rep.updates
+                                  if u.timestep == record.timestep)
+                    expected = record.pool_size
+                    if variant == "random_query":
+                        rounds = math.ceil(min(expected, capacity) / acquisition)
+                        expected = min(expected, rounds * acquisition)
+                    assert queried == expected, variant
                 assert rep.odp <= rep.oracle_reveals <= tasks.total_stream_size()
                 width = 2 + sum(record.new_classes for record in rep.tasks)
                 assert rep.tasks[-1].head_width == net.n_classes == width

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from bowl.nn import SgdOptimizer, backward_and_step, build_mlp, eval_rows, save_checkpoint
 from bowl.ood import (ThresholdConfig, batch_ood_score, bootstrap_threshold,
                       empirical_quantile, eta1_from_eta0, export_score_csv, filter_stream,
-                      predictive_entropy, sample_eta1_scores, segment_means)
-from bowl.stream import StreamBatch
+                      predictive_entropy, predictive_entropy_per_sample, sample_eta1_scores,
+                      segment_means)
+from bowl.stream import Stream
 
 from bn_reference import bn_net, per_batch_eta1, reference_rows
+
+
+def _stream(batches):
+    """A clean stream whose batches are the given row blocks."""
+    return Stream(np.concatenate(batches), np.zeros(sum(map(len, batches))),
+                  [len(b) for b in batches], ["clean"] * len(batches))
 
 
 def _eta0(x, gammas=(1.0,)):
@@ -97,9 +104,8 @@ class TestBatchScore:
     def test_empty_batch_rejected(self, toy_net):
         with pytest.raises(ValueError, match="empty"):
             batch_ood_score(toy_net, np.zeros((0, 6), dtype=np.float32), [0])
-        with pytest.raises(ValueError, match="empty"):
-            filter_stream(toy_net, [np.zeros((3, 6), np.float32),
-                                    np.zeros((0, 6), np.float32)], 0.0)
+        with pytest.raises(ValueError, match="cover"):  # a stream holds no empty batch
+            Stream(np.zeros((3, 6)), np.zeros(3), [3, 0], ["clean", "clean"])
 
     def test_scoring_never_mutates_network(self, toy_net, tmp_path):
         before = str(tmp_path / "before.bnt")
@@ -110,7 +116,7 @@ class TestBatchScore:
         sample_eta1_scores(toy_net, x)
         bootstrap_threshold(toy_net, x, ThresholdConfig(20, 4, 0.9),
                             np.random.default_rng(0))
-        filter_stream(toy_net, [StreamBatch(x[:8], np.zeros(8, dtype=np.int64))], 0.0)
+        filter_stream(toy_net, Stream.cut(x, np.zeros(32), 8), 0.0)
         save_checkpoint(toy_net, after)
         assert open(before, "rb").read() == open(after, "rb").read()
 
@@ -146,30 +152,38 @@ class TestBootstrap:
 
 class TestFilterStream:
     def _batches(self, rng, n=10):
-        return [StreamBatch(rng.normal(size=(8, 6)).astype(np.float32),
-                            np.zeros(8, dtype=np.int64)) for _ in range(n)]
+        return [rng.normal(size=(8, 6)).astype(np.float32) for _ in range(n)]
 
     def test_partition_and_order(self, toy_net):
         batches = self._batches(np.random.default_rng(5))
-        scores = per_batch_eta1(toy_net, [b.inputs for b in batches])
+        scores = per_batch_eta1(toy_net, batches)
         tau = float(np.median(scores))
-        result = filter_stream(toy_net, batches, tau)
+        result = filter_stream(toy_net, _stream(batches), tau)
         np.testing.assert_array_equal(result.scores, scores)
         assert result.accepted.tolist() == [i for i, s in enumerate(scores) if s < tau]
 
+    def test_uneven_batches(self, toy_net):
+        """Batch sizes come from the stream, not from a fixed batch size."""
+        rng = np.random.default_rng(9)
+        batches = [rng.normal(size=(k, 6)).astype(np.float32) for k in (8, 1, 5, 8, 3)]
+        scores = per_batch_eta1(toy_net, batches)
+        result = filter_stream(toy_net, _stream(batches), float(np.median(scores)))
+        np.testing.assert_allclose(result.scores, scores, rtol=1e-6)
+
     def test_minus_infinity_rejects_everything(self, toy_net):
         batches = self._batches(np.random.default_rng(6), n=5)
-        result = filter_stream(toy_net, batches, float("-inf"))
+        result = filter_stream(toy_net, _stream(batches), float("-inf"))
         assert len(result.accepted) == 0
         assert len(result.scores) == 5
 
     def test_empty_stream_admits_nothing(self, toy_net):
-        result = filter_stream(toy_net, [], 0.0)
+        result = filter_stream(toy_net, Stream.cut(np.zeros((0, 6)), np.zeros(0), 8), 0.0)
         assert len(result.accepted) == len(result.scores) == 0
+        assert result.accepted.dtype == np.int64
 
     def test_nan_tau_rejected(self, toy_net):
         with pytest.raises(ValueError):
-            filter_stream(toy_net, [], float("nan"))
+            filter_stream(toy_net, Stream.cut(np.zeros((0, 6)), np.zeros(0), 8), float("nan"))
 
     def test_threshold_equivalence_of_score_forms(self, toy_net):
         """The posterior-log-odds scaling (eta0/2 - (d/2) ln eta0) accepts
@@ -194,7 +208,7 @@ class TestFilterStream:
             k_scores.append(log_odds_score(reference[sel]))
         tau_scaled = empirical_quantile(np.asarray(k_scores), cfg.alpha)
 
-        admitted = filter_stream(toy_net, batches, tau_main).accepted
+        admitted = filter_stream(toy_net, _stream(batches), tau_main).accepted
         accept_main = [i in admitted for i in range(len(batches))]
         accept_scaled = [log_odds_score(b) < tau_scaled for b in batches]
         assert accept_main == accept_scaled
@@ -223,7 +237,7 @@ class TestOnePass:
                    for i in range(75)]
         expected = per_batch_eta1(bench_net, batches)
         tau = float(np.median(expected))
-        result = filter_stream(bench_net, batches, tau)
+        result = filter_stream(bench_net, _stream(batches), tau)
         np.testing.assert_array_equal(result.scores, expected)
         np.testing.assert_array_equal(result.accepted, np.flatnonzero(expected < tau))
 
@@ -308,6 +322,28 @@ class TestPredictiveEntropy:
         logits = rng.normal(scale=rng.uniform(0.1, 20), size=(int(rng.integers(1, 16)), c))
         h = predictive_entropy(logits)
         assert -1e-12 <= h <= math.log(c) + 1e-12
+
+
+    def test_in_place_entropy_is_bit_identical_to_the_plain_formula(self):
+        """Rows with probabilities that underflow to 0 (a 1000-logit gap), ties,
+        float32 input and a wide random spread."""
+        rng = np.random.default_rng(12)
+        logits = np.concatenate([rng.normal(scale=s, size=(40, 10)) for s in (0.1, 5, 400)])
+        logits[:3] = [[0.0, -1000.0, 5.0] + [0.0] * 7, [800.0] + [-800.0] * 9, [1.0] * 10]
+
+        def plain(z):
+            z = np.asarray(z, dtype=np.float64)
+            z = z - z.max(axis=1, keepdims=True)
+            p = np.exp(z)
+            p /= p.sum(axis=1, keepdims=True)
+            return -np.where(p > 0.0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
+
+        for z in (logits, logits.astype(np.float32)):
+            assert (np.exp(z.astype(np.float64) - z.max(axis=1, keepdims=True)) == 0).any()
+            assert predictive_entropy_per_sample(z).tobytes() == plain(z).tobytes()
+        before = logits.copy()
+        predictive_entropy_per_sample(logits)
+        np.testing.assert_array_equal(logits, before)
 
 
 class TestExport:

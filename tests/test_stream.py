@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bowl.serialization import FormatError, read_tensors, write_tensors
-from bowl.stream import (SENTINEL_LABEL, Dataset, MixSpec, corrupt, load_dataset,
+from bowl.stream import (SENTINEL_LABEL, Dataset, MixSpec, Stream, corrupt, load_dataset,
                          make_split_tasks, mix_streams, save_dataset,
                          simplex_means, split_experiment, synth_generate)
 
@@ -62,10 +62,9 @@ class TestSplitTasks:
         schedule = [[0, 1], [2, 3]]
         streams = make_split_tasks(ds, schedule, 8, seed=0)
         assert len(streams) == 2
-        for classes, batches in zip(schedule, streams):
-            labels = np.concatenate([b.labels for b in batches])
-            assert set(labels.tolist()) == set(classes)
-        total = sum(b.size for s in streams for b in s)
+        for classes, stream in zip(schedule, streams):
+            assert set(stream.labels.tolist()) == set(classes)
+        total = sum(len(s.labels) for s in streams)
         assert total == int(np.isin(ds.labels, [0, 1, 2, 3]).sum())
 
     def test_unknown_class_rejected(self):
@@ -74,17 +73,44 @@ class TestSplitTasks:
 
     def test_batch_sizes(self):
         ds = self._dataset()
-        streams = make_split_tasks(ds, [[0]], 8, seed=0)
-        sizes = [b.size for b in streams[0]]
-        assert all(s == 8 for s in sizes[:-1])
-        assert 1 <= sizes[-1] <= 8
+        stream = make_split_tasks(ds, [[0]], 8, seed=0)[0]
+        assert len(stream) == len(stream.sizes) == len(stream.kinds)
+        assert (stream.sizes[:-1] == 8).all()
+        assert 1 <= stream.sizes[-1] <= 8
+        assert (stream.kinds == "clean").all()
+
+    def test_rows_are_the_shuffled_class_rows(self):
+        ds = self._dataset()
+        stream = make_split_tasks(ds, [[0]], 8, seed=0)[0]
+        idx = np.flatnonzero(ds.labels == 0)
+        idx = idx[np.random.default_rng(0).permutation(len(idx))]
+        np.testing.assert_array_equal(stream.inputs, ds.inputs[idx])
+        np.testing.assert_array_equal(stream.labels, ds.labels[idx])
 
     def test_deterministic_order(self):
         ds = self._dataset()
         a = make_split_tasks(ds, [[0, 1]], 8, seed=3)
         b = make_split_tasks(ds, [[0, 1]], 8, seed=3)
-        for ba, bb in zip(a[0], b[0]):
-            np.testing.assert_array_equal(ba.inputs, bb.inputs)
+        np.testing.assert_array_equal(a[0].inputs, b[0].inputs)
+
+
+class TestStream:
+    def test_cut_covers_every_row(self):
+        stream = Stream.cut(np.zeros((19, 3)), np.arange(19), 8)
+        assert len(stream) == 3
+        assert stream.sizes.tolist() == [8, 8, 3]
+        assert stream.inputs.dtype == np.float32 and stream.labels.dtype == np.int64
+
+    def test_empty_stream_has_no_batches(self):
+        stream = Stream.cut(np.zeros((0, 3)), np.zeros(0), 8)
+        assert len(stream) == 0 and stream.sizes.shape == stream.kinds.shape == (0,)
+
+    @pytest.mark.parametrize("sizes, kinds", [([8, 3], ["clean"] * 2),
+                                              ([8, 0, 4], ["clean"] * 3),
+                                              ([8, 4], ["clean"])])
+    def test_sizes_and_kinds_must_cover_the_rows(self, sizes, kinds):
+        with pytest.raises(ValueError, match="cover"):
+            Stream(np.zeros((12, 3)), np.zeros(12), sizes, kinds)
 
 
 class TestCorrupt:
@@ -127,54 +153,76 @@ class TestCorrupt:
 
 
 class TestMixStreams:
-    def _batches(self, n=40, size=8):
+    def _stream(self, n=40, size=8):
         rng = np.random.default_rng(8)
-        from bowl.stream import StreamBatch
-        return [StreamBatch(rng.uniform(0, 1, size=(size, 6)).astype(np.float32),
-                            np.zeros(size, dtype=np.int64)) for _ in range(n)]
+        return Stream.cut(rng.uniform(0, 1, size=(n * size, 6)), np.arange(n * size), size)
 
     def _foreign(self):
         return synth_generate(2, 6, 3.0, 0.1, 200, seed=9)
 
     def test_zero_fractions_identity(self):
-        batches = self._batches()
-        mixed = mix_streams(batches, 0.0, None, 0.0, seed=0)
-        assert [id(b) for b in mixed] == [id(b) for b in batches]
+        stream = self._stream()
+        assert mix_streams(stream, MixSpec(), seed=0) is stream
 
     def test_binomial_injection_counts(self):
-        batches = self._batches(n=1000)
-        mixed = mix_streams(batches, 0.25, self._foreign(), 0.25, seed=1)
-        kinds = [b.kind for b in mixed]
+        mixed = mix_streams(self._stream(n=1000), MixSpec(0.25, 0.25, foreign=self._foreign()),
+                            seed=1)
+        kinds = mixed.kinds.tolist()
         n_corr = kinds.count("corrupted")
         n_foreign = kinds.count("foreign")
         assert abs(n_corr - 250) <= 40
         assert abs(n_foreign - 250) <= 40
         assert kinds.count("clean") == 1000
+        assert len(mixed.labels) == 8 * len(mixed)
 
     def test_clean_relative_order_preserved(self):
-        batches = self._batches(n=60)
-        mixed = mix_streams(batches, 0.3, self._foreign(), 0.2, seed=2)
-        clean = [id(b) for b in mixed if b.kind == "clean"]
-        assert clean == [id(b) for b in batches]
+        stream = self._stream(n=60)
+        mixed = mix_streams(stream, MixSpec(0.3, 0.2, foreign=self._foreign()), seed=2)
+        clean = np.repeat(mixed.kinds == "clean", mixed.sizes)
+        np.testing.assert_array_equal(mixed.inputs[clean], stream.inputs)
+        np.testing.assert_array_equal(mixed.labels[clean], stream.labels)
 
     def test_foreign_batches_carry_sentinel(self):
-        mixed = mix_streams(self._batches(n=50), 0.0, self._foreign(), 0.5, seed=3)
-        foreign = [b for b in mixed if b.kind == "foreign"]
-        assert foreign
-        for b in foreign:
-            assert (b.labels == SENTINEL_LABEL).all()
+        mixed = mix_streams(self._stream(n=50), MixSpec(ood_fraction=0.5, foreign=self._foreign()),
+                            seed=3)
+        foreign = np.repeat(mixed.kinds == "foreign", mixed.sizes)
+        assert foreign.any()
+        assert (mixed.labels[foreign] == SENTINEL_LABEL).all()
+        assert (mixed.labels[~foreign] != SENTINEL_LABEL).all()
+
+    def test_matches_the_keyed_sort_of_batches(self):
+        """The stream-level mix reproduces the per-batch construction it
+        replaced: the same draws per batch, ordered by (position, injected)
+        with a stable sort, then concatenated."""
+        stream, foreign = self._stream(n=25, size=5), self._foreign()
+        rng = np.random.default_rng(6)
+        keyed, n = [], len(stream)
+        for i in range(n):
+            x, y = stream.inputs[5 * i:5 * i + 5], stream.labels[5 * i:5 * i + 5]
+            keyed.append((float(i), 0, x, y))
+            if rng.random() < 0.3:
+                noisy = corrupt(x, "shot", 0.4, int(rng.integers(0, 2**31)))
+                keyed.append((float(rng.uniform(0, n)), 1, noisy, y))
+            if rng.random() < 0.3:
+                sel = rng.choice(foreign.n, size=5, replace=foreign.n < 5)
+                keyed.append((float(rng.uniform(0, n)), 1, foreign.inputs[sel],
+                              np.full(5, SENTINEL_LABEL)))
+        keyed.sort(key=lambda t: (t[0], t[1]))
+        mixed = mix_streams(stream, MixSpec(0.3, 0.3, "shot", 0.4, foreign), seed=6)
+        assert len(mixed) == len(keyed)
+        np.testing.assert_array_equal(mixed.inputs, np.concatenate([k[2] for k in keyed]))
+        np.testing.assert_array_equal(mixed.labels, np.concatenate([k[3] for k in keyed]))
 
     def test_fraction_sum_validated(self):
+        """A mix is validated once, where its ``MixSpec`` is made."""
         with pytest.raises(ValueError, match="sum"):
-            mix_streams(self._batches(5), 0.7, self._foreign(), 0.7, seed=0)
-        with pytest.raises(ValueError, match="foreign|ood"):
-            mix_streams(self._batches(5), 0.0, None, 0.5, seed=0)
+            MixSpec(0.7, 0.7, foreign=self._foreign())
 
     def test_mix_spec_validation(self):
-        with pytest.raises(ValueError):
-            MixSpec(corrupted_fraction=0.8, ood_fraction=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="foreign"):
             MixSpec(ood_fraction=0.2, foreign=None)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            MixSpec(corrupted_fraction=-0.1)
 
 
 class TestSplitExperiment:
