@@ -182,12 +182,18 @@ class RunConfig:
     values: dict[str, dict[str, object]]
 
     def __post_init__(self):
-        """Cross-key rules of generated sets: their class means are simplex
-        vertices (dims >= classes), and the schedule names generated classes."""
+        """Cross-key rules: the two mix fractions share the batches (sum <= 1);
+        generated sets have simplex-vertex class means (dims >= classes), and
+        the schedule names generated classes."""
         d, m = self.values["data"], self.values["mix"]
-        generated = {"data.n_classes": d["n_classes"]} if d["source"] == "synthetic" else {}
-        if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
-            generated["mix.foreign_classes"] = m["foreign_classes"] or d["n_classes"]
+        if m["corrupted_fraction"] + m["ood_fraction"] > 1:
+            raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} + "
+                              f"mix.ood_fraction {m['ood_fraction']} exceeds 1")
+        generated = {}
+        if d["source"] == "synthetic":  # a file's width is checked when it is read
+            generated["data.n_classes"] = d["n_classes"]
+            if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
+                generated["mix.foreign_classes"] = m["foreign_classes"] or d["n_classes"]
         for key, n_classes in generated.items():
             if d["dims"] < n_classes:
                 raise ConfigError(f"data.dims {d['dims']} is below {key} {n_classes}")
@@ -251,7 +257,9 @@ class RunConfig:
                               d["within_std"], n_test, test_seed, d["clip_unit"])
         return train, test
 
-    def foreign_dataset(self, seed: int) -> Dataset | None:
+    def foreign_dataset(self, seed: int, dims: int) -> Dataset | None:
+        """Foreign rows for the mix, or None without them. Synthetic ones have
+        the train set's width ``dims`` (``data.dims`` or the train file's)."""
         m, d = self.values["mix"], self.values["data"]
         if m["ood_fraction"] <= 0.0:
             return None
@@ -261,17 +269,18 @@ class RunConfig:
             return load_dataset(m["foreign_path"])
         foreign_seed = int(self._data_seeds(seed)[4])
         classes = m["foreign_classes"] or d["n_classes"]
+        if dims < classes:
+            raise ConfigError(f"train set width {dims} is below mix.foreign_classes {classes}")
         std = m["foreign_std"] if m["foreign_std"] is not None else d["within_std"]
-        return synth_generate(classes, d["dims"],
-                              d["separation"] * m["foreign_separation_scale"],
+        return synth_generate(classes, dims, d["separation"] * m["foreign_separation_scale"],
                               std, m["foreign_per_class"] * classes, foreign_seed)
 
-    def mix_spec(self, seed: int) -> MixSpec | None:
+    def mix_spec(self, seed: int, dims: int) -> MixSpec | None:
         m = self.values["mix"]
         if m["corrupted_fraction"] <= 0.0 and m["ood_fraction"] <= 0.0:
             return None
         return MixSpec(m["corrupted_fraction"], m["ood_fraction"], m["corruption"],
-                       m["severity"], self.foreign_dataset(seed))
+                       m["severity"], self.foreign_dataset(seed, dims))
 
     def build_tasks(self, seed: int | None = None) -> SplitTasks:
         seed = self.seed if seed is None else seed
@@ -279,7 +288,7 @@ class RunConfig:
         split_seed = int(self._data_seeds(seed)[2])
         return split_experiment(train, test, self["data.schedule"],
                                 self["loop.ood_batch_size"], split_seed,
-                                self.mix_spec(seed))
+                                self.mix_spec(seed, train.feature_dim))
 
     def input_dim(self) -> int:
         d = self.values["data"]

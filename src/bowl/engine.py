@@ -150,7 +150,8 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
     inputs = np.asarray(inputs)
     labels = np.asarray(labels)
     mask = labels != SENTINEL_LABEL
-    inputs, labels = inputs[mask], labels[mask]
+    if not mask.all():  # a copy of the inputs only when some rows are foreign
+        inputs, labels = inputs[mask], labels[mask]
     if labels.size == 0:
         raise ValueError("empty test set")
     logits = eval_rows(net, inputs)[0]

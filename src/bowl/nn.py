@@ -366,16 +366,16 @@ def eval_rows(net: Network, x: np.ndarray, *, eta0: bool = False,
     n = len(x)
     eta0_rows = np.zeros(n) if eta0 else None
     spread_rows = np.zeros(n) if spread else None
-    chunks = [np.empty((0, net.n_classes), dtype=net.flat_params.dtype)]  # if x is empty
+    logits = np.empty((n, net.n_classes), np.result_type(x.dtype, net.flat_params.dtype))
     with eval_mode(net):
         for start in range(0, n, EVAL_CHUNK):
             rows = slice(start, start + EVAL_CHUNK)
             row_stats = (eta0_rows[rows] if eta0 else None,
                          spread_rows[rows] if spread else None)
-            chunks.append(net.forward(x[rows], row_stats))
+            logits[rows] = net.forward(x[rows], row_stats)
     if spread:
         spread_rows /= sum(isinstance(layer, BatchNorm) for layer in net.layers)
-    return np.concatenate(chunks), eta0_rows, spread_rows
+    return logits, eta0_rows, spread_rows
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):

@@ -4,6 +4,12 @@ Layout: 4-byte magic ``BNT1``, then zero or more records of
 ``u16 name_len | name (UTF-8) | u8 dtype_code | u8 rank | rank * u32 dims |
 payload`` with all integers and payloads little-endian, payloads row-major.
 Dtype codes: 0 = float32, 1 = uint32.
+
+Neither direction copies a payload: ``write_tensors`` checks every tensor,
+then writes each header and a byte view of each array into the temp file of
+``atomic_write_bytes`` (the one temp-and-rename path, which text files use
+too), and ``read_tensors`` checks each header against the file's size before
+it reads the payload straight into a new array.
 """
 
 from __future__ import annotations
@@ -27,13 +33,15 @@ class FormatError(ValueError):
     """Raised on bad magic, unknown dtype, bad rank/dims, or truncated payload."""
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write a file fully or not at all (temp file + rename)."""
+def atomic_write_bytes(path: str, *parts) -> None:
+    """Write the buffers ``parts`` to ``path`` in order, fully or not at all
+    (temp file + rename). Each is written as it is, with no joined copy."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,7 +53,8 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _encode_tensor(name: str, array: np.ndarray) -> bytes:
+def _encode_tensor(name: str, array: np.ndarray) -> tuple[bytes, memoryview]:
+    """A tensor's record: its header bytes and a byte view of its payload."""
     dtype = np.dtype(array.dtype)
     if dtype not in _CODE_FOR_DTYPE:
         raise FormatError(f"unsupported dtype {dtype} for tensor {name!r}")
@@ -59,57 +68,67 @@ def _encode_tensor(name: str, array: np.ndarray) -> bytes:
     for dim in array.shape:
         if dim >= 1 << 32:
             raise FormatError(f"dimension {dim} overflows u32 in tensor {name!r}")
-    parts = [
-        struct.pack("<H", len(name_bytes)),
-        name_bytes,
-        struct.pack("<BB", _CODE_FOR_DTYPE[dtype], array.ndim),
-        struct.pack(f"<{array.ndim}I", *array.shape),
-        np.ascontiguousarray(array, dtype=dtype).tobytes(),
-    ]
-    return b"".join(parts)
+    header = (struct.pack("<H", len(name_bytes)) + name_bytes
+              + struct.pack(f"<BB{array.ndim}I", _CODE_FOR_DTYPE[dtype], array.ndim,
+                            *array.shape))
+    return header, _bytes_of(np.ascontiguousarray(array))
+
+
+def _bytes_of(array: np.ndarray) -> memoryview:
+    """A flat byte view of a C-contiguous array (also when it has no values)."""
+    return memoryview(array.reshape(-1)).cast("B")
 
 
 def write_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
-    """Serialize ``tensors`` to ``path`` atomically, in dict order."""
-    blob = [MAGIC]
+    """Serialize ``tensors`` to ``path`` atomically, in dict order.
+
+    Every tensor is checked before the file is opened; then each header and
+    each payload goes straight into the file, without a copy of the payload.
+    """
+    parts = [MAGIC]
     for name, array in tensors.items():
-        blob.append(_encode_tensor(name, np.asarray(array)))
-    atomic_write_bytes(path, b"".join(blob))
+        parts.extend(_encode_tensor(name, np.asarray(array)))
+    atomic_write_bytes(path, *parts)
 
 
 def read_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read every named tensor from ``path``; raises FormatError on damage."""
-    with open(path, "rb") as fh:
-        data = memoryview(fh.read())  # slices share the bytes: one copy per payload
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic in {path!r}")
+    """Read every named tensor from ``path``; raises FormatError on damage.
+
+    Each payload is read straight into its own (writable) array, after its
+    header says that the file holds all of it.
+    """
     out: dict[str, np.ndarray] = {}
-    offset = 4
-    total = len(data)
+    with open(path, "rb") as fh:
+        total = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != MAGIC:
+            raise FormatError(f"bad magic in {path!r}")
+        offset = 4
 
-    def need(n: int, what: str) -> memoryview:
-        nonlocal offset
-        if offset + n > total:
-            raise FormatError(f"truncated {what} at offset {offset} in {path!r}")
-        chunk = data[offset : offset + n]
-        offset += n
-        return chunk
+        def need(n: int, what: str) -> int:
+            nonlocal offset
+            if offset + n > total:
+                raise FormatError(f"truncated {what} at offset {offset} in {path!r}")
+            offset += n
+            return n
 
-    while offset < total:
-        (name_len,) = struct.unpack("<H", need(2, "name length"))
-        name = str(need(name_len, "name"), "utf-8")
-        code, rank = struct.unpack("<BB", need(2, "dtype/rank"))
-        if code not in _DTYPE_FOR_CODE:
-            raise FormatError(f"unknown dtype code {code} for tensor {name!r}")
-        if rank == 0:
-            raise FormatError(f"rank-0 tensor {name!r} rejected")
-        dims = struct.unpack(f"<{rank}I", need(4 * rank, "dims"))
-        count = 1
-        for dim in dims:
-            count *= dim
-        if count > _MAX_ELEMENTS:
-            raise FormatError(f"dimension overflow in tensor {name!r}: {dims}")
-        dtype = _DTYPE_FOR_CODE[code]
-        payload = need(count * dtype.itemsize, f"payload of {name!r}")
-        out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        while offset < total:
+            (name_len,) = struct.unpack("<H", fh.read(need(2, "name length")))
+            name = str(fh.read(need(name_len, "name")), "utf-8")
+            code, rank = struct.unpack("<BB", fh.read(need(2, "dtype/rank")))
+            if code not in _DTYPE_FOR_CODE:
+                raise FormatError(f"unknown dtype code {code} for tensor {name!r}")
+            if rank == 0:
+                raise FormatError(f"rank-0 tensor {name!r} rejected")
+            dims = struct.unpack(f"<{rank}I", fh.read(need(4 * rank, "dims")))
+            count = 1
+            for dim in dims:
+                count *= dim
+            if count > _MAX_ELEMENTS:
+                raise FormatError(f"dimension overflow in tensor {name!r}: {dims}")
+            dtype = _DTYPE_FOR_CODE[code]
+            need(count * dtype.itemsize, f"payload of {name!r}")
+            array = np.empty(dims, dtype=dtype)
+            if fh.readinto(_bytes_of(array)) != array.nbytes:
+                raise FormatError(f"truncated payload of {name!r} in {path!r}")
+            out[name] = array
     return out

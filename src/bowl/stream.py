@@ -19,6 +19,10 @@ SENTINEL_LABEL = -1
 
 CORRUPTION_KINDS = ("gaussian", "shot", "impulse")
 
+# Generation and corruption hold the full-size float32 result plus float64
+# temporaries of at most this many values (512 KB each).
+BLOCK_VALUES = 1 << 16
+
 
 @dataclass
 class Dataset:
@@ -116,12 +120,20 @@ def simplex_means(n_classes: int, dims: int, separation: float) -> np.ndarray:
     return verts + 0.5
 
 
+def _blocks(n: int, width: int):
+    """Slices cutting ``n`` rows of ``width`` values into blocks of at most
+    ``BLOCK_VALUES`` values (at least one row each)."""
+    step = max(1, BLOCK_VALUES // width)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def synth_generate(n_classes: int, dims: int, separation: float, within_std: float,
                    n_samples: int, seed: int, clip_unit: bool = False) -> Dataset:
     """Gaussian blobs with means on a scaled simplex; labels round-robin.
 
     With ``clip_unit`` the samples are clamped into [0, 1] so they can feed
-    the corruption operators.
+    the corruption operators. The rows are drawn block by block, which gives
+    the values of one draw of every row at once.
     """
     if separation <= 0:
         raise ValueError("separation must be positive")
@@ -130,10 +142,14 @@ def synth_generate(n_classes: int, dims: int, separation: float, within_std: flo
     rng = np.random.default_rng(seed)
     means = simplex_means(n_classes, dims, separation)
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
-    inputs = means[labels] + rng.normal(0.0, within_std, size=(n_samples, dims))
-    if clip_unit:
-        inputs = np.clip(inputs, 0.0, 1.0)
-    return Dataset(inputs.astype(np.float32), labels)
+    inputs = np.empty((n_samples, dims), np.float32)
+    for rows in _blocks(n_samples, dims):
+        block = rng.normal(0.0, within_std, size=inputs[rows].shape)
+        block += means[labels[rows]]
+        if clip_unit:
+            np.clip(block, 0.0, 1.0, out=block)
+        inputs[rows] = block
+    return Dataset(inputs, labels)
 
 
 def make_split_tasks(dataset: Dataset, schedule: list[list[int]], batch_size: int,
@@ -161,27 +177,35 @@ def corrupt(inputs: np.ndarray, kind: str, severity: float, seed: int) -> np.nda
 
     gaussian: additive N(0, severity^2). shot: Poisson photon-count
     resampling at rate 60/severity per unit value. impulse: each entry is
-    forced to 0 or 1 with probability severity/2 each.
+    forced to 0 or 1 with probability severity/2 each. The values are
+    corrupted block by block in C order, which gives the draws of one pass
+    over all of them.
     """
     if severity <= 0:
         raise ValueError("severity must be positive")
     x = np.asarray(inputs, dtype=np.float32)
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("corruption expects inputs in [0, 1]")
-    rng = np.random.default_rng(seed)
-    if kind == "gaussian":
-        out = x + rng.normal(0.0, severity, size=x.shape)
-    elif kind == "shot":
-        lam = 60.0 / severity
-        out = rng.poisson(x.astype(np.float64) * lam) / lam
-    elif kind == "impulse":
-        u = rng.random(x.shape)
-        out = x.astype(np.float64).copy()
-        out[u < severity / 2.0] = 0.0
-        out[(u >= severity / 2.0) & (u < severity)] = 1.0
-    else:
+    if kind not in CORRUPTION_KINDS:
         raise ValueError(f"unknown corruption kind {kind!r}")
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
+    rng = np.random.default_rng(seed)
+    lam = 60.0 / severity
+    out = np.empty(x.shape, np.float32)
+    flat_in, flat_out = x.reshape(-1), out.reshape(-1)
+    for values in _blocks(x.size, 1):
+        block = flat_in[values].astype(np.float64)
+        if kind == "gaussian":
+            block += rng.normal(0.0, severity, size=block.shape)
+        elif kind == "shot":
+            block *= lam
+            np.divide(rng.poisson(block), lam, out=block)
+        else:
+            u = rng.random(block.shape)
+            block[u < severity / 2.0] = 0.0
+            block[(u >= severity / 2.0) & (u < severity)] = 1.0
+        np.clip(block, 0.0, 1.0, out=block)
+        flat_out[values] = block
+    return out
 
 
 def mix_streams(stream: Stream, mix: MixSpec, seed: int) -> Stream:
@@ -261,7 +285,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     if labels.size and labels.max() >= 2**32:
         raise FormatError("labels overflow uint32")
     write_tensors(path, {
-        "inputs": dataset.inputs.astype(np.float32),
+        "inputs": dataset.inputs.astype(np.float32, copy=False),
         "labels": labels.astype(np.uint32),
     })
 

@@ -1,9 +1,12 @@
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bowl.cli import main
-from bowl.config import load_run_config
+from bowl.config import SCHEMA, load_run_config
 from bowl.nn import Network, eval_mode, read_checkpoint
 from bowl.ood import predictive_entropy_per_sample
 from bowl.serialization import read_tensors, write_tensors
@@ -98,12 +101,19 @@ class TestRun:
                                          "run.seeds=0,-1", "data.schedule=0,1",
                                          # cross-key rules of a synthetic source
                                          "data.dims=0", "data.dims=3", "data.n_classes=1",
-                                         "data.n_classes=4", "data.schedule=0,1 | 2,9"])
+                                         "data.n_classes=4", "data.schedule=0,1 | 2,9",
+                                         # the mix fractions share the batches
+                                         "mix.corrupted_fraction=0.8;mix.ood_fraction=0.5"])
     def test_invalid_loop_setting_is_config_error(self, config_path, capsys, setting):
+        """Each ';'-separated setting is set; the error names every key."""
         path, _ = config_path()
-        dotted = setting if "." in setting.split("=")[0] else f"loop.{setting}"
-        assert main(["run", path, "--set", dotted]) == 2
-        assert setting.split("=")[0] in capsys.readouterr().err
+        keys, argv = [], ["run", path]
+        for item in setting.split(";"):
+            keys.append(item.split("=")[0])
+            argv += ["--set", item if "." in keys[-1] else f"loop.{item}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
 
     def test_foreign_classes_beyond_dims_is_config_error(self, config_path, capsys):
         """Synthetic foreign classes are simplex vertices in data.dims too."""
@@ -112,6 +122,30 @@ class TestRun:
                      "--set", "mix.foreign_classes=9"]) == 2
         err = capsys.readouterr().err
         assert "data.dims" in err and "mix.foreign_classes" in err
+
+    @pytest.mark.parametrize("overrides, code", [
+        ([], 0),
+        (["mix.foreign_classes=10"], 0),  # above data.dims (8), within the files' 12
+        (["mix.foreign_classes=13"], 2),
+    ])
+    def test_synthetic_foreign_rows_take_the_file_width(self, config_path, tmp_path,
+                                                        capsys, overrides, code):
+        """With a file source, synthetic foreign rows are generated at the
+        train file's width, and foreign classes beyond it are a config error."""
+        files = {}
+        for name, n, seed in (("train", 480, 1), ("test", 240, 2)):
+            files[name] = str(tmp_path / f"{name}.bnt")
+            assert main(["gen-data", "--classes", "6", "--dims", "12", "--separation", "0.3",
+                         "--std", "0.1", "--n", str(n), "--seed", str(seed), "--clip-unit",
+                         "--out", files[name]]) == 0
+        path, outdir = config_path()
+        sets = ["data.source=file", f"data.train_path={files['train']}",
+                f"data.test_path={files['test']}", "mix.ood_fraction=0.25", *overrides]
+        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == code
+        if code == 0:
+            assert "aborted=False" in open(os.path.join(outdir, "summary.txt")).read()
+        else:
+            assert "mix.foreign_classes" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -154,6 +188,62 @@ class TestRun:
     def test_bad_override_target(self, config_path):
         path, _ = config_path()
         assert main(["run", path, "--set", "loop.warp=1"]) == 2
+
+
+TINY_CONFIG = """
+[network]
+hidden = 4
+[loop]
+acquisition_batch = 8
+buffer_capacity = 16
+ood_batch_size = 4
+pretrain_epochs = 1
+minibatch_size = 8
+bootstrap_k = 5
+bootstrap_size = 2
+eval_every_update = false
+[data]
+n_classes = 4
+dims = 4
+train_per_class = 8
+test_per_class = 2
+schedule = 0,1 | 2,3
+"""
+
+# Every key but the output directory, which --output-dir overrides.
+FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
+                   if key != "output_dir")
+# Boundary, zero, negative, empty and unparsable values; none makes a run long.
+FUZZ_VALUES = ("", "0", "-1", "1", "2", "0.5", "-0.5", "1.5", "nan", "x")
+
+
+def _schema_rejects(dotted: str, raw: str) -> bool:
+    section, key = dotted.split(".")
+    try:
+        SCHEMA[section][key][0](raw)
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+class TestRunFuzz:
+    @given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+                           min_size=1, max_size=2))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_any_setting_exits_cleanly(self, overrides):
+        """Per-key draws of ``bowl run --set``: the exit code is 0, 1 or 2, no
+        exception escapes main, and a value the schema rejects exits 2."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(TINY_CONFIG)
+            argv = ["run", path, "--output-dir", os.path.join(tmp, "out")]
+            for dotted, raw in overrides.items():
+                argv += ["--set", f"{dotted}={raw}"]
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if any(_schema_rejects(dotted, raw) for dotted, raw in overrides.items()):
+            assert code == 2
 
 
 class TestGenData:
