@@ -9,12 +9,12 @@ fixed-size replay buffer keeps while the model trains continually.
 
 from .engine import LoopConfig, RunReport, evaluate, run_variant
 from .memory import MemoryBuffer, init_buffer, memory_scores, update_buffer
-from .metrics import auroc, average_accuracy, count_odp, ema
+from .metrics import auroc, average_accuracy, count_odp
 from .nn import (BatchNorm, Dense, Network, ReLU, SgdOptimizer, backward_and_step,
-                 build_mlp, eval_mode, eval_rows, expand_head, load_checkpoint,
-                 save_checkpoint, softmax_cross_entropy, train_one_epoch)
+                 build_mlp, eval_rows, expand_head, read_checkpoint, save_checkpoint,
+                 softmax_cross_entropy, train_one_epoch)
 from .ood import (ThresholdConfig, batch_ood_score, bootstrap_threshold, eta1_from_eta0,
-                  filter_stream, predictive_entropy, sample_eta1_scores)
+                  filter_stream, predictive_entropy_per_sample, sample_eta1_scores)
 from .query import (CandidatePool, entropy_term, mean_pairwise_cosine, query_scores,
                     sample_entropies, select_top)
 from .samples import SampleSet

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .engine import (RunReport, run_variant, write_buffer_composition,
-                     write_report_csv, write_summary, write_update_metrics)
+from .engine import (RunReport, run_variant, write_buffer_composition, write_report_csv,
+                     write_summary)
 from .metrics import auroc
 from .nn import Network, NonFiniteLossError, read_checkpoint, save_checkpoint
 from .ood import (batch_ood_score, export_score_csv, predictive_entropy_per_sample,
@@ -94,7 +94,6 @@ def _write_run_outputs(report: RunReport, net: Network, outdir: str) -> None:
     write_report_csv(report, os.path.join(outdir, "report.csv"))
     write_summary(report, os.path.join(outdir, "summary.txt"))
     write_buffer_composition(report, os.path.join(outdir, "buffer_composition.csv"))
-    write_update_metrics(report, os.path.join(outdir, "metrics.csv"))
     save_checkpoint(net, os.path.join(outdir, "checkpoint.bnt"))
 
 
@@ -125,9 +124,9 @@ def cmd_ablate(args) -> int:
     rows = []
     failed = False
     per_variant: dict[str, list[RunReport]] = {v: [] for v in ABLATION_VARIANTS}
-    for variant in ABLATION_VARIANTS:
-        for seed in seeds:
-            tasks = cfg.build_tasks(seed)
+    for seed in seeds:
+        tasks = cfg.build_tasks(seed)  # shared: run_variant only reads it
+        for variant in ABLATION_VARIANTS:
             net = cfg.build_network(seed)
             report = run_variant(net, cfg.loop_config(seed), tasks, variant)
             run_dir = os.path.join(outdir, f"{variant}_seed{seed}")

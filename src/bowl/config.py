@@ -105,9 +105,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "pretrain_epochs": (_at_least(0), 30),
         "baseline_epochs_per_task": (_at_least(1), None),
         "minibatch_size": (int, 256),
-        "bootstrap_k": (int, 100),
+        "bootstrap_k": (_at_least(1), 100),
         "bootstrap_size": (_at_least(1), None),  # defaults to ood_batch_size
-        "bootstrap_alpha": (float, 0.99),
+        "bootstrap_alpha": (_checked(float, "in (0, 1)", lambda v: (v > 0) & (v < 1)), 0.99),
         "eval_every_update": (_parse_bool, True),
     },
     "data": {
@@ -183,8 +183,9 @@ class RunConfig:
 
     def __post_init__(self):
         """Cross-key rules: the two mix fractions share the batches (sum <= 1);
-        generated sets have simplex-vertex class means (dims >= classes), and
-        the schedule names generated classes."""
+        generated sets have simplex-vertex class means (dims >= classes); the
+        schedule names generated classes; and the [loop] settings make a valid
+        ``LoopConfig``, checked before any data is built."""
         d, m = self.values["data"], self.values["mix"]
         if m["corrupted_fraction"] + m["ood_fraction"] > 1:
             raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} + "
@@ -201,6 +202,7 @@ class RunConfig:
         if "data.n_classes" in generated and outside:
             raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
                               f"data.n_classes {d['n_classes']}")
+        self.loop_config()
 
     def __getitem__(self, dotted: str):
         section, key = dotted.split(".", 1)
@@ -258,15 +260,19 @@ class RunConfig:
         return train, test
 
     def foreign_dataset(self, seed: int, dims: int) -> Dataset | None:
-        """Foreign rows for the mix, or None without them. Synthetic ones have
-        the train set's width ``dims`` (``data.dims`` or the train file's)."""
+        """Foreign rows for the mix, or None without them. They have the train
+        set's width ``dims`` (``data.dims`` or the train file's)."""
         m, d = self.values["mix"], self.values["data"]
         if m["ood_fraction"] <= 0.0:
             return None
         if m["foreign_source"] == "file":
             if m["foreign_path"] is None:
                 raise ConfigError("mix.foreign_source=file requires mix.foreign_path")
-            return load_dataset(m["foreign_path"])
+            foreign = load_dataset(m["foreign_path"])
+            if foreign.feature_dim != dims:
+                raise ConfigError(f"mix.foreign_path {m['foreign_path']!r} has width "
+                                  f"{foreign.feature_dim}, the train set {dims}")
+            return foreign
         foreign_seed = int(self._data_seeds(seed)[4])
         classes = m["foreign_classes"] or d["n_classes"]
         if dims < classes:
@@ -296,15 +302,13 @@ class RunConfig:
             return load_dataset(d["train_path"]).feature_dim
         return int(d["dims"])
 
-    def build_network(self, seed: int | None = None, n_classes: int | None = None,
+    def build_network(self, seed: int | None = None,
                       class_ids: list[int] | None = None) -> Network:
         seed = self.seed if seed is None else seed
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         if class_ids is None:
             class_ids = sorted(self["data.schedule"][0])
-        if n_classes is None:
-            n_classes = len(class_ids)
-        return build_mlp(self.input_dim(), self["network.hidden"], n_classes, rng,
+        return build_mlp(self.input_dim(), self["network.hidden"], len(class_ids), rng,
                          eps=self["network.bn_eps"],
                          stat_momentum=self["network.bn_momentum"],
                          class_ids=class_ids)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .memory import (MemoryBuffer, export_composition_csv, init_buffer, memory_scores,
                      update_buffer)
-from .metrics import MetricSeries, average_accuracy, count_odp, ema, write_metrics_csv
+from .metrics import average_accuracy, count_odp
 from .nn import (Network, NonFiniteLossError, SgdOptimizer, eval_rows, expand_head,
                  train_one_epoch)
 from .nn import backward_and_step  # noqa: F401  (engine attribute that tracing wraps)
@@ -188,7 +188,7 @@ def _discover_classes(net: Network, labels, rng: np.random.Generator) -> int:
     """Expand the head for labels not seen before; returns how many were new."""
     novel = sorted(set(labels) - set(net.class_ids))
     if novel:
-        expand_head(net, len(novel), rng, novel)
+        expand_head(net, novel, rng)
     return len(novel)
 
 
@@ -403,18 +403,3 @@ def write_buffer_composition(report: RunReport, path: str) -> None:
     snapshots = [(task.timestep, task.buffer_composition) for task in report.tasks]
     export_composition_csv(path, snapshots)
 
-
-def write_update_metrics(report: RunReport, path: str, decay: float = 0.1) -> None:
-    if not report.updates:
-        write_metrics_csv(path, [])
-        return
-    x = [float(i + 1) for i in range(len(report.updates))]
-    queried = MetricSeries("queried", x, [float(u.queried) for u in report.updates])
-    inserted = MetricSeries("new_inserted", x,
-                            [float(u.n_new_inserted) for u in report.updates])
-    inserted_ema = MetricSeries("new_inserted_ema", x, ema(inserted.y, decay), "ema")
-    series = [queried, inserted, inserted_ema]
-    if any(np.isfinite(u.accuracy) for u in report.updates):
-        series.append(MetricSeries("accuracy", x,
-                                   [float(u.accuracy) for u in report.updates]))
-    write_metrics_csv(path, series)

@@ -22,12 +22,10 @@ from .serialization import atomic_write_text
 class MemoryBuffer:
     """At most ``capacity`` labeled rows, each with its entropy cached at insertion."""
 
-    def __init__(self, capacity: int, entries: SampleSet | None = None):
+    def __init__(self, capacity: int, entries: SampleSet):
         if capacity < 1:
             raise ValueError("buffer capacity must be positive")
         self.capacity = capacity
-        if entries is None:
-            entries = replace(SampleSet.empty(), entropy=np.zeros(0))
         if len(entries) > capacity:
             raise ValueError("initial entries exceed capacity")
         if entries.entropy is None:

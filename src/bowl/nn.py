@@ -19,8 +19,6 @@ momentum and restarts the head's at zero.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from .serialization import FormatError, read_tensors, write_tensors
@@ -198,7 +196,6 @@ class Network:
         self.class_ids = list(class_ids) if class_ids is not None else list(range(head.out_dim))
         if len(self.class_ids) != head.out_dim:
             raise ValueError("class_ids length must match head width")
-        self.training = True
         self.in_dim = next((l.in_dim for l in layers if isinstance(l, Dense)), head.in_dim)
         # Batch-norm entries per row: the dimension d of the eta1 score.
         self.bn_dim = sum(l.dim for l in layers if isinstance(l, BatchNorm))
@@ -235,12 +232,6 @@ class Network:
         self.__dict__.update(state)
         self._build_arena()
 
-    def train(self) -> None:
-        self.training = True
-
-    def eval(self) -> None:
-        self.training = False
-
     @property
     def n_classes(self) -> int:
         return self.head.out_dim
@@ -255,24 +246,20 @@ class Network:
             raise ValueError("label outside the head's classes")
         return rows
 
-    def forward(self, x: np.ndarray, row_stats=None) -> np.ndarray:
-        """Run the network and return its logits. ``row_stats``, an (eta0,
-        spread) pair of float64 per-row accumulators or None, collects every
-        batch-norm layer's per-row reductions (see ``BatchNorm.forward`` and
-        ``eval_rows``)."""
-        x = np.asarray(x)
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        elif x.ndim == 1:
-            x = x.reshape(1, -1)
+    def forward(self, x: np.ndarray, train: bool, row_stats=None) -> np.ndarray:
+        """Run the network on (n, d) rows and return its logits: batch
+        statistics when ``train`` (updating the running ones), the running
+        statistics otherwise. ``row_stats``, an (eta0, spread) pair of float64
+        per-row accumulators or None, collects every batch-norm layer's
+        per-row reductions (see ``BatchNorm.forward`` and ``eval_rows``)."""
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input dim {x.shape[1]} does not match network dim {self.in_dim}")
         for layer in self.layers:
             if isinstance(layer, BatchNorm):
-                x = layer.forward(x, self.training, row_stats)
+                x = layer.forward(x, train, row_stats)
             else:
-                x = layer.forward(x, self.training)
-        return self.head.forward(x, self.training)
+                x = layer.forward(x, train)
+        return self.head.forward(x, train)
 
     def backward(self, dlogits: np.ndarray) -> None:
         dy = self.head.backward(dlogits)
@@ -335,17 +322,6 @@ def build_mlp(in_dim: int, hidden: list[int], n_classes: int,
     return Network(layers, head, class_ids)
 
 
-@contextlib.contextmanager
-def eval_mode(net: Network):
-    """Temporarily switch to eval mode (scoring must not touch running stats)."""
-    was_training = net.training
-    net.eval()
-    try:
-        yield net
-    finally:
-        net.training = was_training
-
-
 EVAL_CHUNK = 512
 
 
@@ -367,12 +343,11 @@ def eval_rows(net: Network, x: np.ndarray, *, eta0: bool = False,
     eta0_rows = np.zeros(n) if eta0 else None
     spread_rows = np.zeros(n) if spread else None
     logits = np.empty((n, net.n_classes), np.result_type(x.dtype, net.flat_params.dtype))
-    with eval_mode(net):
-        for start in range(0, n, EVAL_CHUNK):
-            rows = slice(start, start + EVAL_CHUNK)
-            row_stats = (eta0_rows[rows] if eta0 else None,
-                         spread_rows[rows] if spread else None)
-            logits[rows] = net.forward(x[rows], row_stats)
+    for start in range(0, n, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        row_stats = (eta0_rows[rows] if eta0 else None,
+                     spread_rows[rows] if spread else None)
+        logits[rows] = net.forward(x[rows], False, row_stats)
     if spread:
         spread_rows /= sum(isinstance(layer, BatchNorm) for layer in net.layers)
     return logits, eta0_rows, spread_rows
@@ -437,9 +412,7 @@ class SgdOptimizer:
 def backward_and_step(net: Network, x: np.ndarray, targets: np.ndarray,
                       opt: SgdOptimizer) -> float:
     """One gradient step on a batch; returns the pre-step mean cross-entropy."""
-    if not net.training:
-        raise ValueError("backward_and_step requires train mode")
-    logits = net.forward(x)
+    logits = net.forward(x, True)
     loss, dlogits = softmax_cross_entropy(logits, np.asarray(targets))
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss diverged: {loss}")
@@ -472,7 +445,6 @@ def train_one_epoch(net: Network, inputs: np.ndarray, labels: np.ndarray,
     n = len(labels)
     if n == 0:
         raise ValueError("cannot train on an empty set")
-    net.train()
     inputs = np.asarray(inputs)
     targets = net.head_rows(np.asarray(labels))
     steps = 0
@@ -483,27 +455,22 @@ def train_one_epoch(net: Network, inputs: np.ndarray, labels: np.ndarray,
     return steps, total_loss / steps
 
 
-def expand_head(net: Network, n_new_classes: int, rng: np.random.Generator,
-                new_class_ids: list[int] | None = None) -> Network:
-    """Grow the output head by ``n_new_classes`` rows, keeping old rows bit-identical.
+def expand_head(net: Network, new_class_ids: list[int], rng: np.random.Generator) -> Network:
+    """Grow the output head by a row per class in ``new_class_ids``, keeping old
+    rows bit-identical.
 
     New rows use the fresh-dense init scheme (uniform +-1/sqrt(fan_in), zero bias).
     """
-    if n_new_classes < 1:
-        raise ValueError("head expansion requires at least one new class")
     # Validate before touching the head, so a rejected call changes nothing.
-    if new_class_ids is None:
-        start = max(net.class_ids) + 1 if net.class_ids else 0
-        new_class_ids = list(range(start, start + n_new_classes))
-    if len(new_class_ids) != n_new_classes:
-        raise ValueError("new_class_ids length must equal n_new_classes")
+    n_new = len(new_class_ids)
+    if n_new < 1:
+        raise ValueError("head expansion requires at least one new class")
     head = net.head
     dtype = head.weight.data.dtype
     limit = 1.0 / np.sqrt(head.in_dim)
-    new_cols = rng.uniform(-limit, limit, size=(head.in_dim, n_new_classes)).astype(dtype)
+    new_cols = rng.uniform(-limit, limit, size=(head.in_dim, n_new)).astype(dtype)
     head.weight = Param(np.concatenate([head.weight.data, new_cols], axis=1))
-    head.bias = Param(np.concatenate([head.bias.data,
-                                      np.zeros(n_new_classes, dtype=dtype)]))
+    head.bias = Param(np.concatenate([head.bias.data, np.zeros(n_new, dtype=dtype)]))
     net._build_arena()
     net.class_ids.extend(int(c) for c in new_class_ids)
     return net
@@ -511,10 +478,6 @@ def expand_head(net: Network, n_new_classes: int, rng: np.random.Generator,
 
 def save_checkpoint(net: Network, path: str) -> None:
     write_tensors(path, {k: _as_storable(v) for k, v in net.state_dict().items()})
-
-
-def load_checkpoint(net: Network, path: str) -> None:
-    net.load_state_dict(read_tensors(path))
 
 
 def read_checkpoint(path: str) -> tuple[list[int], dict[str, np.ndarray]]:

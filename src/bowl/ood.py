@@ -134,11 +134,6 @@ def predictive_entropy_per_sample(logits: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
-def predictive_entropy(logits: np.ndarray) -> float:
-    """Mean softmax entropy of a batch; the classical output-only OoD baseline."""
-    return float(predictive_entropy_per_sample(logits).mean())
-
-
 def export_score_csv(path: str, in_scores, out_scores, value_name: str = "eta1") -> None:
     """Write (source, score) rows for in/out histogram comparison plots."""
     parts = [f"source,{value_name}\n"]

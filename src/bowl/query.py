@@ -89,7 +89,7 @@ def mean_pairwise_cosine(x: np.ndarray) -> np.ndarray:
     direction; it has cosine 0 to every row (u_i = 0, s_i = 0). A pool of one
     returns [0] (empty-average convention).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
+    x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
         return np.zeros(0)

@@ -32,8 +32,6 @@ class SampleSet:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs)
-        if self.inputs.ndim != 2:
-            self.inputs = self.inputs.reshape(self.inputs.shape[0], -1)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.ids = np.asarray(self.ids, dtype=np.int64)
         n = self.inputs.shape[0]

@@ -30,7 +30,9 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float32)
+        # Rows are (n, d) from here on; an explicit width also flattens an empty set.
+        x = np.asarray(self.inputs, dtype=np.float32)
+        self.inputs = x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels must have matching length")
@@ -43,7 +45,7 @@ class Dataset:
 
     @property
     def feature_dim(self) -> int:
-        return int(np.prod(self.inputs.shape[1:]))
+        return self.inputs.shape[1]
 
     def classes(self) -> list[int]:
         return sorted(int(c) for c in np.unique(self.labels))

@@ -18,7 +18,7 @@ from bowl.memory import MemoryBuffer, MemoryScores, init_buffer, update_buffer
 from bowl.metrics import auroc
 from bowl.nn import BatchNorm, build_mlp, eval_rows, SgdOptimizer
 from bowl.ood import (ThresholdConfig, batch_ood_score, bootstrap_threshold, eta1_from_eta0,
-                      predictive_entropy)
+                      predictive_entropy_per_sample)
 from bowl.query import mean_pairwise_cosine
 from bowl.samples import SampleSet
 from bowl.stream import MixSpec, corrupt, split_experiment, synth_generate
@@ -110,7 +110,7 @@ def eta1_scorer(net, x):
 
 
 def pe_scorer(net, x):
-    return predictive_entropy(eval_rows(net, x)[0])
+    return float(predictive_entropy_per_sample(eval_rows(net, x)[0]).mean())
 
 
 class TestCriterion1:

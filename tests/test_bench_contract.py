@@ -13,14 +13,17 @@ import sys
 import numpy as np
 import pytest
 
-from bowl import cli, memory, ood
+from bowl import cli, engine, memory, ood
+from bowl.engine import LoopConfig
 from bowl.nn import build_mlp
+from bowl.ood import ThresholdConfig
 from bowl.stream import Dataset, Stream, split_experiment, synth_generate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -92,3 +95,30 @@ def test_tasks_give_the_counts_the_workload_checks_read():
     per_task = [int(np.isin(train.labels, c).sum()) for c in (2, 3)]
     assert [len(stream) for stream in tasks.streams] == [-(-n // 8) for n in per_task]
     assert tasks.total_stream_size() == sum(per_task)
+
+
+def test_round_hooks_see_every_round():
+    """The round hooks hold on a tiny ``full`` run: ``RoundCapture`` recomputes
+    each task's first round with the reference, and ``RoundClock``, whose
+    spacings give ``round_p50_ms`` and ``round_p90_ms``, stamps every round."""
+    train = synth_generate(6, 8, 0.3, 0.1, 480, seed=0, clip_unit=True)
+    test = synth_generate(6, 8, 0.3, 0.1, 120, seed=1, clip_unit=True)
+    tasks = split_experiment(train, test, [[0, 1], [2, 3], [4, 5]], 8, seed=2)
+    net = build_mlp(8, [12, 6], 2, np.random.default_rng(3), class_ids=[0, 1])
+    config = LoopConfig(acquisition_batch=48, buffer_capacity=100, pretrain_epochs=5,
+                        minibatch_size=32, bootstrap=ThresholdConfig(30, 4, 0.99),
+                        eval_every_update=False)
+    capture, clock = workloads.RoundCapture(), tracing.RoundClock()
+    clock.install()
+    capture.install()
+    try:
+        report = engine.run_variant(net, config, tasks, "full")
+    finally:
+        capture.uninstall()
+        clock.uninstall()
+    assert not report.aborted
+    with_pool = sum(1 for rec in report.tasks if rec.pool_size)
+    assert with_pool == 2
+    capture.check(with_pool)
+    assert len(clock.stamps) == len(report.updates) > with_pool
+    assert len(clock.spacings_ms()) == len(report.updates) - with_pool

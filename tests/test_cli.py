@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bowl.config as config_mod
 from bowl.cli import main
 from bowl.config import SCHEMA, load_run_config
-from bowl.nn import Network, eval_mode, read_checkpoint
+from bowl.nn import Network, read_checkpoint
 from bowl.ood import predictive_entropy_per_sample
 from bowl.serialization import read_tensors, write_tensors
 from bowl.stream import load_dataset
@@ -57,9 +58,8 @@ class TestRun:
     def test_writes_all_outputs(self, config_path):
         path, outdir = config_path()
         assert main(["run", path]) == 0
-        for name in ("report.csv", "summary.txt", "buffer_composition.csv",
-                     "metrics.csv", "checkpoint.bnt"):
-            assert os.path.exists(os.path.join(outdir, name)), name
+        assert sorted(os.listdir(outdir)) == ["buffer_composition.csv", "checkpoint.bnt",
+                                              "report.csv", "summary.txt"]
 
     def test_determinism_byte_identical_summary(self, config_path, tmp_path):
         path, _ = config_path()
@@ -95,6 +95,7 @@ class TestRun:
                                          "mix.severity=0", "pretrain_epochs=-1",
                                          "baseline_epochs_per_task=-2",
                                          "baseline_epochs_per_task=0",
+                                         "bootstrap_k=0", "bootstrap_alpha=1",
                                          "mix.foreign_classes=0", "mix.foreign_classes=-3",
                                          "mix.foreign_per_class=0", "mix.foreign_std=-1",
                                          "mix.foreign_separation_scale=-1", "run.seed=-1",
@@ -115,6 +116,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert all(key in err for key in keys), err
 
+    def test_loop_settings_checked_before_any_data_is_built(self, config_path, capsys,
+                                                            monkeypatch):
+        calls = []
+        generate = config_mod.synth_generate
+        monkeypatch.setattr(config_mod, "synth_generate",
+                            lambda *a, **k: calls.append(1) or generate(*a, **k))
+        path, _ = config_path()
+        assert main(["run", path, "--set", "loop.minibatch_size=1"]) == 2
+        assert "minibatch_size" in capsys.readouterr().err
+        assert calls == []
+
     def test_foreign_classes_beyond_dims_is_config_error(self, config_path, capsys):
         """Synthetic foreign classes are simplex vertices in data.dims too."""
         path, _ = config_path()
@@ -122,6 +134,17 @@ class TestRun:
                      "--set", "mix.foreign_classes=9"]) == 2
         err = capsys.readouterr().err
         assert "data.dims" in err and "mix.foreign_classes" in err
+
+    @staticmethod
+    def _write_sets(tmp_path, sets):
+        """Generated 6-class dataset files, one per (name, dims, n, seed)."""
+        files = {}
+        for name, dims, n, seed in sets:
+            files[name] = str(tmp_path / f"{name}.bnt")
+            assert main(["gen-data", "--classes", "6", "--dims", str(dims), "--separation",
+                         "0.3", "--std", "0.1", "--n", str(n), "--seed", str(seed),
+                         "--clip-unit", "--out", files[name]]) == 0
+        return files
 
     @pytest.mark.parametrize("overrides, code", [
         ([], 0),
@@ -132,12 +155,7 @@ class TestRun:
                                                         capsys, overrides, code):
         """With a file source, synthetic foreign rows are generated at the
         train file's width, and foreign classes beyond it are a config error."""
-        files = {}
-        for name, n, seed in (("train", 480, 1), ("test", 240, 2)):
-            files[name] = str(tmp_path / f"{name}.bnt")
-            assert main(["gen-data", "--classes", "6", "--dims", "12", "--separation", "0.3",
-                         "--std", "0.1", "--n", str(n), "--seed", str(seed), "--clip-unit",
-                         "--out", files[name]]) == 0
+        files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2)])
         path, outdir = config_path()
         sets = ["data.source=file", f"data.train_path={files['train']}",
                 f"data.test_path={files['test']}", "mix.ood_fraction=0.25", *overrides]
@@ -146,6 +164,18 @@ class TestRun:
             assert "aborted=False" in open(os.path.join(outdir, "summary.txt")).read()
         else:
             assert "mix.foreign_classes" in capsys.readouterr().err
+
+    def test_foreign_file_of_another_width_is_config_error(self, config_path, tmp_path,
+                                                           capsys):
+        files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2),
+                                            ("foreign", 7, 120, 3)])
+        path, _ = config_path()
+        sets = ["data.source=file", f"data.train_path={files['train']}",
+                f"data.test_path={files['test']}", "mix.ood_fraction=0.25",
+                "mix.foreign_source=file", f"mix.foreign_path={files['foreign']}"]
+        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+        err = capsys.readouterr().err
+        assert "mix.foreign_path" in err and "width 7, the train set 12" in err, err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -343,8 +373,7 @@ class TestOodHist:
         for name in (in_set, out_set):
             inputs = load_dataset(name).inputs
             for start in range(0, len(inputs), chunk):
-                with eval_mode(net):
-                    logits = net.forward(inputs[start:start + chunk])
+                logits = net.forward(inputs[start:start + chunk], False)
                 entropy = predictive_entropy_per_sample(logits)
                 values = [entropy.mean()] if granularity == "batch" else entropy
                 expected += [f"{float(e):.8g}" for e in values]
@@ -436,3 +465,13 @@ class TestAblate:
         for row in csv[1:]:
             cells = row.split(",")
             assert all(float(cells[i]) == 0.0 for i in idx)
+
+    def test_tasks_built_once_per_seed(self, config_path, monkeypatch):
+        seeds = []
+        build_tasks = config_mod.RunConfig.build_tasks
+        monkeypatch.setattr(config_mod.RunConfig, "build_tasks",
+                            lambda cfg, seed=None: seeds.append(seed) or build_tasks(cfg, seed))
+        path, outdir = config_path()
+        assert main(["ablate", path, "--set", "run.seeds=0,1"]) == 0
+        assert seeds == [0, 1]
+        assert len(open(os.path.join(outdir, "ablation.csv")).read().splitlines()) == 5

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import warnings
@@ -14,18 +15,19 @@ from bowl.nn import SgdOptimizer, build_mlp
 from bowl.ood import ThresholdConfig, bootstrap_threshold, filter_stream
 from bowl.query import CandidatePool, query_scores, sample_entropies
 from bowl.samples import SampleSet
-from bowl.stream import SENTINEL_LABEL, SplitTasks, Stream, split_experiment, synth_generate
+from bowl.stream import (SENTINEL_LABEL, MixSpec, SplitTasks, Stream, split_experiment,
+                         synth_generate)
 
 VARIANT_NAMES = list(engine_mod.VARIANTS)
 
 
-def tiny_tasks(seed=0, n_classes=6, dims=8, npc=80):
+def tiny_tasks(seed=0, n_classes=6, dims=8, npc=80, mix=None):
     train = synth_generate(n_classes, dims, 0.3, 0.1, npc * n_classes,
                            seed=100 + seed, clip_unit=True)
     test = synth_generate(n_classes, dims, 0.3, 0.1, 40 * n_classes,
                           seed=200 + seed, clip_unit=True)
     schedule = [[0, 1], [2, 3], [4, 5]]
-    return split_experiment(train, test, schedule, 8, seed=300 + seed)
+    return split_experiment(train, test, schedule, 8, seed=300 + seed, mix=mix)
 
 
 def tiny_config(seed=0, **overrides):
@@ -68,10 +70,9 @@ class TestEvaluate:
 
     def test_argmax_invariant_to_positive_rescaling(self):
         net = build_mlp(4, [6], 3, np.random.default_rng(2))
-        net.eval()
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 4)).astype(np.float32)
-        logits = net.forward(x)
+        logits = net.forward(x, False)
         assert (np.argmax(logits, axis=1) == np.argmax(3.7 * logits, axis=1)).all()
 
 
@@ -80,7 +81,7 @@ class TestScoringIsReadOnly:
         """query_scores, memory_scores, sample_entropies, bootstrap_threshold,
         filter_stream and evaluate run in eval mode: every parameter and every
         batch-norm running statistic is bit-identical afterwards, both in the
-        live state_dict() views and against copies, and train mode is restored."""
+        live state_dict() views and against copies."""
         tasks = tiny_tasks()
         net = tiny_net()
         engine_mod._train_supervised(net, tasks.pretrain_inputs, tasks.pretrain_labels,
@@ -102,7 +103,6 @@ class TestScoringIsReadOnly:
         filter_stream(net, tasks.streams[0], tau)
         evaluate(net, tasks.test_inputs, tasks.test_labels)
 
-        assert net.training
         after = net.state_dict()
         for name, array in before.items():
             np.testing.assert_array_equal(live[name], array, err_msg=name)
@@ -253,6 +253,26 @@ class TestVariants:
         rep = run_variant(tiny_net(), tiny_config(minibatch_size=64), tasks, variant)
         assert not rep.aborted
         assert len(rep.tasks) == 1 and rep.total_steps > rep.pretrain_steps
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_tasks_unchanged_by_every_variant(self, mixed):
+        """``bowl ablate`` shares one seed's tasks across its variants, so no
+        variant may write to any array of them."""
+        foreign = synth_generate(6, 8, 6.0, 0.1, 600, seed=400)
+        tasks = tiny_tasks(mix=MixSpec(0.25, 0.25, "gaussian", 0.5, foreign) if mixed else None)
+        kinds = set(np.concatenate([stream.kinds for stream in tasks.streams]))
+        assert kinds == ({"clean", "corrupted", "foreign"} if mixed else {"clean"})
+        before = copy.deepcopy(tasks)
+        for variant in VARIANT_NAMES:
+            assert not run_variant(tiny_net(), tiny_config(), tasks, variant).aborted
+            for name in ("pretrain_inputs", "pretrain_labels", "test_inputs", "test_labels"):
+                np.testing.assert_array_equal(getattr(tasks, name), getattr(before, name))
+            assert tasks.schedule == before.schedule
+            assert len(tasks.streams) == len(before.streams)
+            for stream, old in zip(tasks.streams, before.streams):
+                for name in ("inputs", "labels", "sizes", "kinds"):
+                    np.testing.assert_array_equal(getattr(stream, name), getattr(old, name),
+                                                  err_msg=f"{variant}: {name}")
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_zero_norm_stream_row(self, variant):

@@ -11,9 +11,7 @@ NONE_QUERIED = SampleSet.empty()
 
 @pytest.fixture(scope="module")
 def net():
-    net = build_mlp(4, [6, 3], 2, np.random.default_rng(0))
-    net.eval()
-    return net
+    return build_mlp(4, [6, 3], 2, np.random.default_rng(0))
 
 
 def _buffer(inputs, entropies, capacity=None, labels=None, ids=None):

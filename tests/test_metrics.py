@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.metrics import (MetricSeries, _average_ranks, auroc, average_accuracy,
-                          count_odp, ema)
+from bowl.metrics import _average_ranks, auroc, average_accuracy, count_odp
 
 
 def pairwise_auroc_oracle(in_scores, out_scores):
@@ -109,38 +108,7 @@ class TestAuroc:
         b = np.round(rng.normal(0.3, 2.0, size=300), 1)
         assert auroc(a, b) + auroc(b, a) == pytest.approx(1.0, abs=1e-12)
 
-    def test_direction_flag(self):
-        low_is_outlier_in = [5.0, 6.0]
-        low_is_outlier_out = [1.0, 2.0]
-        assert auroc(low_is_outlier_in, low_is_outlier_out,
-                     higher_is_outlier=False) == 1.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             auroc([], [1.0])
 
-
-class TestEma:
-    def test_decay_one_is_identity(self):
-        values = [3.0, 1.0, 4.0, 1.0, 5.0]
-        assert ema(values, 1.0) == values
-
-    def test_constant_series(self):
-        assert ema([2.0] * 6, 0.3) == pytest.approx([2.0] * 6)
-
-    def test_matches_direct_recurrence(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=30).tolist()
-        decay = 0.1
-        expected = [values[0]]
-        for v in values[1:]:
-            expected.append(decay * v + (1 - decay) * expected[-1])
-        assert ema(values, decay) == pytest.approx(expected)
-
-    def test_decay_validated(self):
-        with pytest.raises(ValueError):
-            ema([1.0], 0.0)
-
-    def test_series_x_strictly_increasing(self):
-        with pytest.raises(ValueError, match="increasing"):
-            MetricSeries("s", [0.0, 0.0], [1.0, 2.0])

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bowl.nn import (EVAL_CHUNK, BatchNorm, Dense, Network, ReLU, SgdOptimizer,
-                     backward_and_step, build_mlp, eval_mode, eval_rows, expand_head,
-                     load_checkpoint, save_checkpoint, softmax_cross_entropy,
+                     backward_and_step, build_mlp, eval_rows, expand_head,
+                     read_checkpoint, save_checkpoint, softmax_cross_entropy,
                      train_one_epoch)
 
 from bn_reference import reference_rows
@@ -17,7 +17,7 @@ from bn_reference import reference_rows
 
 def _test_loss(net, x, targets):
     """Independent cross-entropy for the finite-difference oracle."""
-    logits = net.forward(x)
+    logits = net.forward(x, True)
     z = logits.astype(np.float64)
     z = z - z.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -43,7 +43,7 @@ def numeric_gradients(net, x, targets, h=1e-3):
 
 
 def analytic_gradients(net, x, targets):
-    logits = net.forward(x)
+    logits = net.forward(x, True)
     _, dlogits = softmax_cross_entropy(logits, targets)
     net.backward(dlogits)
     return {name: p.grad.copy() for name, p in net.named_parameters()}
@@ -184,8 +184,7 @@ class TestForward:
         net = build_mlp(4, [6], 3, rng)
         net.head.weight.data[...] = 0.0
         net.head.bias.data[...] = 0.0
-        net.eval()
-        logits = net.forward(rng.normal(size=(5, 4)).astype(np.float32))
+        logits = net.forward(rng.normal(size=(5, 4)).astype(np.float32), False)
         np.testing.assert_array_equal(logits, np.zeros((5, 3), dtype=np.float32))
 
     def test_bn_dim_sums_bn_widths(self):
@@ -200,16 +199,30 @@ class TestForward:
     def test_eval_forward_deterministic(self):
         rng = np.random.default_rng(3)
         net = build_mlp(6, [8], 2, rng)
-        net.eval()
         x = rng.normal(size=(4, 6)).astype(np.float32)
-        a = net.forward(x)
-        b = net.forward(x)
+        a = net.forward(x, False)
+        b = net.forward(x, False)
         np.testing.assert_array_equal(a, b)
+
+    def test_train_argument_picks_the_statistics(self):
+        """forward(x, False) normalizes with the running statistics and leaves
+        them alone; forward(x, True) normalizes with the batch's and updates
+        the running ones."""
+        rng = np.random.default_rng(5)
+        net = build_mlp(4, [6], 2, rng)
+        bn = net.layers[1]
+        x = rng.normal(2.0, 3.0, size=(8, 4)).astype(np.float32)
+        logits = net.forward(x, False)
+        np.testing.assert_array_equal(bn.running_mean, np.zeros(6, np.float32))
+        np.testing.assert_array_equal(bn.running_var, np.ones(6, np.float32))
+        np.testing.assert_array_equal(net.forward(x, False), logits)
+        assert not np.array_equal(net.forward(x, True), logits)
+        assert bn.running_mean.any() and (bn.running_var != 1).any()
 
     def test_shape_mismatch_rejected(self):
         net = build_mlp(6, [8], 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dim"):
-            net.forward(np.zeros((4, 5), dtype=np.float32))
+            net.forward(np.zeros((4, 5), dtype=np.float32), True)
 
     def test_network_requires_batchnorm(self):
         rng = np.random.default_rng(0)
@@ -225,7 +238,7 @@ class TestTraining:
         x = rng.normal(size=(2, 3)).astype(np.float32)
         y = np.array([1, 0])
         before = {n: p.data.copy() for n, p in net.named_parameters()}
-        logits = net.forward(x)  # train-mode logits seen by the step
+        logits = net.forward(x, True)  # train-mode logits seen by the step
         z = logits.astype(np.float64)
         z -= z.max(axis=1, keepdims=True)
         expected = float(-(z[np.arange(2), y]
@@ -330,12 +343,12 @@ class TestEvalRows:
         calls = []
         forward = Network.forward
         monkeypatch.setattr(Network, "forward",
-                            lambda self, x, *a: calls.append(len(x)) or forward(self, x, *a))
+                            lambda self, x, train, *a: calls.append((len(x), train))
+                            or forward(self, x, train, *a))
         before = copy.deepcopy(net)
-        net.train()
         eval_rows(net, np.zeros((1300, 6), dtype=np.float32))
-        assert calls == [EVAL_CHUNK, EVAL_CHUNK, 1300 - 2 * EVAL_CHUNK]
-        assert net.training
+        assert calls == [(EVAL_CHUNK, False), (EVAL_CHUNK, False),
+                         (1300 - 2 * EVAL_CHUNK, False)]
         np.testing.assert_array_equal(net.flat_params, before.flat_params)
         for layer, old in zip(net.layers, before.layers):
             if isinstance(layer, BatchNorm):
@@ -366,37 +379,35 @@ class TestExpandHead:
     def test_two_plus_two_classes(self):
         rng = np.random.default_rng(12)
         net = build_mlp(4, [6], 2, rng, class_ids=[2, 5])
-        expand_head(net, 2, rng, new_class_ids=[0, 6])
+        expand_head(net, [0, 6], rng)
         assert net.n_classes == 4
         assert net.class_ids == [2, 5, 0, 6]
 
     def test_expand_by_zero_rejected(self):
         net = build_mlp(4, [6], 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least one"):
-            expand_head(net, 0, np.random.default_rng(0))
+            expand_head(net, [], np.random.default_rng(0))
 
     def test_rejected_call_changes_nothing(self):
         rng = np.random.default_rng(15)
         net = build_mlp(4, [6], 2, rng)
-        net.eval()
         x = rng.normal(size=(5, 4)).astype(np.float32)
-        logits = net.forward(x)
+        logits = net.forward(x, False)
         params = net.flat_params.copy()
-        with pytest.raises(ValueError, match="new_class_ids"):
-            expand_head(net, 2, rng, new_class_ids=[7])
+        with pytest.raises(ValueError, match="at least one"):
+            expand_head(net, [], rng)
         assert net.n_classes == 2
         assert net.class_ids == [0, 1]
         np.testing.assert_array_equal(net.flat_params, params)
-        np.testing.assert_array_equal(net.forward(x), logits)
+        np.testing.assert_array_equal(net.forward(x, False), logits)
 
     def test_old_logits_preserved_exactly(self):
         rng = np.random.default_rng(13)
         net = build_mlp(4, [6], 3, rng)
-        net.eval()
         x = rng.normal(size=(5, 4)).astype(np.float32)
-        before = net.forward(x)
-        expand_head(net, 2, rng)
-        after = net.forward(x)
+        before = net.forward(x, False)
+        expand_head(net, [3, 4], rng)
+        after = net.forward(x, False)
         np.testing.assert_array_equal(before, after[:, :3])
 
 
@@ -412,22 +423,14 @@ class TestCheckpoint:
         path = str(tmp_path / "model.bnt")
         save_checkpoint(net, path)
         other = build_mlp(5, [7, 3], 4, np.random.default_rng(99))
-        load_checkpoint(other, path)
-        assert other.class_ids == [1, 3, 5, 7]
+        class_ids, state = read_checkpoint(path)
+        other.load_state_dict(state)
+        assert class_ids == other.class_ids == [1, 3, 5, 7]
         for (n1, p1), (_, p2) in zip(net.named_parameters(), other.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
-        net.eval()
-        other.eval()
-        a = net.forward(x)
-        b = other.forward(x)
+        a = net.forward(x, False)
+        b = other.forward(x, False)
         np.testing.assert_array_equal(a, b)
-
-    def test_eval_mode_context_restores(self):
-        net = build_mlp(3, [4], 2, np.random.default_rng(0))
-        assert net.training
-        with eval_mode(net):
-            assert not net.training
-        assert net.training
 
 
 class ReferenceSgd:
@@ -483,11 +486,11 @@ class TestArena:
         rng = np.random.default_rng(20)
         net = build_mlp(5, [7, 3], 3, rng)
         assert_in_arena(net)
-        expand_head(net, 2, rng)
+        expand_head(net, [3, 4], rng)
         assert_in_arena(net)
         path = str(tmp_path / "model.bnt")
         save_checkpoint(net, path)
-        load_checkpoint(net, path)
+        net.load_state_dict(read_checkpoint(path)[1])
         assert_in_arena(net)
         for clone in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
             assert_in_arena(clone)
@@ -524,7 +527,7 @@ class TestArena:
             backward_and_step(net, *_batch(rng, 3), opt)
         before = opt.velocity.copy()
         body = net.head_offset
-        expand_head(net, 2, rng)
+        expand_head(net, [3, 4], rng)
         assert net.head_offset == body
         net.flat_grads[...] = 0.0  # with momentum 1 and no decay, v is carried as is
         opt.step(net)
@@ -543,12 +546,12 @@ class TestArena:
         rng = np.random.default_rng(24)
         for step in range(30):
             if step == 15:
-                expand_head(net, 2, np.random.default_rng(25))
-                expand_head(ref_net, 2, np.random.default_rng(25))
+                expand_head(net, [2, 3], np.random.default_rng(25))
+                expand_head(ref_net, [2, 3], np.random.default_rng(25))
             x, y = _batch(rng, net.n_classes)
             x = x.astype(dtype)
             loss = backward_and_step(net, x, y, opt)
-            logits = ref_net.forward(x)
+            logits = ref_net.forward(x, True)
             ref_loss, dlogits = softmax_cross_entropy(logits, y)
             ref_net.backward(dlogits)
             ref.step(ref_net.named_parameters())

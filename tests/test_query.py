@@ -125,9 +125,7 @@ def _pool_from(inputs, labels=None, ids=None):
 
 @pytest.fixture(scope="module")
 def net():
-    net = build_mlp(5, [8, 4], 3, np.random.default_rng(0))
-    net.eval()
-    return net
+    return build_mlp(5, [8, 4], 3, np.random.default_rng(0))
 
 
 class TestQueryScores:

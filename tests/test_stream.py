@@ -320,3 +320,13 @@ class TestDatasetValidation:
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Dataset(np.zeros((2, 2), dtype=np.float32), np.array([0, -1]))
+
+    @pytest.mark.parametrize("shape, width", [((5, 2, 3), 6), ((0, 2, 3), 6), ((4,), 1),
+                                              ((0, 7), 7)])
+    def test_inputs_flattened_to_rows(self, shape, width):
+        """Every later stage takes (n, d) rows as they are; an empty set keeps
+        its width."""
+        x = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+        dataset = Dataset(x, np.zeros(shape[0], dtype=np.int64))
+        assert dataset.inputs.shape == (shape[0], width) and dataset.feature_dim == width
+        np.testing.assert_array_equal(dataset.inputs.ravel(), x.ravel())
