@@ -8,20 +8,21 @@ Flags override config keys; BOWL_OUTPUT_DIR overrides the output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .engine import (RunReport, run_variant, write_buffer_composition, write_report_csv,
-                     write_summary)
+from .engine import (RunReport, count_correct, run_variant, write_buffer_composition,
+                     write_report_csv, write_summary)
 from .metrics import auroc
-from .nn import Network, NonFiniteLossError, read_checkpoint, save_checkpoint
+from .nn import EVAL_CHUNK, Network, NonFiniteLossError, read_checkpoint, save_checkpoint
 from .ood import (batch_ood_score, export_score_csv, predictive_entropy_per_sample,
                   sample_eta1_scores, segment_means)
 from .serialization import FormatError, atomic_write_text
-from .stream import Dataset, load_dataset, save_dataset, synth_generate
+from .stream import DatasetFile, save_dataset, synth_generate
 
 OUTPUT_DIR_ENV = "BOWL_OUTPUT_DIR"
 
@@ -155,16 +156,33 @@ def cmd_ablate(args) -> int:
     return 1 if failed else 0
 
 
-def _dataset_scores(net: Network, dataset: Dataset, batch_size: int, granularity: str):
-    """eta1 and predictive-entropy scores at batch or sample granularity, both
-    from one read-only pass over the set; a batch's entropy is its rows' mean."""
-    if granularity == "sample":
-        eta1, logits = sample_eta1_scores(net, dataset.inputs)
-        return eta1, predictive_entropy_per_sample(logits)
-    n = dataset.n
-    sizes = [min(batch_size, n - s) for s in range(0, n, batch_size)]
-    eta1, logits = batch_ood_score(net, dataset.inputs, sizes)
-    return eta1, segment_means(predictive_entropy_per_sample(logits), sizes)
+def _scored_file(net: Network, path: str) -> DatasetFile:
+    """``path`` opened for block reads, once its header shows the network's width."""
+    dataset = DatasetFile(path)
+    if dataset.width != net.in_dim:
+        raise FormatError(f"dataset {path!r} has width {dataset.width}, "
+                          f"the checkpoint's network {net.in_dim}")
+    return dataset
+
+
+def _dataset_scores(net: Network, blocks, batch_size: int, granularity: str):
+    """eta1 and predictive-entropy scores at batch or sample granularity, from
+    one read-only pass over each (inputs, labels) block of a set; a batch's
+    entropy is its rows' mean. Every block but the last holds whole batches,
+    and only the scores are kept."""
+    eta1, entropy = [], []
+    for inputs, _ in blocks:
+        if granularity == "sample":
+            block_eta1, logits = sample_eta1_scores(net, inputs)
+            block_entropy = predictive_entropy_per_sample(logits)
+        else:
+            n = len(inputs)
+            sizes = [min(batch_size, n - s) for s in range(0, n, batch_size)]
+            block_eta1, logits = batch_ood_score(net, inputs, sizes)
+            block_entropy = segment_means(predictive_entropy_per_sample(logits), sizes)
+        eta1.append(block_eta1)
+        entropy.append(block_entropy)
+    return np.concatenate(eta1 or [np.zeros(0)]), np.concatenate(entropy or [np.zeros(0)])
 
 
 def cmd_ood_hist(args) -> int:
@@ -172,11 +190,13 @@ def cmd_ood_hist(args) -> int:
     outdir = _resolve_outdir(args, cfg)
     os.makedirs(outdir, exist_ok=True)
     net = _restore_network(cfg, args.checkpoint)
-    in_set = load_dataset(args.in_set)
-    out_set = load_dataset(args.out_set)
+    sets = [_scored_file(net, path) for path in (args.in_set, args.out_set)]
     batch = int(cfg["loop.ood_batch_size"])
-    in_eta1, in_pe = _dataset_scores(net, in_set, batch, args.granularity)
-    out_eta1, out_pe = _dataset_scores(net, out_set, batch, args.granularity)
+    # Blocks of whole eval chunks (and whole batches) score as one pass over the set.
+    step = EVAL_CHUNK if args.granularity == "sample" else math.lcm(EVAL_CHUNK, batch)
+    (in_eta1, in_pe), (out_eta1, out_pe) = (
+        _dataset_scores(net, dataset.blocks(step), batch, args.granularity)
+        for dataset in sets)
     export_score_csv(os.path.join(outdir, "hist_eta1.csv"), in_eta1, out_eta1, "eta1")
     export_score_csv(os.path.join(outdir, "hist_pe.csv"), in_pe, out_pe,
                      "predictive_entropy")
@@ -205,11 +225,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.overrides)
-    from .engine import evaluate
     net = _restore_network(cfg, args.checkpoint)
-    dataset = load_dataset(args.dataset)
-    accuracy = evaluate(net, dataset.inputs, dataset.labels)
-    print(f"accuracy={accuracy:.6f} n={dataset.n}")
+    dataset = _scored_file(net, args.dataset)
+    if dataset.n == 0:
+        raise ValueError("empty test set")
+    correct = sum(count_correct(net, inputs, labels)
+                  for inputs, labels in dataset.blocks(EVAL_CHUNK))
+    print(f"accuracy={correct / dataset.n:.6f} n={dataset.n}")
     return 0
 
 

@@ -14,8 +14,8 @@ import numpy as np
 from .engine import VARIANTS, LoopConfig
 from .nn import Network, build_mlp
 from .ood import ThresholdConfig
-from .stream import (CORRUPTION_KINDS, Dataset, MixSpec, SplitTasks, load_dataset,
-                     split_experiment, synth_generate)
+from .stream import (CORRUPTION_KINDS, Dataset, DatasetFile, MixSpec, SplitTasks,
+                     load_dataset, split_experiment, synth_generate)
 
 
 class ConfigError(ValueError):
@@ -243,14 +243,30 @@ class RunConfig:
     def _data_seeds(self, seed: int) -> np.ndarray:
         return np.random.SeedSequence([seed, 1]).generate_state(5)
 
+    def _path(self, dotted: str) -> str:
+        """The file path under key ``dotted``, which a file source requires."""
+        if self[dotted] is None:
+            source = "data.source" if dotted.startswith("data.") else "mix.foreign_source"
+            raise ConfigError(f"{source}=file requires {dotted}")
+        return self[dotted]
+
+    def _checked_path(self, dotted: str) -> str:
+        """The path under ``dotted`` once its header shows the train set's width."""
+        path, dims = self._path(dotted), self.input_dim()
+        width = DatasetFile(path).width
+        if width != dims:
+            train = (f"data.train_path {self['data.train_path']!r}"
+                     if self["data.source"] == "file" else "data.dims")
+            raise ConfigError(f"{dotted} {path!r} has width {width}, "
+                              f"the train set {dims} ({train})")
+        return path
+
     def train_test_datasets(self, seed: int) -> tuple[Dataset, Dataset]:
         d = self.values["data"]
         train_seed, test_seed = (int(s) for s in self._data_seeds(seed)[:2])
         if d["source"] == "file":
-            for key in ("train_path", "test_path"):
-                if d[key] is None:
-                    raise ConfigError(f"data.source=file requires data.{key}")
-            return load_dataset(d["train_path"]), load_dataset(d["test_path"])
+            test_path = self._checked_path("data.test_path")
+            return load_dataset(self._path("data.train_path")), load_dataset(test_path)
         n_train = d["train_per_class"] * d["n_classes"]
         n_test = d["test_per_class"] * d["n_classes"]
         train = synth_generate(d["n_classes"], d["dims"], d["separation"],
@@ -259,34 +275,29 @@ class RunConfig:
                               d["within_std"], n_test, test_seed, d["clip_unit"])
         return train, test
 
-    def foreign_dataset(self, seed: int, dims: int) -> Dataset | None:
+    def foreign_dataset(self, seed: int) -> Dataset | None:
         """Foreign rows for the mix, or None without them. They have the train
-        set's width ``dims`` (``data.dims`` or the train file's)."""
+        set's width (``data.dims`` or the train file's)."""
         m, d = self.values["mix"], self.values["data"]
         if m["ood_fraction"] <= 0.0:
             return None
         if m["foreign_source"] == "file":
-            if m["foreign_path"] is None:
-                raise ConfigError("mix.foreign_source=file requires mix.foreign_path")
-            foreign = load_dataset(m["foreign_path"])
-            if foreign.feature_dim != dims:
-                raise ConfigError(f"mix.foreign_path {m['foreign_path']!r} has width "
-                                  f"{foreign.feature_dim}, the train set {dims}")
-            return foreign
+            return load_dataset(self._checked_path("mix.foreign_path"))
         foreign_seed = int(self._data_seeds(seed)[4])
         classes = m["foreign_classes"] or d["n_classes"]
+        dims = self.input_dim()
         if dims < classes:
             raise ConfigError(f"train set width {dims} is below mix.foreign_classes {classes}")
         std = m["foreign_std"] if m["foreign_std"] is not None else d["within_std"]
         return synth_generate(classes, dims, d["separation"] * m["foreign_separation_scale"],
                               std, m["foreign_per_class"] * classes, foreign_seed)
 
-    def mix_spec(self, seed: int, dims: int) -> MixSpec | None:
+    def mix_spec(self, seed: int) -> MixSpec | None:
         m = self.values["mix"]
         if m["corrupted_fraction"] <= 0.0 and m["ood_fraction"] <= 0.0:
             return None
         return MixSpec(m["corrupted_fraction"], m["ood_fraction"], m["corruption"],
-                       m["severity"], self.foreign_dataset(seed, dims))
+                       m["severity"], self.foreign_dataset(seed))
 
     def build_tasks(self, seed: int | None = None) -> SplitTasks:
         seed = self.seed if seed is None else seed
@@ -294,13 +305,14 @@ class RunConfig:
         split_seed = int(self._data_seeds(seed)[2])
         return split_experiment(train, test, self["data.schedule"],
                                 self["loop.ood_batch_size"], split_seed,
-                                self.mix_spec(seed, train.feature_dim))
+                                self.mix_spec(seed))
 
     def input_dim(self) -> int:
-        d = self.values["data"]
-        if d["source"] == "file":
-            return load_dataset(d["train_path"]).feature_dim
-        return int(d["dims"])
+        """The train set's width: ``data.dims``, or the train file's from its
+        header alone."""
+        if self["data.source"] == "file":
+            return DatasetFile(self._path("data.train_path")).width
+        return int(self["data.dims"])
 
     def build_network(self, seed: int | None = None,
                       class_ids: list[int] | None = None) -> Network:

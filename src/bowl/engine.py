@@ -154,9 +154,14 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
         inputs, labels = inputs[mask], labels[mask]
     if labels.size == 0:
         raise ValueError("empty test set")
+    return count_correct(net, inputs, labels) / labels.size
+
+
+def count_correct(net: Network, inputs: np.ndarray, labels: np.ndarray) -> int:
+    """Rows whose argmax prediction is their label."""
     logits = eval_rows(net, inputs)[0]
     preds = np.asarray(net.class_ids, dtype=np.int64)[np.argmax(logits, axis=1)]
-    return int((preds == labels).sum()) / labels.size
+    return int((preds == labels).sum())
 
 
 def _evaluate_discovered(net: Network, tasks: SplitTasks) -> float:

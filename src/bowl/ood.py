@@ -21,6 +21,8 @@ from .nn import Network, eval_rows
 from .serialization import atomic_write_text
 from .stream import Stream
 
+CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class ThresholdConfig:
@@ -135,10 +137,15 @@ def predictive_entropy_per_sample(logits: np.ndarray) -> np.ndarray:
 
 
 def export_score_csv(path: str, in_scores, out_scores, value_name: str = "eta1") -> None:
-    """Write (source, score) rows for in/out histogram comparison plots."""
-    parts = [f"source,{value_name}\n"]
-    for source, scores in (("in", in_scores), ("out", out_scores)):
-        # One %-format over Python floats: the bytes of f"{float(s):.8g}" per row.
-        values = tuple(np.ravel(np.asarray(scores, dtype=np.float64)).tolist())
-        parts.append((f"{source},%.8g\n" * len(values)) % values)
-    atomic_write_text(path, "".join(parts))
+    """Write (source, score) rows for in/out histogram comparison plots. The
+    text is made ``CSV_BLOCK_ROWS`` rows at a time, each block written before
+    the next is formatted."""
+    def pieces():
+        yield f"source,{value_name}\n"
+        for source, scores in (("in", in_scores), ("out", out_scores)):
+            values = np.ravel(np.asarray(scores, dtype=np.float64))
+            for start in range(0, len(values), CSV_BLOCK_ROWS):
+                # One %-format over Python floats: the bytes of f"{float(s):.8g}" per row.
+                block = tuple(values[start:start + CSV_BLOCK_ROWS].tolist())
+                yield (f"{source},%.8g\n" * len(block)) % block
+    atomic_write_text(path, pieces())

@@ -2,18 +2,21 @@
 corruption injection, open-world stream mixing, and the on-disk format.
 
 Datasets are stored in the BNT1 container with two named tensors, ``inputs``
-(float32) and ``labels`` (uint32, rank 1). Foreign samples injected into a
-stream carry the in-memory sentinel label -1 and are excluded from accuracy
-bookkeeping.
+(float32) and ``labels`` (uint32, rank 1). ``load_dataset`` reads a file
+whole; ``DatasetFile`` reads its headers, then its rows a block at a time.
+Both reject a non-finite input. Foreign samples injected into a stream carry
+the in-memory sentinel label -1 and are excluded from accuracy bookkeeping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialization import FormatError, read_tensors, write_tensors
+from .serialization import (FormatError, read_headers, read_row_blocks, read_tensors,
+                            write_tensors)
 
 SENTINEL_LABEL = -1
 
@@ -22,6 +25,10 @@ CORRUPTION_KINDS = ("gaussian", "shot", "impulse")
 # Generation and corruption hold the full-size float32 result plus float64
 # temporaries of at most this many values (512 KB each).
 BLOCK_VALUES = 1 << 16
+
+# ``DatasetFile.blocks`` reads at most this many bytes of inputs per block
+# (4,096 rows of 64 float32 values), unless one aligned step is larger.
+READ_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -292,11 +299,63 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     })
 
 
+def _dataset_shape(path: str, shapes: dict[str, tuple]) -> tuple[int, int]:
+    """(rows, width) of a dataset file with tensors of ``shapes``; raises
+    FormatError when they are not an ``inputs`` tensor and a rank-1 ``labels``
+    tensor of the same length."""
+    for name in ("inputs", "labels"):
+        if name not in shapes:
+            raise FormatError(f"dataset file {path!r} missing tensor {name!r}")
+    inputs, labels = shapes["inputs"], shapes["labels"]
+    if len(labels) != 1:
+        raise FormatError(f"labels tensor of {path!r} must be rank 1")
+    if inputs[0] != labels[0]:
+        raise FormatError(f"{path!r} holds {inputs[0]} input rows but {labels[0]} labels")
+    return labels[0], math.prod(inputs[1:])
+
+
+def _check_finite(path: str, inputs: np.ndarray, first_row: int = 0) -> None:
+    """Raise FormatError naming ``path`` if a value of the (n, d) rows
+    ``inputs`` is NaN or infinite; checks a block at a time."""
+    for rows in _blocks(len(inputs), max(1, inputs.shape[1])):
+        finite = np.isfinite(inputs[rows])
+        if not finite.all():
+            row = first_row + rows.start + int(np.argmin(finite.all(axis=1)))
+            raise FormatError(f"non-finite input in row {row} of {path!r}")
+
+
 def load_dataset(path: str) -> Dataset:
     tensors = read_tensors(path)
-    for name in ("inputs", "labels"):
-        if name not in tensors:
-            raise FormatError(f"dataset file missing tensor {name!r}")
-    if tensors["labels"].ndim != 1:
-        raise FormatError("labels tensor must be rank 1")
-    return Dataset(tensors["inputs"], tensors["labels"].astype(np.int64))
+    _dataset_shape(path, {name: t.shape for name, t in tensors.items()})
+    dataset = Dataset(tensors["inputs"], tensors["labels"].astype(np.int64))
+    _check_finite(path, dataset.inputs)
+    return dataset
+
+
+class DatasetFile:
+    """A dataset file read a block of rows at a time.
+
+    Opening reads and checks only the headers: ``n`` rows of ``width`` values.
+    ``blocks`` then reads the payloads once, in row order.
+    """
+
+    def __init__(self, path: str):
+        headers = read_headers(path)
+        self.path = path
+        self.n, self.width = _dataset_shape(path, {k: h.shape for k, h in headers.items()})
+        self._headers = [headers["inputs"], headers["labels"]]
+
+    def blocks(self, multiple: int):
+        """Yield (inputs (k, width) float32, labels (k,) int64) blocks in row
+        order. Every block but the last holds a multiple of ``multiple`` rows,
+        the most that fit ``READ_BLOCK_BYTES`` of stored inputs (at least
+        ``multiple``). A block is valid until the next one is read; a
+        non-finite input raises FormatError naming the file."""
+        fit = READ_BLOCK_BYTES // max(1, multiple * self._headers[0].row_bytes)
+        first_row = 0
+        for inputs, labels in read_row_blocks(self.path, self._headers,
+                                              multiple * max(1, fit)):
+            inputs = inputs.reshape(len(labels), self.width).astype(np.float32, copy=False)
+            _check_finite(self.path, inputs, first_row)
+            yield inputs, labels.astype(np.int64)
+            first_row += len(labels)

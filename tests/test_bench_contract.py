@@ -66,8 +66,8 @@ def test_scorers_run_through_the_wrapped_functions(tracer):
     net = _net()
     ood.filter_stream(net, _stream(), 0.0)
     dataset = Dataset(np.random.default_rng(2).normal(size=(20, 6)), np.zeros(20))
-    cli._dataset_scores(net, dataset, 8, "batch")
-    cli._dataset_scores(net, dataset, 8, "sample")
+    cli._dataset_scores(net, [(dataset.inputs, dataset.labels)], 8, "batch")
+    cli._dataset_scores(net, [(dataset.inputs, dataset.labels)], 8, "sample")
     memory.init_buffer(dataset.inputs, dataset.labels, 10, net, np.random.default_rng(3))
     spans = {tracer.names[i] for i in tracer.arrays()["name"]}
     assert {"ood.batch_score", "ood.sample_score", "memory.entropy",
