@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .engine import (RunReport, count_correct, run_variant, write_buffer_composition,
-                     write_report_csv, write_summary)
+from .engine import (VARIANTS, RunReport, count_correct, run_variant,
+                     write_buffer_composition, write_report_csv, write_summary)
 from .metrics import auroc
 from .nn import EVAL_CHUNK, Network, NonFiniteLossError, read_checkpoint, save_checkpoint
 from .ood import (batch_ood_score, export_score_csv, predictive_entropy_per_sample,
@@ -113,9 +113,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-ABLATION_VARIANTS = ("full", "no_ood", "random_query", "no_cl")
-
-
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
@@ -124,10 +121,10 @@ def cmd_ablate(args) -> int:
     n_tasks = len(cfg["data.schedule"]) - 1
     rows = []
     failed = False
-    per_variant: dict[str, list[RunReport]] = {v: [] for v in ABLATION_VARIANTS}
+    per_variant: dict[str, list[RunReport]] = {v: [] for v in VARIANTS}
     for seed in seeds:
         tasks = cfg.build_tasks(seed)  # shared: run_variant only reads it
-        for variant in ABLATION_VARIANTS:
+        for variant in VARIANTS:
             net = cfg.build_network(seed)
             report = run_variant(net, cfg.loop_config(seed), tasks, variant)
             run_dir = os.path.join(outdir, f"{variant}_seed{seed}")
@@ -139,7 +136,7 @@ def cmd_ablate(args) -> int:
         header.extend([f"acc_t{t}_mean", f"acc_t{t}_std"])
     header.extend(["odp_mean", "odp_std", "steps_mean", "steps_std"])
     rows.append(",".join(header))
-    for variant in ABLATION_VARIANTS:
+    for variant in VARIANTS:
         reports = per_variant[variant]
         cells = [variant]
         for t in range(1, n_tasks + 1):
@@ -151,7 +148,7 @@ def cmd_ablate(args) -> int:
                       f"{np.mean(steps):.2f}", f"{np.std(steps):.2f}"])
         rows.append(",".join(cells))
     atomic_write_text(os.path.join(outdir, "ablation.csv"), "\n".join(rows) + "\n")
-    print(f"ablation grid ({len(ABLATION_VARIANTS)} variants x {len(seeds)} seeds) "
+    print(f"ablation grid ({len(VARIANTS)} variants x {len(seeds)} seeds) "
           f"-> {outdir}/ablation.csv")
     return 1 if failed else 0
 

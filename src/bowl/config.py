@@ -7,7 +7,7 @@ randomness derives from the single ``run.seed`` through named substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,24 +180,32 @@ def apply_overrides(raw: dict[str, dict[str, str]], overrides) -> None:
 @dataclass
 class RunConfig:
     values: dict[str, dict[str, object]]
+    input_dim: int = field(init=False)  # the train set's width
 
     def __post_init__(self):
-        """Cross-key rules: the two mix fractions share the batches (sum <= 1);
-        generated sets have simplex-vertex class means (dims >= classes); the
-        schedule names generated classes; and the [loop] settings make a valid
-        ``LoopConfig``, checked before any data is built."""
+        """The train width, read once (``data.dims`` or the train file's header),
+        and the cross-key rules, before any data is built: mix fractions sum
+        to <= 1; generated sets have simplex-vertex class means (train width >=
+        classes); the schedule names generated classes; [loop] is valid."""
         d, m = self.values["data"], self.values["mix"]
         if m["corrupted_fraction"] + m["ood_fraction"] > 1:
             raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} + "
                               f"mix.ood_fraction {m['ood_fraction']} exceeds 1")
         generated = {}
-        if d["source"] == "synthetic":  # a file's width is checked when it is read
+        if d["source"] == "file":
+            train = self._path("data.train_path")
+            self.input_dim = DatasetFile(train).width
+            self._train_key = f"data.train_path {train!r}"
+        else:
+            self.input_dim = d["dims"]
+            self._train_key = "data.dims"
             generated["data.n_classes"] = d["n_classes"]
-            if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
-                generated["mix.foreign_classes"] = m["foreign_classes"] or d["n_classes"]
+        if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
+            generated["mix.foreign_classes"] = m["foreign_classes"] or d["n_classes"]
         for key, n_classes in generated.items():
-            if d["dims"] < n_classes:
-                raise ConfigError(f"data.dims {d['dims']} is below {key} {n_classes}")
+            if self.input_dim < n_classes:
+                raise ConfigError(f"the train set's width {self.input_dim} "
+                                  f"({self._train_key}) is below {key} {n_classes}")
         outside = {c for group in d["schedule"] for c in group} - set(range(d["n_classes"]))
         if "data.n_classes" in generated and outside:
             raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
@@ -251,22 +259,30 @@ class RunConfig:
         return self[dotted]
 
     def _checked_path(self, dotted: str) -> str:
-        """The path under ``dotted`` once its header shows the train set's width."""
-        path, dims = self._path(dotted), self.input_dim()
-        width = DatasetFile(path).width
-        if width != dims:
-            train = (f"data.train_path {self['data.train_path']!r}"
-                     if self["data.source"] == "file" else "data.dims")
-            raise ConfigError(f"{dotted} {path!r} has width {width}, "
-                              f"the train set {dims} ({train})")
-        return path
+        """The path under ``dotted`` once its header shows rows of the train width."""
+        header = DatasetFile(self._path(dotted))
+        if header.width != self.input_dim:
+            raise ConfigError(f"{dotted} {header.path!r} has width {header.width}, "
+                              f"the train set {self.input_dim} ({self._train_key})")
+        if header.n == 0:
+            raise ConfigError(f"{dotted} {header.path!r} holds no rows")
+        return header.path
 
     def train_test_datasets(self, seed: int) -> tuple[Dataset, Dataset]:
         d = self.values["data"]
         train_seed, test_seed = (int(s) for s in self._data_seeds(seed)[:2])
         if d["source"] == "file":
             test_path = self._checked_path("data.test_path")
-            return load_dataset(self._path("data.train_path")), load_dataset(test_path)
+            train_path = self._path("data.train_path")
+            train, test = load_dataset(train_path), load_dataset(test_path)
+            unlisted = {c for group in d["schedule"] for c in group} - set(train.classes())
+            if unlisted:
+                raise ConfigError(f"data.train_path {train_path!r} has no rows of "
+                                  f"data.schedule classes {sorted(unlisted)}")
+            if not np.isin(test.labels, d["schedule"][0]).any():
+                raise ConfigError(f"data.test_path {test_path!r} has no rows of the "
+                                  f"pretraining classes {d['schedule'][0]} (data.schedule)")
+            return train, test
         n_train = d["train_per_class"] * d["n_classes"]
         n_test = d["test_per_class"] * d["n_classes"]
         train = synth_generate(d["n_classes"], d["dims"], d["separation"],
@@ -285,11 +301,9 @@ class RunConfig:
             return load_dataset(self._checked_path("mix.foreign_path"))
         foreign_seed = int(self._data_seeds(seed)[4])
         classes = m["foreign_classes"] or d["n_classes"]
-        dims = self.input_dim()
-        if dims < classes:
-            raise ConfigError(f"train set width {dims} is below mix.foreign_classes {classes}")
         std = m["foreign_std"] if m["foreign_std"] is not None else d["within_std"]
-        return synth_generate(classes, dims, d["separation"] * m["foreign_separation_scale"],
+        return synth_generate(classes, self.input_dim,
+                              d["separation"] * m["foreign_separation_scale"],
                               std, m["foreign_per_class"] * classes, foreign_seed)
 
     def mix_spec(self, seed: int) -> MixSpec | None:
@@ -307,20 +321,13 @@ class RunConfig:
                                 self["loop.ood_batch_size"], split_seed,
                                 self.mix_spec(seed))
 
-    def input_dim(self) -> int:
-        """The train set's width: ``data.dims``, or the train file's from its
-        header alone."""
-        if self["data.source"] == "file":
-            return DatasetFile(self._path("data.train_path")).width
-        return int(self["data.dims"])
-
     def build_network(self, seed: int | None = None,
                       class_ids: list[int] | None = None) -> Network:
         seed = self.seed if seed is None else seed
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         if class_ids is None:
             class_ids = sorted(self["data.schedule"][0])
-        return build_mlp(self.input_dim(), self["network.hidden"], len(class_ids), rng,
+        return build_mlp(self.input_dim, self["network.hidden"], len(class_ids), rng,
                          eps=self["network.bn_eps"],
                          stat_momentum=self["network.bn_momentum"],
                          class_ids=class_ids)

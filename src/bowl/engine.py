@@ -37,8 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .memory import (MemoryBuffer, export_composition_csv, init_buffer, memory_scores,
-                     update_buffer)
+from .memory import MemoryBuffer, init_buffer, memory_scores, update_buffer
 from .metrics import average_accuracy, count_odp
 from .nn import (Network, NonFiniteLossError, SgdOptimizer, eval_rows, expand_head,
                  train_one_epoch)
@@ -81,7 +80,7 @@ class LoopConfig:
                              f"size {self.bootstrap.bootstrap_size}: tau resamples the buffer")
         if self.buffer_capacity < self.acquisition_batch:
             warnings.warn("buffer capacity below acquisition batch; churn will be high",
-                          stacklevel=2)
+                          stacklevel=3)
 
     @property
     def baseline_epochs(self) -> int:
@@ -405,6 +404,10 @@ def write_summary(report: RunReport, path: str) -> None:
 
 
 def write_buffer_composition(report: RunReport, path: str) -> None:
-    snapshots = [(task.timestep, task.buffer_composition) for task in report.tasks]
-    export_composition_csv(path, snapshots)
+    """(timestep, class_id, count) rows of the buffer at the end of each task."""
+    lines = ["timestep,class_id,count"]
+    for task in report.tasks:
+        for class_id, count in sorted(task.buffer_composition.items()):
+            lines.append(f"{task.timestep},{class_id},{count}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 

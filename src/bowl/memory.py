@@ -16,7 +16,6 @@ import numpy as np
 from .nn import Network
 from .query import gamma_score, mean_pairwise_cosine, sample_entropies
 from .samples import SampleSet
-from .serialization import atomic_write_text
 
 
 class MemoryBuffer:
@@ -105,12 +104,3 @@ def update_buffer(buffer: MemoryBuffer, queried: SampleSet, scores: MemoryScores
     keep = np.sort(np.lexsort((candidates.ids, -scores.gamma))[:buffer.capacity])
     inserted = candidates.ids[keep[keep >= n_buffer]].tolist()
     return MemoryBuffer(buffer.capacity, candidates.subset(keep)), inserted
-
-
-def export_composition_csv(path: str, snapshots: list[tuple[int, dict[int, int]]]) -> None:
-    """Write (timestep, class_id, count) rows of buffer composition over time."""
-    lines = ["timestep,class_id,count"]
-    for timestep, comp in snapshots:
-        for class_id, count in sorted(comp.items()):
-            lines.append(f"{timestep},{class_id},{count}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -284,22 +284,16 @@ class Network:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = dict(self.named_parameters())
-        for name, p in params.items():
+        """Load every tensor of ``state_dict()``, each checked by name and shape."""
+        for name, target in self.state_dict().items():
+            if name == "head.class_ids":
+                continue
             if name not in state:
                 raise ValueError(f"checkpoint missing tensor {name!r}")
-            if state[name].shape != p.data.shape:
+            if state[name].shape != target.shape:
                 raise ValueError(f"shape mismatch for {name!r}: "
-                                 f"{state[name].shape} vs {p.data.shape}")
-            p.data[...] = state[name].astype(p.data.dtype)
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm):
-                for stat in ("running_mean", "running_var"):
-                    name = f"layer{i}.{stat}"
-                    if name not in state:
-                        raise ValueError(f"checkpoint missing tensor {name!r}")
-                    target = getattr(layer, stat)
-                    target[...] = state[name].astype(target.dtype)
+                                 f"{state[name].shape} vs {target.shape}")
+            target[...] = state[name].astype(target.dtype)
         if "head.class_ids" in state:
             self.class_ids = [int(c) for c in state["head.class_ids"]]
 
@@ -353,16 +347,22 @@ def eval_rows(net: Network, x: np.ndarray, *, eta0: bool = False,
     return logits, eta0_rows, spread_rows
 
 
+def softmax64(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``logits`` as a new float64 array."""
+    probs = logits.astype(np.float64)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean cross-entropy and its gradient w.r.t. logits.
 
     ``targets`` are head-row indices. Accumulates in float64 for stability,
     returns the gradient in the logits dtype.
     """
-    probs = logits.astype(np.float64)
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = softmax64(logits)
     n = logits.shape[0]
     rows = np.arange(n)
     loss = float(-np.log(probs[rows, targets] + 1e-300).mean())

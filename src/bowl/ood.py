@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, eval_rows
+from .nn import Network, eval_rows, softmax64
 from .serialization import atomic_write_text
 from .stream import Stream
 
@@ -127,10 +127,7 @@ def filter_stream(net: Network, stream: Stream, tau: float) -> FilterResult:
 
 def predictive_entropy_per_sample(logits: np.ndarray) -> np.ndarray:
     """Softmax entropy per row in float64; a probability of 0 adds 0."""
-    p = np.array(logits, dtype=np.float64)
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax64(logits)
     plogp = np.log(p, out=np.zeros_like(p), where=p > 0.0)
     plogp *= p
     return -plogp.sum(axis=1)

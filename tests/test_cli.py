@@ -1,17 +1,20 @@
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bowl.config as config_mod
+from bowl import cli
 from bowl.cli import main
 from bowl.config import SCHEMA, load_run_config
+from bowl.engine import VARIANTS
 from bowl.nn import Network, read_checkpoint
 from bowl.ood import predictive_entropy_per_sample
 from bowl.serialization import read_tensors, write_tensors
-from bowl.stream import load_dataset
+from bowl.stream import load_dataset, save_dataset
 
 BASE_CONFIG = """
 # toy experiment used by the CLI tests
@@ -154,16 +157,21 @@ class TestRun:
     def test_synthetic_foreign_rows_take_the_file_width(self, config_path, tmp_path,
                                                         capsys, overrides, code):
         """With a file source, synthetic foreign rows are generated at the
-        train file's width, and foreign classes beyond it are a config error."""
+        train file's width, and foreign classes beyond it are a config error
+        raised at load, before any set is read."""
         files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2)])
         path, outdir = config_path()
         sets = ["data.source=file", f"data.train_path={files['train']}",
                 f"data.test_path={files['test']}", "mix.ood_fraction=0.25", *overrides]
-        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == code
+        with mock.patch.object(config_mod, "load_dataset",
+                               side_effect=config_mod.load_dataset) as load:
+            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == code
         if code == 0:
             assert "aborted=False" in open(os.path.join(outdir, "summary.txt")).read()
         else:
-            assert "mix.foreign_classes" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "mix.foreign_classes" in err and "data.train_path" in err, err
+            assert not load.called
 
     def test_foreign_file_of_another_width_is_config_error(self, config_path, tmp_path,
                                                            capsys):
@@ -176,6 +184,32 @@ class TestRun:
         assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
         err = capsys.readouterr().err
         assert "mix.foreign_path" in err and "width 7, the train set 12" in err, err
+
+    @pytest.mark.parametrize("key, kept", [
+        ("mix.foreign_path", []),
+        ("data.test_path", []),
+        ("data.test_path", [2, 3, 4, 5]),  # none of the pretraining classes 0, 1
+        ("data.train_path", []),
+        ("data.train_path", [2, 3, 4, 5]),  # scheduled classes 0, 1 missing
+    ])
+    def test_file_without_the_rows_a_run_needs(self, config_path, tmp_path, capsys,
+                                               key, kept):
+        """A file keeping only the rows of classes ``kept`` exits 2 before
+        pretraining, naming the key and the file."""
+        files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2),
+                                            ("foreign", 12, 120, 3)])
+        damaged = files[{"data.train_path": "train", "data.test_path": "test",
+                         "mix.foreign_path": "foreign"}[key]]
+        save_dataset(load_dataset(damaged).restrict(kept), damaged)
+        path, _ = config_path()
+        sets = ["data.source=file", f"data.train_path={files['train']}",
+                f"data.test_path={files['test']}", "mix.ood_fraction=0.25",
+                "mix.foreign_source=file", f"mix.foreign_path={files['foreign']}"]
+        with mock.patch.object(cli, "run_variant") as run_variant:
+            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+        assert not run_variant.called
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err and repr(damaged) in err, err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -436,6 +470,19 @@ class TestDamagedFiles:
         assert main(["eval", path, "--checkpoint", checkpoint, "--dataset", in_set]) == 1
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["layer0.bias", "layer1.running_var"])
+    def test_checkpoint_tensor_of_another_shape(self, trained_run, tmp_path, capsys, name):
+        """A (1,)-shaped running statistic is rejected like a parameter, not
+        broadcast into all 12 channels."""
+        path, outdir, in_set, _ = trained_run
+        state = read_tensors(os.path.join(outdir, "checkpoint.bnt"))
+        state[name] = state[name][:1]
+        checkpoint = str(tmp_path / "reshaped.bnt")
+        write_tensors(checkpoint, state)
+        assert main(["eval", path, "--checkpoint", checkpoint, "--dataset", in_set]) == 1
+        assert capsys.readouterr().err == (f"error: shape mismatch for '{name}': "
+                                           f"(1,) vs (12,)\n")
+
 
 class TestEval:
     def test_prints_accuracy(self, trained_run, capsys):
@@ -452,14 +499,14 @@ class TestAblate:
     def test_grid_and_aggregate(self, config_path, tmp_path):
         path, outdir = config_path()
         assert main(["ablate", path]) == 0
-        for variant in ("full", "no_ood", "random_query", "no_cl"):
+        for variant in VARIANTS:
             assert os.path.exists(os.path.join(outdir, f"{variant}_seed0",
                                                "summary.txt"))
         csv = open(os.path.join(outdir, "ablation.csv")).read().splitlines()
         header = csv[0].split(",")
         assert header[0] == "variant"
         assert "acc_t1_mean" in header and "acc_t2_std" in header
-        assert len(csv) == 5
+        assert [row.split(",")[0] for row in csv[1:]] == list(VARIANTS)
         # single seed: every std column is exactly zero
         idx = [i for i, h in enumerate(header) if h.endswith("_std")]
         for row in csv[1:]:
@@ -474,4 +521,5 @@ class TestAblate:
         path, outdir = config_path()
         assert main(["ablate", path, "--set", "run.seeds=0,1"]) == 0
         assert seeds == [0, 1]
-        assert len(open(os.path.join(outdir, "ablation.csv")).read().splitlines()) == 5
+        rows = open(os.path.join(outdir, "ablation.csv")).read().splitlines()
+        assert len(rows) == 1 + len(VARIANTS)

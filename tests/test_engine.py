@@ -213,8 +213,11 @@ class TestLoopStructure:
         assert rep.odp <= sum(u.n_new_inserted for u in rep.updates)
 
     def test_capacity_below_batch_warns(self):
-        with pytest.warns(UserWarning, match="capacity"):
+        with pytest.warns(UserWarning, match="capacity") as caught:
             tiny_config(buffer_capacity=16, acquisition_batch=48)
+        # Reported at the caller's line (in tiny_config), not at "<string>",
+        # the dataclass's generated __init__.
+        assert caught[0].filename == __file__
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):

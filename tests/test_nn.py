@@ -432,6 +432,17 @@ class TestCheckpoint:
         b = other.forward(x, False)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("name", ["layer0.bias", "layer1.running_mean",
+                                      "layer1.running_var", "layer4.running_var"])
+    def test_every_tensor_shape_is_checked(self, name):
+        """A (1,)-shaped tensor would broadcast into every channel: parameters
+        and running statistics alike are rejected by name."""
+        net = build_mlp(5, [7, 3], 4, np.random.default_rng(15))
+        state = {k: v.copy() for k, v in net.state_dict().items()}
+        state[name] = np.full(1, 9.0, np.float32)
+        with pytest.raises(ValueError, match=rf"shape mismatch for '{name}': \(1,\) vs"):
+            net.load_state_dict(state)
+
 
 class ReferenceSgd:
     """The per-parameter, name-keyed step the flat arena replaced."""
