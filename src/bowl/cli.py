@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_run_config
+from .config import (_NONNEGATIVE, _POSITIVE, ConfigError, RunConfig, _at_least,
+                     load_run_config)
 from .engine import (VARIANTS, RunReport, count_correct, run_variant,
                      write_buffer_composition, write_report_csv, write_summary)
 from .metrics import auroc
@@ -25,6 +26,17 @@ from .serialization import FormatError, atomic_write_text
 from .stream import DatasetFile, save_dataset, synth_generate
 
 OUTPUT_DIR_ENV = "BOWL_OUTPUT_DIR"
+
+
+def _flag(parse):
+    """A config value parser as a flag type: a bad value exits 2, naming the
+    flag and the rule it breaks."""
+    def convert(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,11 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     hist_p.add_argument("--granularity", choices=("batch", "sample"), default="batch")
 
     gen_p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
-    gen_p.add_argument("--classes", type=int, required=True)
-    gen_p.add_argument("--dims", type=int, required=True)
-    gen_p.add_argument("--separation", type=float, required=True)
-    gen_p.add_argument("--std", type=float, required=True)
-    gen_p.add_argument("--n", type=int, required=True, help="total sample count")
+    gen_p.add_argument("--classes", type=_flag(_at_least(1)), required=True)
+    gen_p.add_argument("--dims", type=_flag(_at_least(1)), required=True)
+    gen_p.add_argument("--separation", type=_flag(_POSITIVE), required=True)
+    gen_p.add_argument("--std", type=_flag(_NONNEGATIVE), required=True)
+    gen_p.add_argument("--n", type=_flag(_at_least(1)), required=True,
+                       help="total sample count")
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--clip-unit", action="store_true")
     gen_p.add_argument("--out", required=True)
@@ -90,21 +103,23 @@ def _restore_network(cfg: RunConfig, checkpoint: str) -> Network:
     return net
 
 
-def _write_run_outputs(report: RunReport, net: Network, outdir: str) -> None:
+def _run(cfg: RunConfig, seed: int, tasks, variant: str, outdir: str) -> RunReport:
+    """Train the seed's network on ``tasks`` as ``variant`` and write the run's
+    report, summary, buffer composition and checkpoint to ``outdir``."""
+    net = cfg.build_network(seed)
+    report = run_variant(net, cfg.loop_config(seed), tasks, variant)
     os.makedirs(outdir, exist_ok=True)
     write_report_csv(report, os.path.join(outdir, "report.csv"))
     write_summary(report, os.path.join(outdir, "summary.txt"))
     write_buffer_composition(report, os.path.join(outdir, "buffer_composition.csv"))
     save_checkpoint(net, os.path.join(outdir, "checkpoint.bnt"))
+    return report
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
-    tasks = cfg.build_tasks()
-    net = cfg.build_network()
-    report = run_variant(net, cfg.loop_config(), tasks, cfg["run.variant"])
-    _write_run_outputs(report, net, outdir)
+    report = _run(cfg, cfg.seed, cfg.build_tasks(), cfg["run.variant"], outdir)
     print(f"{report.variant}: final_accuracy={report.final_accuracy:.4f} "
           f"steps={report.total_steps} odp={report.odp} -> {outdir}")
     if report.aborted:
@@ -117,40 +132,31 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
     os.makedirs(outdir, exist_ok=True)
-    seeds = cfg.seeds
-    n_tasks = len(cfg["data.schedule"]) - 1
-    rows = []
-    failed = False
     per_variant: dict[str, list[RunReport]] = {v: [] for v in VARIANTS}
-    for seed in seeds:
+    for seed in cfg.seeds:
         tasks = cfg.build_tasks(seed)  # shared: run_variant only reads it
         for variant in VARIANTS:
-            net = cfg.build_network(seed)
-            report = run_variant(net, cfg.loop_config(seed), tasks, variant)
             run_dir = os.path.join(outdir, f"{variant}_seed{seed}")
-            _write_run_outputs(report, net, run_dir)
-            per_variant[variant].append(report)
-            failed = failed or report.aborted
-    header = ["variant"]
-    for t in range(1, n_tasks + 1):
-        header.extend([f"acc_t{t}_mean", f"acc_t{t}_std"])
-    header.extend(["odp_mean", "odp_std", "steps_mean", "steps_std"])
-    rows.append(",".join(header))
-    for variant in VARIANTS:
-        reports = per_variant[variant]
+            per_variant[variant].append(_run(cfg, seed, tasks, variant, run_dir))
+    # (name, format, getter): each gives the columns <name>_mean and <name>_std over seeds.
+    n_tasks = len(cfg["data.schedule"]) - 1
+    columns = [*((f"acc_t{t}", ".6f", lambda r, t=t: r.task_accuracies.get(t, math.nan))
+                 for t in range(1, n_tasks + 1)),
+               ("odp", ".2f", lambda r: r.odp),
+               ("steps", ".2f", lambda r: r.total_steps)]
+    rows = [["variant"] + [f"{name}_{stat}" for name, _, _ in columns
+                           for stat in ("mean", "std")]]
+    for variant, reports in per_variant.items():
         cells = [variant]
-        for t in range(1, n_tasks + 1):
-            accs = [r.task_accuracies.get(t, float("nan")) for r in reports]
-            cells.extend([f"{np.mean(accs):.6f}", f"{np.std(accs):.6f}"])
-        odps = [r.odp for r in reports]
-        steps = [r.total_steps for r in reports]
-        cells.extend([f"{np.mean(odps):.2f}", f"{np.std(odps):.2f}",
-                      f"{np.mean(steps):.2f}", f"{np.std(steps):.2f}"])
-        rows.append(",".join(cells))
-    atomic_write_text(os.path.join(outdir, "ablation.csv"), "\n".join(rows) + "\n")
-    print(f"ablation grid ({len(VARIANTS)} variants x {len(seeds)} seeds) "
+        for _, fmt, get in columns:
+            values = [get(r) for r in reports]
+            cells += [format(np.mean(values), fmt), format(np.std(values), fmt)]
+        rows.append(cells)
+    atomic_write_text(os.path.join(outdir, "ablation.csv"),
+                      "".join(",".join(row) + "\n" for row in rows))
+    print(f"ablation grid ({len(VARIANTS)} variants x {len(cfg.seeds)} seeds) "
           f"-> {outdir}/ablation.csv")
-    return 1 if failed else 0
+    return 1 if any(r.aborted for reports in per_variant.values() for r in reports) else 0
 
 
 def _scored_file(net: Network, path: str) -> DatasetFile:

@@ -54,8 +54,8 @@ def _at_least(low: int, parse=int):
     return _checked(parse, f">= {low}", lambda v: v >= low)
 
 
-_POSITIVE = _checked(float, "> 0", lambda v: v > 0)
-_NONNEGATIVE = _checked(float, ">= 0", lambda v: v >= 0)
+_POSITIVE = _checked(float, "finite and > 0", lambda v: np.isfinite(v) & (v > 0))
+_NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) & (v >= 0))
 _FRACTION = _checked(float, "in [0, 1]", lambda v: (v >= 0) & (v <= 1))
 
 
@@ -130,7 +130,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "severity": (_POSITIVE, 0.5),
         "foreign_source": (_choice(("synthetic", "file")), "synthetic"),
         "foreign_path": (str, None),
-        "foreign_classes": (_at_least(1), None),  # defaults to n_classes
+        # defaults to data.n_classes, or to the classes data.schedule names for a file source
+        "foreign_classes": (_at_least(1), None),
         "foreign_separation_scale": (_POSITIVE, 20.0),
         "foreign_std": (_NONNEGATIVE, None),  # defaults to within_std
         "foreign_per_class": (_at_least(1), 200),
@@ -184,29 +185,34 @@ class RunConfig:
 
     def __post_init__(self):
         """The train width, read once (``data.dims`` or the train file's header),
-        and the cross-key rules, before any data is built: mix fractions sum
-        to <= 1; generated sets have simplex-vertex class means (train width >=
+        the default of ``mix.foreign_classes`` (``data.n_classes``, or the
+        number of classes ``data.schedule`` names for a file source), and the
+        cross-key rules, before any data is built: mix fractions sum to <= 1;
+        generated sets have simplex-vertex class means (train width >=
         classes); the schedule names generated classes; [loop] is valid."""
         d, m = self.values["data"], self.values["mix"]
         if m["corrupted_fraction"] + m["ood_fraction"] > 1:
             raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} + "
                               f"mix.ood_fraction {m['ood_fraction']} exceeds 1")
         generated = {}
+        scheduled = {c for group in d["schedule"] for c in group}
         if d["source"] == "file":
             train = self._path("data.train_path")
             self.input_dim = DatasetFile(train).width
             self._train_key = f"data.train_path {train!r}"
+            m["foreign_classes"] = m["foreign_classes"] or len(scheduled)
         else:
             self.input_dim = d["dims"]
             self._train_key = "data.dims"
             generated["data.n_classes"] = d["n_classes"]
+            m["foreign_classes"] = m["foreign_classes"] or d["n_classes"]
         if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
-            generated["mix.foreign_classes"] = m["foreign_classes"] or d["n_classes"]
+            generated["mix.foreign_classes"] = m["foreign_classes"]
         for key, n_classes in generated.items():
             if self.input_dim < n_classes:
                 raise ConfigError(f"the train set's width {self.input_dim} "
                                   f"({self._train_key}) is below {key} {n_classes}")
-        outside = {c for group in d["schedule"] for c in group} - set(range(d["n_classes"]))
+        outside = scheduled - set(range(d["n_classes"]))
         if "data.n_classes" in generated and outside:
             raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
                               f"data.n_classes {d['n_classes']}")
@@ -300,7 +306,7 @@ class RunConfig:
         if m["foreign_source"] == "file":
             return load_dataset(self._checked_path("mix.foreign_path"))
         foreign_seed = int(self._data_seeds(seed)[4])
-        classes = m["foreign_classes"] or d["n_classes"]
+        classes = m["foreign_classes"]
         std = m["foreign_std"] if m["foreign_std"] is not None else d["within_std"]
         return synth_generate(classes, self.input_dim,
                               d["separation"] * m["foreign_separation_scale"],

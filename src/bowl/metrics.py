@@ -19,34 +19,17 @@ def count_odp(insert_log) -> int:
     return len({int(sample_id) for sample_id, _ in insert_log})
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged; exact for half-integer arithmetic.
-    NaNs sort last and tie with each other, as in ``np.unique``."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    n = sorted_vals.size
-    # Tie runs straight from the sorted values: a run starts where a value
-    # differs from the one before it.
-    new_run = np.ones(n, dtype=bool)
-    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=new_run[1:])
-    nan = np.isnan(sorted_vals)
-    new_run[1:] &= ~(nan[1:] & nan[:-1])
-    starts = np.flatnonzero(new_run)
-    counts = np.diff(starts, append=n)
-    avg = starts + (counts + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(avg, counts)
-    return ranks
-
-
 def auroc(in_scores, out_scores) -> float:
-    """Probability a random outlier outranks a random inlier (ties count 1/2)."""
+    """Probability a random outlier outranks a random inlier (ties count 1/2):
+    the Mann-Whitney U over average ranks. NaNs sort last and tie with each
+    other, as in ``np.unique``."""
     in_scores = np.asarray(in_scores, dtype=np.float64).ravel()
     out_scores = np.asarray(out_scores, dtype=np.float64).ravel()
     if in_scores.size == 0 or out_scores.size == 0:
         raise ValueError("both score lists must be nonempty")
     combined = np.concatenate([in_scores, out_scores])
-    ranks = _average_ranks(combined)
+    _, inverse, counts = np.unique(combined, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     n_in, n_out = in_scores.size, out_scores.size
     u = ranks[n_in:].sum() - n_out * (n_out + 1) / 2.0
     return float(u / (n_in * n_out))

@@ -88,18 +88,11 @@ def sample_eta1_scores(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return eta1_from_eta0(eta0, net.bn_dim), logits
 
 
-def empirical_quantile(values: np.ndarray, alpha: float) -> float:
-    """The ceil(alpha * n)-th order statistic (inverted-CDF convention)."""
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
-    n = ordered.shape[0]
-    idx = min(n - 1, max(0, math.ceil(alpha * n) - 1))
-    return float(ordered[idx])
-
-
 def bootstrap_threshold(net: Network, inputs: np.ndarray, cfg: ThresholdConfig,
                         rng: np.random.Generator) -> float:
     """Alpha-quantile of batch eta1 over K bootstrap resamples of ``inputs``
-    (the buffer's rows, or a frozen reference sample)."""
+    (the buffer's rows, or a frozen reference sample): the ceil(alpha * K)-th
+    smallest score, the inverted-CDF convention."""
     inputs = np.asarray(inputs)
     n = inputs.shape[0]
     if n < cfg.bootstrap_size:
@@ -108,7 +101,7 @@ def bootstrap_threshold(net: Network, inputs: np.ndarray, cfg: ThresholdConfig,
     sel = rng.integers(0, n, size=(cfg.k_bootstrap, cfg.bootstrap_size))
     scores, _ = batch_ood_score(net, inputs[sel.ravel()],
                                 [cfg.bootstrap_size] * cfg.k_bootstrap)
-    return empirical_quantile(scores, cfg.alpha)
+    return float(np.quantile(scores, cfg.alpha, method="inverted_cdf"))
 
 
 @dataclass

@@ -50,10 +50,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.inputs.shape[0])
 
-    @property
-    def feature_dim(self) -> int:
-        return self.inputs.shape[1]
-
     def classes(self) -> list[int]:
         return sorted(int(c) for c in np.unique(self.labels))
 

@@ -173,6 +173,21 @@ class TestRun:
             assert "mix.foreign_classes" in err and "data.train_path" in err, err
             assert not load.called
 
+    def test_file_source_foreign_classes_default_to_the_scheduled(self, config_path,
+                                                                   tmp_path):
+        """With a file source and data.n_classes unset, synthetic foreign rows
+        take as many classes as data.schedule names (6), not data.n_classes's
+        default 10, which is above the files' width 8."""
+        files = self._write_sets(tmp_path, [("train", 8, 480, 1), ("test", 8, 240, 2)])
+        path, outdir = config_path(body=BASE_CONFIG.replace("n_classes = 6\n", ""))
+        sets = ["data.source=file", f"data.train_path={files['train']}",
+                f"data.test_path={files['test']}", "mix.ood_fraction=0.25"]
+        cfg = load_run_config(path, sets)
+        assert cfg["mix.foreign_classes"] == 6
+        assert cfg.foreign_dataset(0).classes() == list(range(6))
+        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 0
+        assert "aborted=False" in open(os.path.join(outdir, "summary.txt")).read()
+
     def test_foreign_file_of_another_width_is_config_error(self, config_path, tmp_path,
                                                            capsys):
         files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2),
@@ -278,7 +293,11 @@ schedule = 0,1 | 2,3
 FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
                    if key != "output_dir")
 # Boundary, zero, negative, empty and unparsable values; none makes a run long.
-FUZZ_VALUES = ("", "0", "-1", "1", "2", "0.5", "-0.5", "1.5", "nan", "x")
+FUZZ_VALUES = ("", "0", "-1", "1", "2", "0.5", "-0.5", "1.5", "nan", "inf", "-inf", "x")
+# The float settings with a lower bound only; each must also be finite.
+FINITE_KEYS = ("network.bn_eps", "optimizer.learning_rate", "optimizer.momentum",
+               "optimizer.weight_decay", "data.separation", "data.within_std",
+               "mix.severity", "mix.foreign_separation_scale", "mix.foreign_std")
 
 
 def _schema_rejects(dotted: str, raw: str) -> bool:
@@ -310,6 +329,19 @@ class TestRunFuzz:
             assert code == 2
 
 
+class TestFiniteSettings:
+    @pytest.mark.parametrize("key", FINITE_KEYS)
+    def test_infinite_setting_exits_before_any_data_is_built(self, tmp_path, capsys, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(TINY_CONFIG)
+        argv = ["run", str(path), "--output-dir", str(tmp_path / "out"), "--set", f"{key}=inf"]
+        with mock.patch.object(config_mod, "synth_generate") as generate:
+            assert main(argv) == 2
+        assert not generate.called
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err, err
+
+
 class TestGenData:
     def test_generates_and_roundtrips(self, tmp_path):
         out = str(tmp_path / "blobs.bnt")
@@ -327,6 +359,20 @@ class TestGenData:
             main(["gen-data", "--classes", "3", "--dims", "5", "--separation",
                   "0.4", "--std", "0.1", "--n", "300", "--seed", "9", "--out", out])
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+    @pytest.mark.parametrize("flag, value", [("--classes", "0"), ("--classes", "-2"),
+                                             ("--std", "nan"), ("--separation", "inf"),
+                                             ("--dims", "0"), ("--n", "0")])
+    def test_bad_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "blobs.bnt")
+        flags = {"--classes": "2", "--dims": "4", "--separation": "0.5", "--std": "0.1",
+                 "--n": "100", flag: value}
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen-data", *(f for item in flags.items() for f in item), "--out", out])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err and repr(value) in err, err
+        assert not os.path.exists(out)
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowl.metrics import _average_ranks, auroc, average_accuracy, count_odp
+from bowl.metrics import auroc, average_accuracy, count_odp
 
 
 def pairwise_auroc_oracle(in_scores, out_scores):
@@ -87,20 +87,19 @@ class TestAuroc:
         """Few distinct values (-0.0 and 0.0 tie, as do equal infinities)."""
         assert auroc(in_scores, out_scores) == pairwise_auroc_oracle(in_scores, out_scores)
 
-    def test_ranks_match_unique_based_ranks(self):
-        """Tie runs taken from the sorted values give the ranks np.unique's
-        runs give, NaNs (sorted last, tied with each other) included."""
+    def test_nan_sorts_last_and_ties_itself(self):
+        """A NaN score outranks every number and ties another NaN, the way
+        the pairwise oracle scores +inf when no other infinity is present;
+        -0.0 and 0.0 tie."""
         rng = np.random.default_rng(4)
         values = rng.integers(0, 6, size=300).astype(float)
         values[rng.random(300) < 0.1] = np.nan
         values[rng.random(300) < 0.05] = -0.0
-        order = np.argsort(values, kind="mergesort")
-        _, inverse, counts = np.unique(values[order], return_inverse=True,
-                                       return_counts=True)
-        expected = np.empty(300)
-        expected[order] = (np.cumsum(counts) - counts + (counts + 1) / 2.0)[inverse]
-        np.testing.assert_array_equal(_average_ranks(values), expected)
-        assert _average_ranks(np.zeros(0)).shape == (0,)
+        in_scores, out_scores = values[:120], values[120:]
+        as_inf = np.nan_to_num(values, nan=np.inf)
+        assert auroc(in_scores, out_scores) == pairwise_auroc_oracle(
+            as_inf[:120].tolist(), as_inf[120:].tolist())
+        assert auroc([np.nan], [np.nan]) == 0.5 and auroc([1.0], [np.nan]) == 1.0
 
     def test_complement_identity(self):
         rng = np.random.default_rng(3)

@@ -7,11 +7,19 @@ from hypothesis import strategies as st
 
 from bowl.nn import SgdOptimizer, backward_and_step, build_mlp, eval_rows, save_checkpoint
 from bowl.ood import (ThresholdConfig, batch_ood_score, bootstrap_threshold,
-                      empirical_quantile, eta1_from_eta0, export_score_csv, filter_stream,
+                      eta1_from_eta0, export_score_csv, filter_stream,
                       predictive_entropy_per_sample, sample_eta1_scores, segment_means)
 from bowl.stream import Stream
 
 from bn_reference import bn_net, per_batch_eta1, reference_rows
+
+
+def empirical_quantile(values, alpha: float) -> float:
+    """The ceil(alpha * n)-th order statistic (inverted-CDF convention)."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    n = ordered.shape[0]
+    idx = min(n - 1, max(0, math.ceil(alpha * n) - 1))
+    return float(ordered[idx])
 
 
 def _stream(batches):
@@ -125,6 +133,16 @@ class TestBootstrap:
         # 99th of 100 sorted ascending = second largest
         assert empirical_quantile(values, 0.99) == 98.0
         assert empirical_quantile(values, 0.5) == 49.0
+
+    @pytest.mark.parametrize("k, alpha", [(1, 0.99), (7, 0.5), (10, 0.9), (150, 0.99)])
+    def test_tau_is_the_ceil_alpha_k_order_statistic(self, toy_net, k, alpha):
+        """Small K, and alpha * K just above an integer (0.9 * 10 rounds up)."""
+        inputs = np.random.default_rng(5).normal(size=(40, 6)).astype(np.float32)
+        rng = np.random.default_rng(6)
+        draws = [inputs[rng.integers(0, 40, size=4)] for _ in range(k)]
+        tau = bootstrap_threshold(toy_net, inputs, ThresholdConfig(k, 4, alpha),
+                                  np.random.default_rng(6))
+        assert tau == empirical_quantile(per_batch_eta1(toy_net, draws), alpha)
 
     def test_repeated_point_gives_that_score(self, toy_net):
         x = np.tile(np.random.default_rng(4).normal(size=6).astype(np.float32), (32, 1))

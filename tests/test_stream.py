@@ -328,5 +328,5 @@ class TestDatasetValidation:
         its width."""
         x = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
         dataset = Dataset(x, np.zeros(shape[0], dtype=np.int64))
-        assert dataset.inputs.shape == (shape[0], width) and dataset.feature_dim == width
+        assert dataset.inputs.shape == (shape[0], width)
         np.testing.assert_array_equal(dataset.inputs.ravel(), x.ravel())
