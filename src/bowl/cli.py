@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str, overrides) -> RunConfig:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     return load_run_config(path, overrides)
 
@@ -159,12 +159,15 @@ def cmd_ablate(args) -> int:
     return 1 if any(r.aborted for reports in per_variant.values() for r in reports) else 0
 
 
-def _scored_file(net: Network, path: str) -> DatasetFile:
-    """``path`` opened for block reads, once its header shows the network's width."""
+def _scored_file(net: Network, path: str, flag: str) -> DatasetFile:
+    """``path``, given as ``flag``, opened for block reads once its header
+    shows rows of the network's width."""
     dataset = DatasetFile(path)
     if dataset.width != net.in_dim:
         raise FormatError(f"dataset {path!r} has width {dataset.width}, "
                           f"the checkpoint's network {net.in_dim}")
+    if dataset.n == 0:
+        raise FormatError(f"{flag} {path!r} holds no rows")
     return dataset
 
 
@@ -191,15 +194,16 @@ def _dataset_scores(net: Network, blocks, batch_size: int, granularity: str):
 def cmd_ood_hist(args) -> int:
     cfg = _load_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
-    os.makedirs(outdir, exist_ok=True)
     net = _restore_network(cfg, args.checkpoint)
-    sets = [_scored_file(net, path) for path in (args.in_set, args.out_set)]
+    sets = [_scored_file(net, args.in_set, "--in-set"),
+            _scored_file(net, args.out_set, "--out-set")]
     batch = int(cfg["loop.ood_batch_size"])
     # Blocks of whole eval chunks (and whole batches) score as one pass over the set.
     step = EVAL_CHUNK if args.granularity == "sample" else math.lcm(EVAL_CHUNK, batch)
     (in_eta1, in_pe), (out_eta1, out_pe) = (
         _dataset_scores(net, dataset.blocks(step), batch, args.granularity)
         for dataset in sets)
+    os.makedirs(outdir, exist_ok=True)
     export_score_csv(os.path.join(outdir, "hist_eta1.csv"), in_eta1, out_eta1, "eta1")
     export_score_csv(os.path.join(outdir, "hist_pe.csv"), in_pe, out_pe,
                      "predictive_entropy")
@@ -218,6 +222,9 @@ def cmd_ood_hist(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    if args.dims < args.classes:
+        raise ConfigError(f"--dims {args.dims} is below --classes {args.classes}: "
+                          f"class means are the vertices of a regular simplex")
     dataset = synth_generate(args.classes, args.dims, args.separation, args.std,
                              args.n, args.seed, args.clip_unit)
     save_dataset(dataset, args.out)
@@ -229,9 +236,7 @@ def cmd_gen_data(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.overrides)
     net = _restore_network(cfg, args.checkpoint)
-    dataset = _scored_file(net, args.dataset)
-    if dataset.n == 0:
-        raise ValueError("empty test set")
+    dataset = _scored_file(net, args.dataset, "--dataset")
     correct = sum(count_correct(net, inputs, labels)
                   for inputs, labels in dataset.blocks(EVAL_CHUNK))
     print(f"accuracy={correct / dataset.n:.6f} n={dataset.n}")
@@ -248,8 +253,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 2 for a rejected flag, 0 for --help
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

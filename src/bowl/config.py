@@ -7,7 +7,7 @@ randomness derives from the single ``run.seed`` through named substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -233,24 +233,18 @@ class RunConfig:
         return list(self["run.seeds"]) if self["run.seeds"] is not None else [self.seed]
 
     def loop_config(self, seed: int | None = None) -> LoopConfig:
-        v = self.values
-        bootstrap_size = v["loop"]["bootstrap_size"] or v["loop"]["ood_batch_size"]
+        """The loop's settings: the [loop] and [optimizer] keys named like a
+        ``LoopConfig`` field, the bootstrap's three keys and the seed."""
+        loop = self.values["loop"]
+        names = {f.name for f in fields(LoopConfig)}
+        settings = {key: value for section in ("loop", "optimizer")
+                    for key, value in self.values[section].items() if key in names}
         try:
-            return LoopConfig(
-                acquisition_batch=v["loop"]["acquisition_batch"],
-                buffer_capacity=v["loop"]["buffer_capacity"],
-                epochs_per_update=v["loop"]["epochs_per_update"],
-                pretrain_epochs=v["loop"]["pretrain_epochs"],
-                minibatch_size=v["loop"]["minibatch_size"],
-                bootstrap=ThresholdConfig(v["loop"]["bootstrap_k"], bootstrap_size,
-                                          v["loop"]["bootstrap_alpha"]),
-                learning_rate=v["optimizer"]["learning_rate"],
-                momentum=v["optimizer"]["momentum"],
-                weight_decay=v["optimizer"]["weight_decay"],
-                eval_every_update=v["loop"]["eval_every_update"],
-                baseline_epochs_per_task=v["loop"]["baseline_epochs_per_task"],
-                seed=self.seed if seed is None else seed,
-            )
+            bootstrap = ThresholdConfig(loop["bootstrap_k"],
+                                        loop["bootstrap_size"] or loop["ood_batch_size"],
+                                        loop["bootstrap_alpha"])
+            return LoopConfig(**settings, bootstrap=bootstrap,
+                              seed=self.seed if seed is None else seed)
         except ValueError as exc:  # LoopConfig / ThresholdConfig validation
             raise ConfigError(f"bad [loop] setting: {exc}") from exc
 

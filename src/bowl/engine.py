@@ -107,7 +107,6 @@ class TaskRecord:
     pool_size: int
     new_classes: int
     head_width: int
-    accuracy: float
     buffer_composition: dict[int, int]
 
 
@@ -354,12 +353,11 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
                                                    len(queried), len(inserted), loss, acc))
             report.oracle_reveals += pool.oracle_reveals
 
-            accuracy = _evaluate_discovered(net, tasks)
-            report.task_accuracies[t] = accuracy
+            report.task_accuracies[t] = _evaluate_discovered(net, tasks)
             report.tasks.append(TaskRecord(
                 timestep=t, tau=tau, accepted_batches=len(accepted),
                 rejected_batches=len(stream) - len(accepted), pool_size=int(admitted.sum()),
-                new_classes=n_new, head_width=net.n_classes, accuracy=accuracy,
+                new_classes=n_new, head_width=net.n_classes,
                 buffer_composition={} if stages.memory is None else buffer.composition()))
     except NonFiniteLossError as exc:
         report.aborted = True

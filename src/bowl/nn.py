@@ -134,9 +134,9 @@ class BatchNorm:
         if row_stats is not None:
             eta0, spread = row_stats
             if eta0 is not None:
-                eta0 += _squares(z).sum(axis=1)
+                eta0 += np.square(z, dtype=np.float64).sum(axis=1)
             if spread is not None:
-                spread += _squares(y).mean(axis=1)
+                spread += np.square(y, dtype=np.float64).mean(axis=1)
         return y
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -157,12 +157,6 @@ class BatchNorm:
 
     def params(self, prefix: str) -> list[tuple[str, Param]]:
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
-
-
-def _squares(a: np.ndarray) -> np.ndarray:
-    """A float64 copy of ``a``, squared in place."""
-    a = a.astype(np.float64)
-    return np.square(a, out=a)
 
 
 class ReLU:
@@ -421,36 +415,32 @@ def backward_and_step(net: Network, x: np.ndarray, targets: np.ndarray,
     return loss
 
 
-def minibatches(n: int, minibatch_size: int, rng: np.random.Generator):
-    """Index arrays of one shuffled pass over n rows, ceil(n / minibatch) of them.
-
-    Train-mode batch norm needs >= 2 rows, so a lone last row is duplicated:
-    the copy has a well-defined (zero) batch variance and the same mean loss.
-    """
-    order = rng.permutation(n)
-    for start in range(0, n, minibatch_size):
-        sel = order[start:start + minibatch_size]
-        yield np.repeat(sel, 2) if sel.size == 1 else sel
-
-
 def train_one_epoch(net: Network, inputs: np.ndarray, labels: np.ndarray,
                     opt: SgdOptimizer, minibatch_size: int,
                     rng: np.random.Generator) -> tuple[int, float]:
     """The one minibatch loop: a shuffled pass over labeled rows; returns
     (steps, mean minibatch loss).
 
-    Visits every row exactly once in ceil(n / minibatch) minibatches. Every
-    label must be one of the head's classes.
+    Gathers the rows once in shuffled order and steps through them in
+    ceil(n / minibatch) slices, so every row is visited exactly once.
+    Train-mode batch norm needs >= 2 rows, so a lone last row is duplicated:
+    the copy has a well-defined (zero) batch variance and the same mean loss.
+    Every label must be one of the head's classes.
     """
     n = len(labels)
     if n == 0:
         raise ValueError("cannot train on an empty set")
-    inputs = np.asarray(inputs)
-    targets = net.head_rows(np.asarray(labels))
+    order = rng.permutation(n)
+    inputs = np.asarray(inputs)[order]
+    targets = net.head_rows(np.asarray(labels))[order]
     steps = 0
     total_loss = 0.0
-    for sel in minibatches(n, minibatch_size, rng):
-        total_loss += backward_and_step(net, inputs[sel], targets[sel], opt)
+    for start in range(0, n, minibatch_size):
+        x = inputs[start:start + minibatch_size]
+        y = targets[start:start + minibatch_size]
+        if len(y) == 1:
+            x, y = np.repeat(x, 2, axis=0), np.repeat(y, 2)
+        total_loss += backward_and_step(net, x, y, opt)
         steps += 1
     return steps, total_loss / steps
 

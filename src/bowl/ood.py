@@ -46,8 +46,7 @@ def eta1_from_eta0(eta0, d: int):
     small and unusually large deviations score high.
     """
     eta0 = np.asarray(eta0, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        out = np.where(eta0 > 0.0, eta0 - d * np.log(np.where(eta0 > 0, eta0, 1.0)), np.inf)
+    out = np.where(eta0 > 0.0, eta0 - d * np.log(np.where(eta0 > 0, eta0, 1.0)), np.inf)
     if out.ndim == 0:
         return float(out)
     return out

@@ -60,10 +60,9 @@ class CandidatePool:
 def entropy_term(sigma_sq):
     """Gaussian differential entropy 0.5 * (1 + ln(2 pi sigma^2)); 0 -> -inf."""
     sigma_sq = np.asarray(sigma_sq, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        out = np.where(sigma_sq > 0.0,
-                       0.5 * (1.0 + np.log(2.0 * np.pi * np.where(sigma_sq > 0, sigma_sq, 1.0))),
-                       -np.inf)
+    out = np.where(sigma_sq > 0.0,
+                   0.5 * (1.0 + np.log(2.0 * np.pi * np.where(sigma_sq > 0, sigma_sq, 1.0))),
+                   -np.inf)
     if out.ndim == 0:
         return float(out)
     return out

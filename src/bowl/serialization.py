@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,11 @@ def atomic_write_bytes(path: str, parts) -> None:
     """Write the buffers of the iterable ``parts`` to ``path`` in order, fully
     or not at all (temp file + rename). Each is written as it is, with no
     joined copy, and a generator's next part is made only after the last one
-    is written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    is written. The file gets the mode a plain ``open`` gives: 0666 less the
+    umask (``tempfile.mkstemp`` would make it 0600)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:

@@ -25,8 +25,8 @@ from bowl.nn import save_checkpoint
 from bowl.ood import (batch_ood_score, predictive_entropy_per_sample, sample_eta1_scores,
                       segment_means)
 from bowl.serialization import FormatError, read_headers, read_row_blocks, read_tensors
-from bowl.stream import (READ_BLOCK_BYTES, DatasetFile, load_dataset, save_dataset,
-                         synth_generate)
+from bowl.stream import (READ_BLOCK_BYTES, Dataset, DatasetFile, load_dataset,
+                         save_dataset, synth_generate)
 from test_data_path import _peak_bytes
 
 DIMS = 64
@@ -281,6 +281,24 @@ class TestCheckedAtLoad:
         assert not (batch.called or sample.called or count.called)
         assert capsys.readouterr().err == (f"error: dataset {files['bad']!r} has width 7, "
                                            f"the checkpoint's network {DIMS}\n")
+
+    @pytest.mark.parametrize("flag", ["--in-set", "--out-set", "--dataset"])
+    def test_empty_scored_file(self, scorer, tmp_path, capsys, flag):
+        """Exit 1 when the file is opened, naming the flag and the file; a
+        failed ood-hist leaves no output (not even its directory)."""
+        config, checkpoint, _ = scorer
+        good = _dataset_file(str(tmp_path / "good.bnt"), 100, seed=1)
+        empty = str(tmp_path / "empty.bnt")
+        save_dataset(Dataset(np.zeros((0, DIMS)), np.zeros(0)), empty)
+        outdir = str(tmp_path / "h")
+        if flag == "--dataset":
+            argv = ["eval", config, "--dataset", empty]
+        else:
+            sets = {"--in-set": good, "--out-set": good, flag: empty}
+            argv = ["ood-hist", config, *(f for item in sets.items() for f in item)]
+        assert main([*argv, "--checkpoint", checkpoint, "--output-dir", outdir]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {empty!r} holds no rows\n"
+        assert not os.path.exists(outdir)
 
 
 class TestMemoryBounds:

@@ -1,7 +1,9 @@
 import os
+import re
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -367,12 +369,87 @@ class TestGenData:
         out = str(tmp_path / "blobs.bnt")
         flags = {"--classes": "2", "--dims": "4", "--separation": "0.5", "--std": "0.1",
                  "--n": "100", flag: value}
-        with pytest.raises(SystemExit) as exit_:
-            main(["gen-data", *(f for item in flags.items() for f in item), "--out", out])
-        assert exit_.value.code == 2
+        assert main(["gen-data", *(f for item in flags.items() for f in item),
+                     "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be" in err and repr(value) in err, err
         assert not os.path.exists(out)
+
+    def test_dims_below_classes_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        """Class means are simplex vertices, so --dims must be >= --classes."""
+        out = str(tmp_path / "blobs.bnt")
+        assert main(["gen-data", "--classes", "5", "--dims", "3", "--separation", "0.5",
+                     "--std", "0.1", "--n", "10", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--dims 3" in err and "--classes 5" in err, err
+        assert not os.path.exists(out)
+
+
+class TestExitCodes:
+    """``main(argv)`` returns every exit code, argparse's included."""
+
+    @pytest.mark.parametrize("argv", [["run"], ["run", "x.cfg", "--bogus"], ["fly"], []])
+    def test_rejected_argv_returns_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gen-data", "--help"]])
+    def test_help_returns_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: config file not found: {tmp_path}\n"
+
+
+class TestFileModes:
+    """Written files take the mode a plain ``open`` gives: 0666 less the umask."""
+
+    @pytest.fixture()
+    def umask(self):
+        """The test sets the umask with ``os.umask``; this restores it."""
+        previous = os.umask(0o022)
+        yield os.umask
+        os.umask(previous)
+
+    def test_run_and_gen_data_outputs_under_umask_022(self, config_path, tmp_path, umask):
+        path, outdir = config_path()
+        data = str(tmp_path / "blobs.bnt")
+        umask(0o022)
+        assert main(["run", path]) == 0
+        assert main(["gen-data", "--classes", "2", "--dims", "4", "--separation", "0.5",
+                     "--std", "0.1", "--n", "10", "--out", data]) == 0
+        for written in (os.path.join(outdir, "summary.txt"),
+                        os.path.join(outdir, "checkpoint.bnt"), data):
+            assert oct(os.stat(written).st_mode & 0o777) == oct(0o644), written
+
+    @pytest.mark.parametrize("mask", [0o077, 0o027, 0o002])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mask):
+        written = str(tmp_path / "t.bnt")
+        umask(mask)
+        write_tensors(written, {"x": np.zeros(3, np.float32)})
+        assert oct(os.stat(written).st_mode & 0o777) == oct(0o666 & ~mask)
+        assert os.listdir(tmp_path) == ["t.bnt"]
+
+
+class TestReadme:
+    def test_config_section_names_every_key(self):
+        """Each schema key is a line of the example's [section], or is named as
+        section.key in the "Config format" section's text."""
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                      encoding="utf-8").read()
+        text = readme[readme.index("### Config format"):readme.index("## File formats")]
+        example = text[text.index("```ini"):text.index("```\n", text.index("```ini") + 1)]
+        listed, section = set(), None
+        for line in example.splitlines():
+            if header := re.match(r"\[(\w+)\]", line):
+                section = header.group(1)
+            elif key := re.match(r"(\w+)\s*=", line):
+                listed.add(f"{section}.{key.group(1)}")
+        missing = [f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
+                   if f"{section}.{key}" not in listed and f"`{section}.{key}" not in text]
+        assert not missing, missing
 
 
 @pytest.fixture()

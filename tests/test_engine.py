@@ -457,3 +457,56 @@ class TestLoopProperties:
                 assert rep.odp <= rep.oracle_reveals <= tasks.total_stream_size()
                 width = 2 + sum(record.new_classes for record in rep.tasks)
                 assert rep.tasks[-1].head_width == net.n_classes == width
+
+    def test_rejected_injections_leave_the_run_unchanged(self):
+        """A mixed ``full`` run whose filter rejects every injected batch
+        equals the clean run with the same seed, except the ids in its insert
+        log and the injected batches in its reject counts: a batch's eta1
+        depends only on its own rows, tau draws from its own generator, and
+        admitted rows keep their emission order."""
+        held = []
+
+        @given(seed=st.integers(0, 2**16), per_class=st.integers(30, 80),
+               batch=st.integers(4, 12), corrupted=st.floats(0.1, 0.5),
+               foreign=st.floats(0.1, 0.5))
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        def relation(seed, per_class, batch, corrupted, foreign):
+            train = synth_generate(6, 8, 0.3, 0.1, 6 * per_class, seed=seed, clip_unit=True)
+            test = synth_generate(6, 8, 0.3, 0.1, 120, seed=seed + 1, clip_unit=True)
+            junk = synth_generate(6, 8, 6.0, 0.1, 300, seed=seed + 2)
+            mix = MixSpec(corrupted, foreign, "gaussian", 0.5, junk)
+            cfg = tiny_config(seed, acquisition_batch=32, buffer_capacity=60,
+                              pretrain_epochs=30, bootstrap=ThresholdConfig(30, batch, 0.99),
+                              eval_every_update=True)
+            reports, admitted = [], []
+            original = engine_mod.filter_stream
+
+            def spy(net, stream, tau):
+                result = original(net, stream, tau)
+                admitted.append(stream.kinds[result.accepted])
+                return result
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine_mod, "filter_stream", spy)
+                for spec in (None, mix):
+                    tasks = split_experiment(train, test, [[0, 1], [2, 3], [4, 5]], batch,
+                                             seed=seed + 3, mix=spec)
+                    reports.append(run_variant(tiny_net(seed), cfg, tasks, "full"))
+            injected = [int((stream.kinds != "clean").sum()) for stream in tasks.streams]
+            clean_run, mixed_run = reports
+            held.append(sum(injected) > 0
+                        and all((kinds == "clean").all() for kinds in admitted))
+            if not held[-1]:
+                return
+            assert not clean_run.aborted
+            tasks_without_injected = [
+                dataclasses.replace(record, rejected_batches=record.rejected_batches - n)
+                for record, n in zip(mixed_run.tasks, injected)]
+            assert tasks_without_injected == clean_run.tasks
+            assert ([t for _, t in mixed_run.insert_log]
+                    == [t for _, t in clean_run.insert_log])
+            assert (dataclasses.replace(mixed_run, tasks=[], insert_log=[])
+                    == dataclasses.replace(clean_run, tasks=[], insert_log=[]))
+
+        relation()
+        assert sum(held) > len(held) / 2, held
