@@ -19,7 +19,7 @@ from .query import (CandidatePool, entropy_term, mean_pairwise_cosine, query_sco
                     sample_entropies, select_top)
 from .samples import SampleSet
 from .stream import (SENTINEL_LABEL, Dataset, MixSpec, SplitTasks, Stream, corrupt,
-                     load_dataset, make_split_tasks, mix_streams, save_dataset,
-                     split_experiment, synth_generate)
+                     load_dataset, mix_streams, save_dataset, split_experiment,
+                     synth_generate)
 
 __version__ = "0.1.0"

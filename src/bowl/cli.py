@@ -131,7 +131,6 @@ def cmd_run(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
-    os.makedirs(outdir, exist_ok=True)
     per_variant: dict[str, list[RunReport]] = {v: [] for v in VARIANTS}
     for seed in cfg.seeds:
         tasks = cfg.build_tasks(seed)  # shared: run_variant only reads it

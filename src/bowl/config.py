@@ -15,7 +15,7 @@ from .engine import VARIANTS, LoopConfig
 from .nn import Network, build_mlp
 from .ood import ThresholdConfig
 from .stream import (CORRUPTION_KINDS, Dataset, DatasetFile, MixSpec, SplitTasks,
-                     load_dataset, split_experiment, synth_generate)
+                     check_schedule, load_dataset, split_experiment, synth_generate)
 
 
 class ConfigError(ValueError):
@@ -63,8 +63,7 @@ def _parse_schedule(raw: str) -> list[list[int]]:
     schedule = [_parse_int_list(part) for part in raw.split("|")]
     if any(not classes for classes in schedule):
         raise ValueError("schedule timesteps must be nonempty")
-    if len(schedule) < 2:
-        raise ValueError("schedule needs a pretraining timestep plus >= 1 task")
+    check_schedule(schedule)
     return schedule
 
 

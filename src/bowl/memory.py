@@ -59,8 +59,9 @@ def init_buffer(inputs: np.ndarray, labels: np.ndarray, capacity: int,
     if ids is None:
         ids = np.arange(n)
     chosen = np.sort(rng.choice(n, size=min(capacity, n), replace=False))
-    entries = SampleSet(inputs[chosen], np.asarray(labels)[chosen], np.asarray(ids)[chosen],
-                        sample_entropies(net, inputs[chosen]))
+    rows = inputs[chosen]
+    entries = SampleSet(rows, np.asarray(labels)[chosen], np.asarray(ids)[chosen],
+                        sample_entropies(net, rows))
     return MemoryBuffer(capacity, entries)
 
 

@@ -86,17 +86,16 @@ def mean_pairwise_cosine(x: np.ndarray) -> np.ndarray:
     to u_i . S, self-similarity s_i included, so the mean over the other n - 1
     rows is (u_i . S - s_i) / (n - 1): one O(n * d) product. A zero row has no
     direction; it has cosine 0 to every row (u_i = 0, s_i = 0). A pool of one
-    returns [0] (empty-average convention).
+    returns [0] (empty-average convention). The rows are normalized in one
+    float64 copy; the caller's array is never written.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n == 1:
-        return np.zeros(1)
-    norms = np.linalg.norm(x, axis=1)
+    n = len(x)
+    if n < 2:
+        return np.zeros(n)
+    unit = np.array(x, dtype=np.float64)
+    norms = np.linalg.norm(unit, axis=1)
     nonzero = norms > 0.0
-    unit = x / np.where(nonzero, norms, 1.0)[:, None]
+    unit /= np.where(nonzero, norms, 1.0)[:, None]
     return (unit @ unit.sum(axis=0) - nonzero) / (n - 1)
 
 

@@ -53,10 +53,6 @@ class Dataset:
     def classes(self) -> list[int]:
         return sorted(int(c) for c in np.unique(self.labels))
 
-    def restrict(self, class_ids) -> "Dataset":
-        mask = np.isin(self.labels, np.asarray(list(class_ids)))
-        return Dataset(self.inputs[mask], self.labels[mask])
-
 
 @dataclass
 class Stream:
@@ -157,26 +153,6 @@ def synth_generate(n_classes: int, dims: int, separation: float, within_std: flo
     return Dataset(inputs, labels)
 
 
-def make_split_tasks(dataset: Dataset, schedule: list[list[int]], batch_size: int,
-                     seed: int) -> list[Stream]:
-    """One stream of shuffled fixed-size batches per timestep.
-
-    Timestep t's stream holds exactly the samples of its class set (the final
-    batch may be partial), so the streams partition the scheduled subset.
-    """
-    known = set(dataset.classes())
-    for classes in schedule:
-        missing = set(classes) - known
-        if missing:
-            raise ValueError(f"schedule references unknown classes {sorted(missing)}")
-    rng = np.random.default_rng(seed)
-    streams: list[Stream] = []
-    for classes in schedule:
-        idx = rng.permutation(np.flatnonzero(np.isin(dataset.labels, np.asarray(classes))))
-        streams.append(Stream.cut(dataset.inputs[idx], dataset.labels[idx], batch_size))
-    return streams
-
-
 def corrupt(inputs: np.ndarray, kind: str, severity: float, seed: int) -> np.ndarray:
     """Noise-corrupt inputs in [0, 1]; shape and value range are preserved.
 
@@ -270,18 +246,41 @@ class SplitTasks:
         return sum(len(stream.labels) for stream in self.streams)
 
 
+def check_schedule(schedule: list[list[int]]) -> None:
+    """Raise ValueError unless ``schedule`` holds a pretraining timestep plus
+    >= 1 task and names each class once."""
+    if len(schedule) < 2:
+        raise ValueError("schedule needs a pretraining timestep plus >= 1 task")
+    named = [c for classes in schedule for c in classes]
+    repeated = sorted({c for c in named if named.count(c) > 1})
+    if repeated:
+        raise ValueError(f"schedule names classes {repeated} more than once")
+
+
 def split_experiment(train: Dataset, test: Dataset, schedule: list[list[int]],
                      batch_size: int, seed: int, mix: MixSpec | None = None
                      ) -> SplitTasks:
-    """Build pretraining data plus per-timestep (optionally mixed) streams."""
-    if len(schedule) < 2:
-        raise ValueError("schedule needs a pretraining timestep plus >= 1 task")
-    streams = make_split_tasks(train, schedule, batch_size, seed)[1:]
-    pretrain = train.restrict(schedule[0])
+    """Pretraining rows plus one shuffled (optionally mixed) stream per task.
+
+    Timestep 0's rows, in train order, are the pretraining set. Timestep t's
+    stream is ``default_rng(seed).permutation`` of its rows, drawn after the
+    earlier timesteps' (timestep 0's included), cut into ``batch_size``
+    batches (the last may be partial). A class may appear in one timestep
+    only, so the streams partition the scheduled rows after pretraining.
+    """
+    check_schedule(schedule)
+    missing = {c for classes in schedule for c in classes} - set(train.classes())
+    if missing:
+        raise ValueError(f"schedule references unknown classes {sorted(missing)}")
+    rng = np.random.default_rng(seed)
+    rows = [np.flatnonzero(np.isin(train.labels, classes)) for classes in schedule]
+    shuffled = [rng.permutation(idx) for idx in rows]
+    streams = [Stream.cut(train.inputs[idx], train.labels[idx], batch_size)
+               for idx in shuffled[1:]]
     if mix is not None:
         rng = np.random.default_rng(seed + 1)
         streams = [mix_streams(stream, mix, int(rng.integers(0, 2**31))) for stream in streams]
-    return SplitTasks(pretrain.inputs, pretrain.labels, streams,
+    return SplitTasks(train.inputs[rows[0]], train.labels[rows[0]], streams,
                       test.inputs, test.labels, schedule)
 
 

@@ -23,9 +23,8 @@ from bowl.query import mean_pairwise_cosine
 from bowl.samples import SampleSet
 from bowl.stream import MixSpec, corrupt, split_experiment, synth_generate
 
+from reference import mean_cosine, pairwise_auroc
 from test_nn import analytic_gradients, max_relative_error, numeric_gradients
-from test_query import naive_mean_cosine
-from test_metrics import pairwise_auroc_oracle
 
 
 def report(criterion, ok, detail):
@@ -233,7 +232,7 @@ class TestCriterion6:
         for n in (1, 2, 17, 5000):
             x = rng.random((n, 12))
             got = mean_pairwise_cosine(x)
-            cos_ok &= bool(np.allclose(got, naive_mean_cosine(x), atol=1e-5))
+            cos_ok &= bool(np.allclose(got, mean_cosine(x), atol=1e-5))
 
         # buffer update vs brute-force sort at |S| = 10^4
         n_buf, n_new, capacity = 2500, 7500, 2500
@@ -252,7 +251,7 @@ class TestCriterion6:
         # rank-based AUROC vs pairwise-comparison oracle, exact
         in_scores = np.round(rng.normal(size=1000), 1)
         out_scores = np.round(rng.normal(0.4, 1.2, size=900), 1)
-        auroc_ok = auroc(in_scores, out_scores) == pairwise_auroc_oracle(
+        auroc_ok = auroc(in_scores, out_scores) == pairwise_auroc(
             in_scores.tolist(), out_scores.tolist())
 
         ok = cos_ok and buffer_ok and auroc_ok

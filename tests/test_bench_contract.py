@@ -8,7 +8,6 @@ in milliseconds, without running the benchmark.
 
 import json
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -19,11 +18,10 @@ from bowl.nn import build_mlp
 from bowl.ood import ThresholdConfig
 from bowl.stream import Dataset, Stream, split_experiment, synth_generate
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import tracing
+import workloads
 
-import tracing  # noqa: E402
-import workloads  # noqa: E402
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import os
 import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from bowl.engine import VARIANTS
 from bowl.nn import Network, read_checkpoint
 from bowl.ood import predictive_entropy_per_sample
 from bowl.serialization import read_tensors, write_tensors
-from bowl.stream import load_dataset, save_dataset
+from bowl.stream import Dataset, load_dataset, save_dataset
 
 BASE_CONFIG = """
 # toy experiment used by the CLI tests
@@ -121,6 +122,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert all(key in err for key in keys), err
 
+    @pytest.mark.parametrize("schedule, repeated", [("0,1 | 1,2 | 2,3", [1, 2]),
+                                                    ("0,0 | 1", [0]), ("0 | 1 | 0", [0])])
+    def test_class_named_twice_in_the_schedule_exits_2(self, config_path, capsys,
+                                                      schedule, repeated):
+        """A class in two timesteps would have its rows served twice under new
+        ids; the config is rejected before any data is built."""
+        path, outdir = config_path()
+        with mock.patch.object(config_mod, "synth_generate") as generate:
+            assert main(["run", path, "--set", f"data.schedule={schedule}"]) == 2
+        assert not generate.called and not os.path.exists(outdir)
+        err = capsys.readouterr().err
+        assert "data.schedule" in err and f"classes {repeated} more than once" in err, err
+
     def test_loop_settings_checked_before_any_data_is_built(self, config_path, capsys,
                                                             monkeypatch):
         calls = []
@@ -217,7 +231,9 @@ class TestRun:
                                             ("foreign", 12, 120, 3)])
         damaged = files[{"data.train_path": "train", "data.test_path": "test",
                          "mix.foreign_path": "foreign"}[key]]
-        save_dataset(load_dataset(damaged).restrict(kept), damaged)
+        dataset = load_dataset(damaged)
+        rows = np.isin(dataset.labels, kept)
+        save_dataset(Dataset(dataset.inputs[rows], dataset.labels[rows]), damaged)
         path, _ = config_path()
         sets = ["data.source=file", f"data.train_path={files['train']}",
                 f"data.test_path={files['test']}", "mix.ood_fraction=0.25",
@@ -329,6 +345,95 @@ class TestRunFuzz:
         assert code in (0, 1, 2)
         if any(_schema_rejects(dotted, raw) for dotted, raw in overrides.items()):
             assert code == 2
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Files the fuzzed commands read: a tiny config, its checkpoint, a
+    dataset of its width and one of no rows."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    paths = {name: str(root / name) for name in ("config", "dataset", "no_rows")}
+    with open(paths["config"], "w", encoding="utf-8") as fh:
+        fh.write(TINY_CONFIG)
+    assert main(["run", paths["config"], "--output-dir", str(root / "run")]) == 0
+    paths["checkpoint"] = str(root / "run" / "checkpoint.bnt")
+    assert main(["gen-data", "--classes", "4", "--dims", "4", "--separation", "0.5",
+                 "--std", "0.1", "--n", "24", "--clip-unit", "--out", paths["dataset"]]) == 0
+    save_dataset(Dataset(np.zeros((0, 4)), np.zeros(0)), paths["no_rows"])
+    return str(root), paths
+
+
+def _tree(top: str) -> list:
+    """Every file and directory under ``top`` with its size and mtime."""
+    return sorted((os.path.relpath(os.path.join(parent, name), top), info.st_size,
+                    info.st_mtime_ns)
+                  for parent, dirs, files in os.walk(top) for name in dirs + files
+                  for info in [os.stat(os.path.join(parent, name))])
+
+
+def _path(*valid):
+    """A path token: one of ``valid`` in three draws of four, else a missing
+    path, a directory or an empty file."""
+    return st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(("@missing", "@dir", "@empty") if i == 3 else valid))
+
+
+def _flag(name, values):
+    """``[name, value]``, left out in one draw of ten."""
+    return st.integers(0, 9).flatmap(
+        lambda i: st.just([]) if i == 9 else values.map(lambda value: [name, value]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda drawn: [command, *(t for part in drawn for t in part)])
+
+
+# --set values: valid, unknown, unparsable, a class named twice, and file
+# sources whose test file is unset or holds no rows.
+SETS = st.lists(st.sampled_from([
+    "loop.pretrain_epochs=2", "run.variant=finetune", "run.seeds=1,0", "mix.ood_fraction=0.5",
+    "loop.warp=1", "data.dims=x", "data.schedule=0,1 | 1,2",
+    "data.source=file;data.train_path=@dataset",
+    "data.source=file;data.train_path=@dataset;data.test_path=@no_rows"]), max_size=2).map(
+        lambda items: [t for item in items for s in item.split(";") for t in ("--set", s)])
+COMMON = (_path("@config").map(lambda p: [p]),
+          _path("@out").map(lambda p: ["--output-dir", p]), SETS)
+ROWS = _path("@dataset", "@dataset", "@no_rows")
+CHECKPOINT = _flag("--checkpoint", _path("@checkpoint", "@dataset"))
+GEN_VALUES = st.sampled_from(["3", "3", "1", "0", "-1", "nan", "inf", "x"])
+ARGV = st.tuples(st.one_of(
+    _argv("run", *COMMON), _argv("ablate", *COMMON),
+    _argv("ood-hist", *COMMON, CHECKPOINT, _flag("--in-set", ROWS), _flag("--out-set", ROWS),
+          _flag("--granularity", st.sampled_from(["batch", "sample", "row"]))),
+    _argv("gen-data", *(_flag(f"--{name}", GEN_VALUES)
+                        for name in ("classes", "dims", "separation", "std", "n")),
+          _flag("--out", _path("@new"))),
+    _argv("eval", *COMMON, CHECKPOINT, _flag("--dataset", ROWS))),
+    st.integers(0, 9)).map(lambda drawn: drawn[0] + ["--bogus"] * (drawn[1] == 9))
+
+
+class TestMainFuzz:
+    @given(ARGV)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_every_subcommand_keeps_the_exit_code_contract(self, cli_inputs, tokens):
+        """Drawn argv for all five subcommands, with valid and rejected flags
+        and missing, directory and empty paths: ``main`` returns 0, 1 or 2
+        and raises nothing, and a call that returns 2 writes no file."""
+        root, inputs = cli_inputs
+        with tempfile.TemporaryDirectory() as work:
+            paths = {f"@{name}": path for name, path in inputs.items()}
+            paths.update({f"@{name}": os.path.join(work, name)
+                          for name in ("missing", "dir", "empty", "out", "new")})
+            os.mkdir(paths["@dir"])
+            open(paths["@empty"], "w").close()
+            argv = list(tokens)
+            for token, path in paths.items():
+                argv = [arg.replace(token, path) for arg in argv]
+            before = _tree(root), _tree(work)
+            code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert (_tree(root), _tree(work)) == before, argv
 
 
 class TestFiniteSettings:
@@ -635,6 +740,35 @@ class TestAblate:
         for row in csv[1:]:
             cells = row.split(",")
             assert all(float(cells[i]) == 0.0 for i in idx)
+
+    def test_run_directories_match_bowl_run_in_any_seed_order(self, config_path, tmp_path):
+        """``run.seeds=1,0`` writes the run directories ``0,1`` writes, and each
+        holds the bytes ``bowl run`` writes with its seed and variant."""
+        path, _ = config_path()
+
+        def written(top):
+            return {os.path.relpath(os.path.join(parent, name), top):
+                    Path(parent, name).read_bytes()
+                    for parent, _, files in os.walk(top) for name in files}
+
+        grids = []
+        for seeds in ("0,1", "1,0"):
+            out = str(tmp_path / seeds.replace(",", "_"))
+            assert main(["ablate", path, "--set", f"run.seeds={seeds}",
+                         "--output-dir", out]) == 0
+            grids.append(written(out))
+            del grids[-1]["ablation.csv"]
+        assert grids[0] == grids[1] and len(grids[0]) == 4 * 2 * len(VARIANTS)
+        for variant in VARIANTS:
+            for seed in (0, 1):
+                out = str(tmp_path / f"run_{variant}_{seed}")
+                assert main(["run", path, "--set", f"run.seed={seed}", "--set",
+                             f"run.variant={variant}", "--output-dir", out]) == 0
+                run = written(out)
+                assert sorted(run) == ["buffer_composition.csv", "checkpoint.bnt",
+                                       "report.csv", "summary.txt"]
+                assert run == {name: grids[0][os.path.join(f"{variant}_seed{seed}", name)]
+                               for name in run}, (variant, seed)
 
     def test_tasks_built_once_per_seed(self, config_path, monkeypatch):
         seeds = []

@@ -458,6 +458,38 @@ class TestLoopProperties:
                 width = 2 + sum(record.new_classes for record in rep.tasks)
                 assert rep.tasks[-1].head_width == net.n_classes == width
 
+    @staticmethod
+    def _full_runs(seed, batch, clean, mixed):
+        """``full`` on the ``clean`` and the ``mixed`` tasks, and whether the
+        filter admitted clean batches only, in both runs."""
+        cfg = tiny_config(seed, acquisition_batch=32, buffer_capacity=60,
+                          pretrain_epochs=30, bootstrap=ThresholdConfig(30, batch, 0.99),
+                          eval_every_update=True)
+        admitted = []
+        original = engine_mod.filter_stream
+
+        def spy(net, stream, tau):
+            result = original(net, stream, tau)
+            admitted.append(stream.kinds[result.accepted])
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "filter_stream", spy)
+            reports = [run_variant(tiny_net(seed), cfg, tasks, "full") for tasks in (clean, mixed)]
+        return reports, all((kinds == "clean").all() for kinds in admitted)
+
+    @staticmethod
+    def _assert_unchanged_but_rejected(clean_run, mixed_run, injected):
+        """``mixed_run`` equals ``clean_run`` except ``injected[t - 1]`` more
+        rejected batches in task t and the ids in its insert log."""
+        assert not clean_run.aborted
+        assert [dataclasses.replace(record, rejected_batches=record.rejected_batches - n)
+                for record, n in zip(mixed_run.tasks, injected)] == clean_run.tasks
+        assert ([t for _, t in mixed_run.insert_log]
+                == [t for _, t in clean_run.insert_log])
+        assert (dataclasses.replace(mixed_run, tasks=[], insert_log=[])
+                == dataclasses.replace(clean_run, tasks=[], insert_log=[]))
+
     def test_rejected_injections_leave_the_run_unchanged(self):
         """A mixed ``full`` run whose filter rejects every injected batch
         equals the clean run with the same seed, except the ids in its insert
@@ -475,38 +507,48 @@ class TestLoopProperties:
             test = synth_generate(6, 8, 0.3, 0.1, 120, seed=seed + 1, clip_unit=True)
             junk = synth_generate(6, 8, 6.0, 0.1, 300, seed=seed + 2)
             mix = MixSpec(corrupted, foreign, "gaussian", 0.5, junk)
-            cfg = tiny_config(seed, acquisition_batch=32, buffer_capacity=60,
-                              pretrain_epochs=30, bootstrap=ThresholdConfig(30, batch, 0.99),
-                              eval_every_update=True)
-            reports, admitted = [], []
-            original = engine_mod.filter_stream
+            clean, mixed = (split_experiment(train, test, [[0, 1], [2, 3], [4, 5]], batch,
+                                             seed=seed + 3, mix=spec) for spec in (None, mix))
+            (clean_run, mixed_run), only_clean = self._full_runs(seed, batch, clean, mixed)
+            injected = [int((stream.kinds != "clean").sum()) for stream in mixed.streams]
+            held.append(sum(injected) > 0 and only_clean)
+            if held[-1]:
+                self._assert_unchanged_but_rejected(clean_run, mixed_run, injected)
 
-            def spy(net, stream, tau):
-                result = original(net, stream, tau)
-                admitted.append(stream.kinds[result.accepted])
-                return result
+        relation()
+        assert sum(held) > len(held) / 2, held
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(engine_mod, "filter_stream", spy)
-                for spec in (None, mix):
-                    tasks = split_experiment(train, test, [[0, 1], [2, 3], [4, 5]], batch,
-                                             seed=seed + 3, mix=spec)
-                    reports.append(run_variant(tiny_net(seed), cfg, tasks, "full"))
-            injected = [int((stream.kinds != "clean").sum()) for stream in tasks.streams]
-            clean_run, mixed_run = reports
-            held.append(sum(injected) > 0
-                        and all((kinds == "clean").all() for kinds in admitted))
-            if not held[-1]:
-                return
-            assert not clean_run.aborted
-            tasks_without_injected = [
-                dataclasses.replace(record, rejected_batches=record.rejected_batches - n)
-                for record, n in zip(mixed_run.tasks, injected)]
-            assert tasks_without_injected == clean_run.tasks
-            assert ([t for _, t in mixed_run.insert_log]
-                    == [t for _, t in clean_run.insert_log])
-            assert (dataclasses.replace(mixed_run, tasks=[], insert_log=[])
-                    == dataclasses.replace(clean_run, tasks=[], insert_log=[]))
+    def test_one_rejected_foreign_batch_leaves_the_run_unchanged(self):
+        """One foreign batch spliced into a clean stream, when the filter
+        rejects it, changes only its task's reject count and the ids in the
+        insert log."""
+        held = []
+
+        @given(seed=st.integers(0, 2**16), batch=st.integers(4, 12),
+               task=st.integers(0, 1), position=st.integers(0, 40))
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        def relation(seed, batch, task, position):
+            train = synth_generate(6, 8, 0.3, 0.1, 360, seed=seed, clip_unit=True)
+            test = synth_generate(6, 8, 0.3, 0.1, 120, seed=seed + 1, clip_unit=True)
+            junk = synth_generate(6, 8, 6.0, 0.1, batch, seed=seed + 2)
+            clean = split_experiment(train, test, [[0, 1], [2, 3], [4, 5]], batch,
+                                     seed=seed + 3)
+            stream = clean.streams[task]
+            at = position % (len(stream) + 1)
+            row = int(stream.sizes[:at].sum())
+            sizes, kinds = stream.sizes.tolist(), stream.kinds.tolist()
+            sizes.insert(at, batch)
+            kinds.insert(at, "foreign")
+            streams = list(clean.streams)
+            streams[task] = Stream(np.insert(stream.inputs, row, junk.inputs, axis=0),
+                                   np.insert(stream.labels, row, np.full(batch, SENTINEL_LABEL)),
+                                   sizes, kinds)
+            mixed = dataclasses.replace(clean, streams=streams)
+            (clean_run, mixed_run), only_clean = self._full_runs(seed, batch, clean, mixed)
+            held.append(only_clean)
+            if held[-1]:
+                self._assert_unchanged_but_rejected(clean_run, mixed_run,
+                                                    [int(t == task) for t in range(2)])
 
         relation()
         assert sum(held) > len(held) / 2, held

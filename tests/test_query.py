@@ -10,24 +10,13 @@ from bowl.query import (CandidatePool, entropy_term, mean_pairwise_cosine, query
                         sample_entropies, select_top)
 
 from bn_reference import bn_net, reference_rows
+from reference import mean_cosine
 
 
 def _spread(x, gammas=(1.0,)):
     """Per-row spread of a batch-norm-only network whose first layer's z is x."""
     x = np.asarray(x, dtype=np.float32)
     return eval_rows(bn_net(x.shape[1], gammas), x, spread=True)[2]
-
-
-def naive_mean_cosine(x):
-    """O(n^2) reference: mean cosine of each row against every other row."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    norms = np.linalg.norm(x, axis=1)
-    out = np.zeros(n)
-    for q in range(n):
-        cosines = x @ x[q] / (norms * norms[q])
-        out[q] = cosines[np.arange(n) != q].sum() / (n - 1) if n > 1 else 0.0
-    return out
 
 
 class TestActivationSpread:
@@ -76,7 +65,7 @@ class TestPoolSimilarity:
         # Non-negative rows, like the loop's [0, 1] inputs: every cosine is
         # positive, so the row sums u_i . S are as large as they get.
         x = np.random.default_rng(11).random((n, 64))
-        np.testing.assert_allclose(mean_pairwise_cosine(x), naive_mean_cosine(x),
+        np.testing.assert_allclose(mean_pairwise_cosine(x), mean_cosine(x),
                                    rtol=0, atol=1e-12)
 
     def test_zero_row_has_cosine_zero_to_every_row(self):
@@ -88,6 +77,13 @@ class TestPoolSimilarity:
         np.testing.assert_allclose(mean_pairwise_cosine(x), [half, 0.0, half],
                                    rtol=0, atol=1e-15)
         np.testing.assert_array_equal(mean_pairwise_cosine(np.zeros((3, 2))), np.zeros(3))
+
+    def test_float64_rows_are_not_written(self):
+        x = np.random.default_rng(12).random((9, 5))
+        x[4] = 0.0
+        before = x.copy()
+        mean_pairwise_cosine(x)
+        np.testing.assert_array_equal(x, before)
 
     def test_singleton_pool_convention(self):
         assert mean_pairwise_cosine(np.array([[1.0, 2.0]]))[0] == 0.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from bowl.serialization import FormatError, read_tensors, write_tensors
 from bowl.stream import (SENTINEL_LABEL, Dataset, MixSpec, Stream, corrupt, load_dataset,
-                         make_split_tasks, mix_streams, save_dataset,
-                         simplex_means, split_experiment, synth_generate)
+                         mix_streams, save_dataset, simplex_means, split_experiment,
+                         synth_generate)
 
 
 class TestSynthGenerate:
@@ -54,44 +56,69 @@ class TestSynthGenerate:
 
 
 class TestSplitTasks:
+    """``split_experiment`` builds every timestep's rows itself, drawing one
+    permutation per timestep in schedule order."""
+
+    SCHEDULE = [[0, 1], [2, 3], [5]]
+
     def _dataset(self):
         return synth_generate(6, 8, 0.4, 0.1, 600, seed=5)
 
+    def _split(self, ds, schedule=SCHEDULE, seed=0):
+        return split_experiment(ds, ds, schedule, 8, seed)
+
     def test_streams_partition_scheduled_classes(self):
         ds = self._dataset()
-        schedule = [[0, 1], [2, 3]]
-        streams = make_split_tasks(ds, schedule, 8, seed=0)
-        assert len(streams) == 2
-        for classes, stream in zip(schedule, streams):
+        tasks = self._split(ds)
+        assert tasks.n_timesteps == 2
+        for classes, stream in zip(self.SCHEDULE[1:], tasks.streams):
             assert set(stream.labels.tolist()) == set(classes)
-        total = sum(len(s.labels) for s in streams)
-        assert total == int(np.isin(ds.labels, [0, 1, 2, 3]).sum())
+        assert tasks.total_stream_size() == int(np.isin(ds.labels, [2, 3, 5]).sum())
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown classes"):
-            make_split_tasks(self._dataset(), [[0, 99]], 8, seed=0)
+        with pytest.raises(ValueError, match="unknown classes \\[99\\]"):
+            self._split(self._dataset(), [[0], [1, 99]])
+
+    @pytest.mark.parametrize("schedule, repeated", [([[0, 1], [1, 2], [2, 3]], [1, 2]),
+                                                    ([[0, 0], [1]], [0]),
+                                                    ([[0], [1], [0]], [0])])
+    def test_class_named_twice_rejected(self, schedule, repeated):
+        with pytest.raises(ValueError, match=re.escape(f"classes {repeated} more than once")):
+            self._split(self._dataset(), schedule)
 
     def test_batch_sizes(self):
-        ds = self._dataset()
-        stream = make_split_tasks(ds, [[0]], 8, seed=0)[0]
+        stream = self._split(self._dataset(), [[1], [0]]).streams[0]
         assert len(stream) == len(stream.sizes) == len(stream.kinds)
         assert (stream.sizes[:-1] == 8).all()
         assert 1 <= stream.sizes[-1] <= 8
         assert (stream.kinds == "clean").all()
 
-    def test_rows_are_the_shuffled_class_rows(self):
+    def test_pretraining_rows_are_the_first_timesteps_in_train_order(self):
         ds = self._dataset()
-        stream = make_split_tasks(ds, [[0]], 8, seed=0)[0]
-        idx = np.flatnonzero(ds.labels == 0)
-        idx = idx[np.random.default_rng(0).permutation(len(idx))]
-        np.testing.assert_array_equal(stream.inputs, ds.inputs[idx])
-        np.testing.assert_array_equal(stream.labels, ds.labels[idx])
+        tasks = self._split(ds)
+        rows = np.isin(ds.labels, self.SCHEDULE[0])
+        np.testing.assert_array_equal(tasks.pretrain_inputs, ds.inputs[rows])
+        np.testing.assert_array_equal(tasks.pretrain_labels, ds.labels[rows])
+
+    def test_rows_are_the_shuffled_class_rows(self):
+        """Stream t is ``rng.permutation`` of its rows, drawn after the
+        permutations of timesteps 0 to t - 1."""
+        ds = self._dataset()
+        tasks = self._split(ds, seed=4)
+        rng = np.random.default_rng(4)
+        for t, classes in enumerate(self.SCHEDULE):
+            idx = rng.permutation(np.flatnonzero(np.isin(ds.labels, classes)))
+            if t:
+                np.testing.assert_array_equal(tasks.streams[t - 1].inputs, ds.inputs[idx])
+                np.testing.assert_array_equal(tasks.streams[t - 1].labels, ds.labels[idx])
 
     def test_deterministic_order(self):
         ds = self._dataset()
-        a = make_split_tasks(ds, [[0, 1]], 8, seed=3)
-        b = make_split_tasks(ds, [[0, 1]], 8, seed=3)
-        np.testing.assert_array_equal(a[0].inputs, b[0].inputs)
+        a, b = self._split(ds, seed=3), self._split(ds, seed=3)
+        np.testing.assert_array_equal(a.pretrain_inputs, b.pretrain_inputs)
+        for x, y in zip(a.streams, b.streams):
+            np.testing.assert_array_equal(x.inputs, y.inputs)
+            np.testing.assert_array_equal(x.labels, y.labels)
 
 
 class TestStream:
