@@ -2,7 +2,8 @@
 export, dataset generation, and checkpoint evaluation.
 
 Exit codes: 0 success, 1 run failure (IO/numeric), 2 configuration error.
-Flags override config keys; BOWL_OUTPUT_DIR overrides the output directory.
+``--set`` overrides config keys; ``--output-dir`` overrides ``run.output_dir``
+for the subcommands that write there (run, ablate, ood-hist).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .ood import (batch_ood_score, export_score_csv, predictive_entropy_per_samp
 from .serialization import FormatError, atomic_write_text
 from .stream import DatasetFile, save_dataset, synth_generate
 
-OUTPUT_DIR_ENV = "BOWL_OUTPUT_DIR"
-
 
 def _flag(parse):
     """A config value parser as a flag type: a bad value exits 2, naming the
@@ -48,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a run configuration file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="override a config key")
-        p.add_argument("--output-dir", default=None, help="override the output directory")
 
     run_p = sub.add_parser("run", help="execute one experiment")
     add_common(run_p)
@@ -79,6 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--checkpoint", required=True)
     eval_p.add_argument("--dataset", required=True)
 
+    for writer in (run_p, ablate_p, hist_p):  # eval writes nothing
+        writer.add_argument("--output-dir", default=None, help="override run.output_dir")
     return parser
 
 
@@ -89,11 +89,7 @@ def _load_config(path: str, overrides) -> RunConfig:
 
 
 def _resolve_outdir(args, cfg: RunConfig) -> str:
-    if args.output_dir:
-        return args.output_dir
-    if os.environ.get(OUTPUT_DIR_ENV):
-        return os.environ[OUTPUT_DIR_ENV]
-    return str(cfg["run.output_dir"])
+    return args.output_dir or str(cfg["run.output_dir"])
 
 
 def _restore_network(cfg: RunConfig, checkpoint: str) -> Network:

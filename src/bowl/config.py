@@ -7,6 +7,7 @@ randomness derives from the single ``run.seed`` through named substreams.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -59,6 +60,16 @@ _NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) & (v 
 _FRACTION = _checked(float, "in [0, 1]", lambda v: (v >= 0) & (v <= 1))
 
 
+def _parse_seeds(raw: str) -> list[int]:
+    """Seeds >= 0, each listed once: a repeated seed would weigh twice in
+    the ablation means."""
+    seeds = _at_least(0, _parse_int_list)(raw)
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"seeds {repeated} listed more than once, got {raw.strip()!r}")
+    return seeds
+
+
 def _parse_schedule(raw: str) -> list[list[int]]:
     schedule = [_parse_int_list(part) for part in raw.split("|")]
     if any(not classes for classes in schedule):
@@ -83,7 +94,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "variant": (_choice(tuple(VARIANTS)), "full"),
         "seed": (_at_least(0), 0),
-        "seeds": (_at_least(0, _parse_int_list), None),  # ablation sweeps; defaults to [seed]
+        "seeds": (_parse_seeds, None),  # ablation sweeps; defaults to [seed]
         "output_dir": (str, "runs/out"),
     },
     "network": {
@@ -138,6 +149,11 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
+# Each file path key and the source key under which a run reads it.
+_PATH_SOURCES = {"data.train_path": "data.source", "data.test_path": "data.source",
+                 "mix.foreign_path": "mix.foreign_source"}
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str, str]]:
     """Raw section/key/value strings with strict validation against the schema."""
     raw: dict[str, dict[str, str]] = {}
@@ -188,8 +204,13 @@ class RunConfig:
         number of classes ``data.schedule`` names for a file source), and the
         cross-key rules, before any data is built: mix fractions sum to <= 1;
         generated sets have simplex-vertex class means (train width >=
-        classes); the schedule names generated classes; [loop] is valid."""
+        classes); the schedule names generated classes; a path key is set
+        only under its file source; [loop] is valid."""
         d, m = self.values["data"], self.values["mix"]
+        for path_key, source_key in _PATH_SOURCES.items():
+            if self[path_key] is not None and self[source_key] != "file":
+                raise ConfigError(f"{path_key} is set but {source_key} is "
+                                  f"{self[source_key]}: the run would not read it")
         if m["corrupted_fraction"] + m["ood_fraction"] > 1:
             raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} + "
                               f"mix.ood_fraction {m['ood_fraction']} exceeds 1")
@@ -251,11 +272,13 @@ class RunConfig:
         return np.random.SeedSequence([seed, 1]).generate_state(5)
 
     def _path(self, dotted: str) -> str:
-        """The file path under key ``dotted``, which a file source requires."""
-        if self[dotted] is None:
-            source = "data.source" if dotted.startswith("data.") else "mix.foreign_source"
-            raise ConfigError(f"{source}=file requires {dotted}")
-        return self[dotted]
+        """The file under key ``dotted``, which its file source requires."""
+        path = self[dotted]
+        if path is None:
+            raise ConfigError(f"{_PATH_SOURCES[dotted]}=file requires {dotted}")
+        if not os.path.isfile(path):
+            raise ConfigError(f"{dotted} {path!r} is not a file")
+        return path
 
     def _checked_path(self, dotted: str) -> str:
         """The path under ``dotted`` once its header shows rows of the train width."""

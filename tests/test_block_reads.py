@@ -185,9 +185,9 @@ class TestRowBlocks:
 def _run_config(tmp, files, extra=()):
     config = _write(tmp, "run.cfg", CONFIG.format(dims=DIMS))
     sets = ["data.source=file", f"data.train_path={files['train']}",
-            f"data.test_path={files['test']}", *extra]
-    return [config, "--output-dir", os.path.join(tmp, "out"),
-            *(flag for s in sets for flag in ("--set", s))]
+            f"data.test_path={files['test']}", f"run.output_dir={os.path.join(tmp, 'out')}",
+            *extra]
+    return [config, *(flag for s in sets for flag in ("--set", s))]
 
 
 def _sets(tmp, sets):
@@ -295,8 +295,9 @@ class TestCheckedAtLoad:
             argv = ["eval", config, "--dataset", empty]
         else:
             sets = {"--in-set": good, "--out-set": good, flag: empty}
-            argv = ["ood-hist", config, *(f for item in sets.items() for f in item)]
-        assert main([*argv, "--checkpoint", checkpoint, "--output-dir", outdir]) == 1
+            argv = ["ood-hist", config, *(f for item in sets.items() for f in item),
+                    "--output-dir", outdir]
+        assert main([*argv, "--checkpoint", checkpoint]) == 1
         assert capsys.readouterr().err == f"error: {flag} {empty!r} holds no rows\n"
         assert not os.path.exists(outdir)
 

@@ -269,12 +269,65 @@ class TestRun:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/run.cfg"]) == 2
 
-    def test_env_var_overrides_output_dir(self, config_path, tmp_path, monkeypatch):
-        path, _ = config_path()
+    def test_environment_does_not_move_the_output_dir(self, config_path, tmp_path,
+                                                      monkeypatch):
+        """The output directory is --output-dir, else run.output_dir; no
+        environment variable overrides it."""
+        path, outdir = config_path()
         env_dir = str(tmp_path / "env_out")
         monkeypatch.setenv("BOWL_OUTPUT_DIR", env_dir)
         assert main(["run", path]) == 0
-        assert os.path.exists(os.path.join(env_dir, "summary.txt"))
+        assert os.path.exists(os.path.join(outdir, "summary.txt"))
+        assert not os.path.exists(env_dir)
+
+    @pytest.mark.parametrize("sets, keys", [
+        (["data.train_path=@set"], ["data.train_path", "data.source"]),
+        (["data.test_path=@set"], ["data.test_path", "data.source"]),
+        (["mix.ood_fraction=0.25", "mix.foreign_path=@set"],
+         ["mix.foreign_path", "mix.foreign_source"]),
+        (["data.source=file", "data.train_path=@set", "data.test_path=@set",
+          "mix.ood_fraction=0.25", "mix.foreign_path=@set"],
+         ["mix.foreign_path", "mix.foreign_source"]),
+    ])
+    def test_path_key_without_its_file_source_exits_2(self, config_path, tmp_path, capsys,
+                                                      sets, keys):
+        """A path the run would not read (its source is synthetic) is refused
+        at load, naming the path key and the source key, before any data is
+        built."""
+        data = self._write_sets(tmp_path, [("set", 8, 48, 1)])["set"]
+        path, outdir = config_path()
+        argv = ["run", path, *(f for s in sets for f in ("--set", s.replace("@set", data)))]
+        with mock.patch.object(config_mod, "synth_generate") as generate, \
+                mock.patch.object(config_mod, "load_dataset") as load:
+            assert main(argv) == 2
+        assert not (generate.called or load.called) and not os.path.exists(outdir)
+        err = capsys.readouterr().err
+        assert err == (f"config error: {keys[0]} is set but {keys[1]} is synthetic: "
+                       f"the run would not read it\n"), err
+
+    @pytest.mark.parametrize("key", ["data.train_path", "data.test_path", "mix.foreign_path"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_data_path_that_is_not_a_file_exits_2(self, config_path, tmp_path, capsys,
+                                                  key, kind):
+        """A config data path that names no file exits 2, naming the key and
+        the path, before the file is read, any training or any output."""
+        files = self._write_sets(tmp_path, [("train", 8, 96, 1), ("test", 8, 48, 2),
+                                            ("foreign", 8, 24, 3)])
+        bad = str(tmp_path / "missing.bnt") if kind == "missing" else str(tmp_path)
+        paths = {"data.train_path": files["train"], "data.test_path": files["test"],
+                 "mix.foreign_path": files["foreign"], key: bad}
+        path, outdir = config_path()
+        sets = ["data.source=file", "mix.ood_fraction=0.25", "mix.foreign_source=file",
+                *(f"{k}={v}" for k, v in paths.items())]
+        with mock.patch.object(config_mod, "load_dataset",
+                               side_effect=config_mod.load_dataset) as load, \
+                mock.patch.object(cli, "run_variant") as run_variant:
+            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+        assert bad not in [call.args[0] for call in load.call_args_list]
+        assert not run_variant.called and not os.path.exists(outdir)
+        if key != "mix.foreign_path":  # the foreign file is checked after these load
+            assert not load.called
+        assert capsys.readouterr().err == f"config error: {key} {bad!r} is not a file\n"
 
     def test_set_flag_overrides_key(self, config_path, capsys):
         path, outdir = config_path()
@@ -396,8 +449,9 @@ SETS = st.lists(st.sampled_from([
     "data.source=file;data.train_path=@dataset",
     "data.source=file;data.train_path=@dataset;data.test_path=@no_rows"]), max_size=2).map(
         lambda items: [t for item in items for s in item.split(";") for t in ("--set", s)])
-COMMON = (_path("@config").map(lambda p: [p]),
-          _path("@out").map(lambda p: ["--output-dir", p]), SETS)
+CONFIG = _path("@config").map(lambda p: [p])
+# eval writes nothing and takes no --output-dir.
+COMMON = (CONFIG, _path("@out").map(lambda p: ["--output-dir", p]), SETS)
 ROWS = _path("@dataset", "@dataset", "@no_rows")
 CHECKPOINT = _flag("--checkpoint", _path("@checkpoint", "@dataset"))
 GEN_VALUES = st.sampled_from(["3", "3", "1", "0", "-1", "nan", "inf", "x"])
@@ -408,7 +462,7 @@ ARGV = st.tuples(st.one_of(
     _argv("gen-data", *(_flag(f"--{name}", GEN_VALUES)
                         for name in ("classes", "dims", "separation", "std", "n")),
           _flag("--out", _path("@new"))),
-    _argv("eval", *COMMON, CHECKPOINT, _flag("--dataset", ROWS))),
+    _argv("eval", CONFIG, SETS, CHECKPOINT, _flag("--dataset", ROWS))),
     st.integers(0, 9)).map(lambda drawn: drawn[0] + ["--bogus"] * (drawn[1] == 9))
 
 
@@ -502,6 +556,14 @@ class TestExitCodes:
     def test_help_returns_0(self, argv, capsys):
         assert main(argv) == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_eval_takes_no_output_dir(self, tmp_path, capsys):
+        """eval writes nothing, so it has no --output-dir to ignore."""
+        outdir = str(tmp_path / "out")
+        assert main(["eval", "x.cfg", "--checkpoint", "c.bnt", "--dataset", "d.bnt",
+                     "--output-dir", outdir]) == 2
+        assert "unrecognized arguments: --output-dir" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_config_path_that_is_a_directory(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 2
@@ -769,6 +831,19 @@ class TestAblate:
                                        "report.csv", "summary.txt"]
                 assert run == {name: grids[0][os.path.join(f"{variant}_seed{seed}", name)]
                                for name in run}, (variant, seed)
+
+    @pytest.mark.parametrize("seeds, repeated", [("0,0", [0]), ("1,0,1", [1])])
+    def test_seed_listed_twice_exits_2(self, config_path, capsys, seeds, repeated):
+        """A repeated seed would weigh twice in ablation.csv's means; it is
+        refused at load, naming the key and the seeds, before any data."""
+        path, outdir = config_path()
+        with mock.patch.object(config_mod, "synth_generate") as generate, \
+                mock.patch.object(config_mod, "load_dataset") as load:
+            assert main(["ablate", path, "--set", f"run.seeds={seeds}"]) == 2
+        assert not (generate.called or load.called) and not os.path.exists(outdir)
+        assert capsys.readouterr().err == (
+            f"config error: bad value for run.seeds: seeds {repeated} listed more than "
+            f"once, got {seeds!r}\n")
 
     def test_tasks_built_once_per_seed(self, config_path, monkeypatch):
         seeds = []
