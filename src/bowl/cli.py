@@ -93,8 +93,8 @@ def _resolve_outdir(args, cfg: RunConfig) -> str:
 
 
 def _restore_network(cfg: RunConfig, checkpoint: str) -> Network:
-    class_ids, state = read_checkpoint(checkpoint)
-    net = cfg.build_network(class_ids=class_ids)
+    state = read_checkpoint(checkpoint)
+    net = cfg.build_network(class_ids=state["head.class_ids"])
     net.load_state_dict(state)
     return net
 

@@ -335,16 +335,32 @@ class RunConfig:
         return MixSpec(m["corrupted_fraction"], m["ood_fraction"], m["corruption"],
                        m["severity"], self.foreign_dataset(seed))
 
+    def _check_corruptible(self, train: Dataset) -> None:
+        """Corruption maps [0, 1] to [0, 1], so the rows mixing may corrupt, the
+        train rows of every class after the pretraining group, must lie there."""
+        d = self.values["data"]
+        if self["mix.corrupted_fraction"] <= 0:
+            return
+        later = np.isin(train.labels, [c for group in d["schedule"][1:] for c in group])
+        where = later[:, None]  # a mask, so no rows are copied
+        if (train.inputs.min(where=where, initial=0.0) < 0.0
+                or train.inputs.max(where=where, initial=1.0) > 1.0):
+            origin = ("data.clip_unit = false" if d["source"] == "synthetic"
+                      else f"data.train_path {d['train_path']!r}")
+            raise ConfigError(f"mix.corrupted_fraction {self['mix.corrupted_fraction']} "
+                              f"corrupts rows in [0, 1], but the classes after the first "
+                              f"data.schedule group have rows outside it ({origin})")
+
     def build_tasks(self, seed: int | None = None) -> SplitTasks:
         seed = self.seed if seed is None else seed
         train, test = self.train_test_datasets(seed)
+        self._check_corruptible(train)
         split_seed = int(self._data_seeds(seed)[2])
         return split_experiment(train, test, self["data.schedule"],
                                 self["loop.ood_batch_size"], split_seed,
                                 self.mix_spec(seed))
 
-    def build_network(self, seed: int | None = None,
-                      class_ids: list[int] | None = None) -> Network:
+    def build_network(self, seed: int | None = None, class_ids=None) -> Network:
         seed = self.seed if seed is None else seed
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         if class_ids is None:

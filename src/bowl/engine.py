@@ -33,7 +33,7 @@ import math
 import warnings
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,13 +158,13 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
 def count_correct(net: Network, inputs: np.ndarray, labels: np.ndarray) -> int:
     """Rows whose argmax prediction is their label."""
     logits = eval_rows(net, inputs)[0]
-    preds = np.asarray(net.class_ids, dtype=np.int64)[np.argmax(logits, axis=1)]
+    preds = net.class_ids[np.argmax(logits, axis=1)]
     return int((preds == labels).sum())
 
 
 def _evaluate_discovered(net: Network, tasks: SplitTasks) -> float:
     """Accuracy on the test samples of every class discovered so far."""
-    known = np.isin(tasks.test_labels, np.asarray(net.class_ids, dtype=np.int64))
+    known = np.isin(tasks.test_labels, net.class_ids)
     return evaluate(net, tasks.test_inputs[known], tasks.test_labels[known])
 
 
@@ -189,8 +189,8 @@ def _rng_for(seed: int, purpose: int) -> np.random.Generator:
 
 def _discover_classes(net: Network, labels, rng: np.random.Generator) -> int:
     """Expand the head for labels not seen before; returns how many were new."""
-    novel = sorted(set(labels) - set(net.class_ids))
-    if novel:
+    novel = np.setdiff1d(labels, net.class_ids)  # sorted
+    if len(novel):
         expand_head(net, novel, rng)
     return len(novel)
 
@@ -265,9 +265,8 @@ def _balanced_fill(buffer: MemoryBuffer, rows: SampleSet, net: Network,
         source[slot] = i
         counts[label] += 1
         inserted.append(int(rows.ids[i]))
-    fresh = replace(rows, entropy=np.zeros(len(rows)))
     index = np.where(source[:n] >= 0, len(buffer) + source[:n], np.arange(n))
-    return MemoryBuffer(buffer.capacity, buffer.entries.concat(fresh).subset(index)), inserted
+    return MemoryBuffer(buffer.capacity, buffer.entries.concat(rows).subset(index)), inserted
 
 
 @dataclass(frozen=True)
@@ -302,11 +301,18 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
     rng_query = _rng_for(config.seed, 6)
     rng_expand = _rng_for(config.seed, 7)
 
+    # tau resamples the buffer, and no buffer is smaller than the first one.
+    n_pretrain = len(tasks.pretrain_labels)
+    first_buffer = min(config.buffer_capacity, n_pretrain)
+    if stages.ood_filter and first_buffer < config.bootstrap.bootstrap_size:
+        raise ValueError(f"the first buffer, min(buffer_capacity {config.buffer_capacity}, "
+                         f"{n_pretrain} pretraining rows) = {first_buffer}, is below the "
+                         f"bootstrap size {config.bootstrap.bootstrap_size}")
     opt = SgdOptimizer(config.learning_rate, config.momentum, config.weight_decay)
     report = RunReport(variant=variant, seed=config.seed)
 
     # A divergence anywhere, pretraining included, ends the run with the
-    # report as far as it got.
+    # report as far as it got: a non-finite loss, or a NaN or +inf tau.
     try:
         # Timestep 0: traditional supervised pretraining on the first task.
         _train_supervised(net, tasks.pretrain_inputs, tasks.pretrain_labels, opt,
@@ -316,16 +322,16 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
 
         # A uniform sample of the pretraining data: the replay buffer's start, and
         # the frozen tau reference of a variant without a memory policy.
-        n_pretrain = int(tasks.pretrain_inputs.shape[0])
         buffer = init_buffer(tasks.pretrain_inputs, tasks.pretrain_labels,
-                             config.buffer_capacity, net, rng_buffer,
-                             ids=np.arange(n_pretrain))
+                             config.buffer_capacity, net, rng_buffer)
         next_id = n_pretrain
 
         for t, stream in enumerate(tasks.streams, start=1):
             if stages.ood_filter:
                 tau = bootstrap_threshold(net, buffer.inputs_matrix(), config.bootstrap,
                                           rng_bootstrap)
+                if math.isnan(tau) or tau == math.inf:  # the buffer's eta1 overflowed
+                    raise NonFiniteLossError(f"tau diverged: {tau}")
                 accepted = filter_stream(net, stream, tau).accepted
             else:
                 tau, accepted = float("nan"), np.arange(len(stream))

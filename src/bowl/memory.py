@@ -19,7 +19,7 @@ from .samples import SampleSet
 
 
 class MemoryBuffer:
-    """At most ``capacity`` labeled rows, each with its entropy cached at insertion."""
+    """At most ``capacity`` labeled rows, with cached entropies where gamma_m ranks them."""
 
     def __init__(self, capacity: int, entries: SampleSet):
         if capacity < 1:
@@ -27,8 +27,6 @@ class MemoryBuffer:
         self.capacity = capacity
         if len(entries) > capacity:
             raise ValueError("initial entries exceed capacity")
-        if entries.entropy is None:
-            raise ValueError("buffer entries need cached entropies")
         self.entries = entries
 
     def __len__(self) -> int:
@@ -67,10 +65,10 @@ def init_buffer(inputs: np.ndarray, labels: np.ndarray, capacity: int,
 
 @dataclass
 class MemoryScores:
-    """gamma_m and (cached or fresh) entropy per candidate, buffer first."""
+    """gamma_m per candidate, and the candidates (buffer first) with their entropies."""
 
     gamma: np.ndarray
-    entropy: np.ndarray
+    candidates: SampleSet
     n_buffer: int
 
 
@@ -81,12 +79,14 @@ def memory_scores(buffer: MemoryBuffer, queried: SampleSet, net: Network) -> Mem
     with H taken from the entry cache for existing members and computed fresh
     for queried samples. Degenerate H = -inf candidates score -inf.
     """
-    candidates = buffer.entries.concat(queried)
+    if buffer.entries.entropy is None:
+        raise ValueError("buffer entries need cached entropies")
+    fresh = replace(queried, entropy=sample_entropies(net, queried.inputs))
+    candidates = buffer.entries.concat(fresh)
     if not len(candidates):
         raise ValueError("no candidates to score")
-    entropy = np.concatenate([buffer.entries.entropy, sample_entropies(net, queried.inputs)])
-    gamma = gamma_score(entropy, 1.0 - mean_pairwise_cosine(candidates.inputs))
-    return MemoryScores(gamma=gamma, entropy=entropy, n_buffer=len(buffer))
+    gamma = gamma_score(candidates.entropy, 1.0 - mean_pairwise_cosine(candidates.inputs))
+    return MemoryScores(gamma=gamma, candidates=candidates, n_buffer=len(buffer))
 
 
 def update_buffer(buffer: MemoryBuffer, queried: SampleSet, scores: MemoryScores
@@ -98,10 +98,9 @@ def update_buffer(buffer: MemoryBuffer, queried: SampleSet, scores: MemoryScores
     (the per-update observed-data-point increment). With an empty queried
     set and a full candidate fit, the buffer passes through unchanged.
     """
-    n_buffer = scores.n_buffer
-    if n_buffer != len(buffer) or len(scores.gamma) != n_buffer + len(queried):
+    n_buffer, candidates = scores.n_buffer, scores.candidates
+    if n_buffer != len(buffer) or len(candidates) != n_buffer + len(queried):
         raise ValueError("scores do not cover buffer + queried")
-    candidates = replace(buffer.entries.concat(queried), entropy=scores.entropy)
     keep = np.sort(np.lexsort((candidates.ids, -scores.gamma))[:buffer.capacity])
     inserted = candidates.ids[keep[keep >= n_buffer]].tolist()
     return MemoryBuffer(buffer.capacity, candidates.subset(keep)), inserted

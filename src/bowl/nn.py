@@ -25,7 +25,7 @@ from .serialization import FormatError, read_tensors, write_tensors
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training produced a NaN/inf loss; the run must abort."""
+    """Training diverged (a NaN/inf loss, or a NaN/+inf tau); the run must abort."""
 
 
 class Param:
@@ -182,13 +182,14 @@ class Network:
     docstring); ``copy.deepcopy`` and pickling rebuild it for the copy.
     """
 
-    def __init__(self, layers: list, head: Dense, class_ids: list[int] | None = None):
+    def __init__(self, layers: list, head: Dense, class_ids=None):
         if not any(isinstance(l, BatchNorm) for l in layers):
             raise ValueError("network requires at least one batch-norm layer")
         self.layers = layers
         self.head = head
-        self.class_ids = list(class_ids) if class_ids is not None else list(range(head.out_dim))
-        if len(self.class_ids) != head.out_dim:
+        ids = range(head.out_dim) if class_ids is None else class_ids
+        self.class_ids = np.array(ids, dtype=np.int64)  # one per head row
+        if self.class_ids.shape != (head.out_dim,):
             raise ValueError("class_ids length must match head width")
         self.in_dim = next((l.in_dim for l in layers if isinstance(l, Dense)), head.in_dim)
         # Batch-norm entries per row: the dimension d of the eta1 score.
@@ -232,11 +233,10 @@ class Network:
 
     def head_rows(self, labels: np.ndarray) -> np.ndarray:
         """Head-row index of every label; each label must be a known class."""
-        class_ids = np.asarray(self.class_ids, dtype=np.int64)
-        order = np.argsort(class_ids)
-        pos = np.searchsorted(class_ids, labels, sorter=order)
+        order = np.argsort(self.class_ids)
+        pos = np.searchsorted(self.class_ids, labels, sorter=order)
         rows = order[np.minimum(pos, len(order) - 1)]
-        if not np.array_equal(class_ids[rows], labels):
+        if not np.array_equal(self.class_ids[rows], labels):
             raise ValueError("label outside the head's classes")
         return rows
 
@@ -274,7 +274,7 @@ class Network:
             if isinstance(layer, BatchNorm):
                 state[f"layer{i}.running_mean"] = layer.running_mean
                 state[f"layer{i}.running_var"] = layer.running_var
-        state["head.class_ids"] = np.asarray(self.class_ids, dtype=np.uint32)
+        state["head.class_ids"] = self.class_ids.astype(np.uint32)
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -289,13 +289,13 @@ class Network:
                                  f"{state[name].shape} vs {target.shape}")
             target[...] = state[name].astype(target.dtype)
         if "head.class_ids" in state:
-            self.class_ids = [int(c) for c in state["head.class_ids"]]
+            self.class_ids = state["head.class_ids"].astype(np.int64)
 
 
 def build_mlp(in_dim: int, hidden: list[int], n_classes: int,
               rng: np.random.Generator, eps: float = 1e-5,
               stat_momentum: float = 0.1, dtype=np.float32,
-              class_ids: list[int] | None = None) -> Network:
+              class_ids=None) -> Network:
     """Dense -> BatchNorm -> ReLU stack for each hidden width, then a head."""
     if not hidden:
         raise ValueError("need at least one hidden layer to host batch norm")
@@ -445,7 +445,7 @@ def train_one_epoch(net: Network, inputs: np.ndarray, labels: np.ndarray,
     return steps, total_loss / steps
 
 
-def expand_head(net: Network, new_class_ids: list[int], rng: np.random.Generator) -> Network:
+def expand_head(net: Network, new_class_ids, rng: np.random.Generator) -> Network:
     """Grow the output head by a row per class in ``new_class_ids``, keeping old
     rows bit-identical.
 
@@ -462,7 +462,7 @@ def expand_head(net: Network, new_class_ids: list[int], rng: np.random.Generator
     head.weight = Param(np.concatenate([head.weight.data, new_cols], axis=1))
     head.bias = Param(np.concatenate([head.bias.data, np.zeros(n_new, dtype=dtype)]))
     net._build_arena()
-    net.class_ids.extend(int(c) for c in new_class_ids)
+    net.class_ids = np.append(net.class_ids, new_class_ids)
     return net
 
 
@@ -470,12 +470,12 @@ def save_checkpoint(net: Network, path: str) -> None:
     write_tensors(path, {k: _as_storable(v) for k, v in net.state_dict().items()})
 
 
-def read_checkpoint(path: str) -> tuple[list[int], dict[str, np.ndarray]]:
-    """A checkpoint's head class ids and all its tensors, from one read."""
+def read_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """All of a checkpoint's tensors, ``head.class_ids`` among them, from one read."""
     state = read_tensors(path)
     if "head.class_ids" not in state:
         raise FormatError(f"checkpoint {path!r} has no tensor 'head.class_ids'")
-    return [int(c) for c in state["head.class_ids"]], state
+    return state
 
 
 def _as_storable(array: np.ndarray) -> np.ndarray:

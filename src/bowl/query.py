@@ -19,8 +19,8 @@ class CandidatePool:
     """Accepted stream samples awaiting query; labels stay hidden until queried.
 
     Label access is funneled through ``take`` (counted oracle reveals) and
-    ``peek_unique_labels`` (class discovery for head expansion, logged as
-    oracle metadata rather than observed data).
+    ``peek_unique_labels`` (the classes present, for head expansion; counted
+    neither as reveals nor as observed data).
     """
 
     def __init__(self):
@@ -40,9 +40,9 @@ class CandidatePool:
     def inputs_matrix(self) -> np.ndarray:
         return self._samples.inputs
 
-    def peek_unique_labels(self) -> list[int]:
+    def peek_unique_labels(self) -> np.ndarray:
         labels = np.unique(self._samples.labels)
-        return labels[labels != SENTINEL_LABEL].tolist()
+        return labels[labels != SENTINEL_LABEL]
 
     def take(self, index) -> SampleSet:
         """Remove the rows at ``index`` (positions, returned in the order given,

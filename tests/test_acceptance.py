@@ -243,7 +243,8 @@ class TestCriterion6:
                             np.arange(n_buf, n_buf + n_new))
         gamma = rng.normal(size=n_buf + n_new)
         gamma[rng.choice(n_buf + n_new, 400, replace=False)] = 0.5
-        scores = MemoryScores(gamma=gamma, entropy=np.ones(n_buf + n_new), n_buffer=n_buf)
+        scores = MemoryScores(gamma=gamma, candidates=buf.entries.concat(queried),
+                              n_buffer=n_buf)
         new_buf, _ = update_buffer(buf, queried, scores)
         oracle = sorted(range(n_buf + n_new), key=lambda i: (-gamma[i], i))[:capacity]
         buffer_ok = sorted(new_buf.ids()) == sorted(oracle)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bowl.config as config_mod
+import bowl.engine as engine_mod
 from bowl import cli
 from bowl.cli import main
 from bowl.config import SCHEMA, load_run_config
@@ -329,6 +330,28 @@ class TestRun:
             assert not load.called
         assert capsys.readouterr().err == f"config error: {key} {bad!r} is not a file\n"
 
+    @pytest.mark.parametrize("before, after, sets, message", [
+        # BASE_CONFIG's lines, a blank line, then the section header.
+        ("", "\n[warp]\n", [], f":{len(BASE_CONFIG.splitlines()) + 2}: unknown section [warp]"),
+        ("", "\n[loop]\nwarp_speed\n", [],
+         f":{len(BASE_CONFIG.splitlines()) + 3}: expected 'key = value', got 'warp_speed'"),
+        ("seed = 1\n", "", [], ":1: key outside any [section]"),
+        ("", "", ["loop.minibatch_size"],
+         "override must look like section.key=value, got 'loop.minibatch_size'"),
+        ("", "", ["data.schedule=0,1 | | 2"],
+         "bad value for data.schedule: schedule timesteps must be nonempty"),
+    ])
+    def test_malformed_config_exits_2(self, config_path, capsys, before, after, sets,
+                                      message):
+        """A config file line or a --set that does not parse exits 2 with its
+        message, before any data is built or directory made."""
+        path, outdir = config_path(body=before + BASE_CONFIG, extra=after)
+        with mock.patch.object(config_mod, "synth_generate") as generate:
+            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+        assert not generate.called and not os.path.exists(outdir)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(message + "\n"), err
+
     def test_set_flag_overrides_key(self, config_path, capsys):
         path, outdir = config_path()
         assert main(["run", path, "--set", "run.variant=finetune"]) == 0
@@ -338,6 +361,132 @@ class TestRun:
     def test_bad_override_target(self, config_path):
         path, _ = config_path()
         assert main(["run", path, "--set", "loop.warp=1"]) == 2
+
+
+# 4 dims, 3 classes, one class per timestep, 12 train rows per class.
+SMALL_CONFIG = """
+[run]
+output_dir = {outdir}
+[network]
+hidden = 8
+[loop]
+acquisition_batch = 8
+buffer_capacity = 20
+ood_batch_size = 4
+pretrain_epochs = 3
+minibatch_size = 8
+bootstrap_k = 10
+[data]
+n_classes = 3
+dims = 4
+train_per_class = 12
+test_per_class = 6
+schedule = 0 | 1 | 2
+"""
+FILTERING = [name for name, variant in VARIANTS.items() if variant.ood_filter]
+
+
+class TestSettingsARunCannotFinish:
+    """Settings that leave a run unable to finish end it in a defined way:
+    aborted like a diverged loss, or refused before any training."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("setting", ["optimizer.learning_rate=1e9",
+                                         "optimizer.momentum=1e9"])
+    def test_diverged_tau_aborts_the_run(self, config_path, capsys, setting):
+        """The batch-norm statistics overflow while the loss stays finite, so
+        tau is +inf: the run ends as aborted, with all four files and exit 1."""
+        path, outdir = config_path(body=SMALL_CONFIG)
+        assert main(["run", path, "--set", setting]) == 1
+        assert "run aborted: tau diverged: inf" in capsys.readouterr().err
+        assert sorted(os.listdir(outdir)) == ["buffer_composition.csv", "checkpoint.bnt",
+                                              "report.csv", "summary.txt"]
+        summary = open(os.path.join(outdir, "summary.txt")).read().splitlines()
+        assert "aborted=True" in summary and "timesteps=0" in summary
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_tau_lets_ablate_run_every_variant(self, config_path):
+        path, outdir = config_path(body=SMALL_CONFIG)
+        assert main(["ablate", path, "--set", "optimizer.learning_rate=1e9"]) == 1
+        for variant in VARIANTS:
+            summary = open(os.path.join(outdir, f"{variant}_seed0", "summary.txt")).read()
+            assert "aborted=True" in summary.splitlines(), variant
+        assert os.path.exists(os.path.join(outdir, "ablation.csv"))
+
+    @pytest.mark.parametrize("variant", FILTERING)
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_pretraining_set_below_the_bootstrap_size_exits_1_untrained(
+            self, config_path, capsys, monkeypatch, variant, rows):
+        """tau resamples the buffer, whose first and smallest size is
+        min(buffer_capacity, pretraining rows); below the bootstrap size (4)
+        a filtering variant is refused before pretraining."""
+        trained = []
+        monkeypatch.setattr(engine_mod, "_train_supervised",
+                            lambda *args: trained.append(1))
+        path, outdir = config_path(body=SMALL_CONFIG)
+        assert main(["run", path, "--set", f"data.train_per_class={rows}",
+                     "--set", f"run.variant={variant}"]) == 1
+        assert trained == [] and not os.path.exists(outdir)
+        assert capsys.readouterr().err == (
+            f"error: the first buffer, min(buffer_capacity 20, {rows} pretraining rows) "
+            f"= {rows}, is below the bootstrap size 4\n")
+
+    @pytest.mark.parametrize("variant", sorted(set(VARIANTS) - set(FILTERING)))
+    def test_pretraining_set_below_the_bootstrap_size_runs_without_a_filter(
+            self, config_path, variant):
+        path, outdir = config_path(body=SMALL_CONFIG)
+        assert main(["run", path, "--set", "data.train_per_class=1",
+                     "--set", f"run.variant={variant}"]) == 0
+        assert os.path.exists(os.path.join(outdir, "summary.txt"))
+
+    @staticmethod
+    def _train_file(tmp_path, outside: int) -> str:
+        """12 rows per class of SMALL_CONFIG's 4 dims, all 0.5 but class
+        ``outside``'s first column, 1.5."""
+        labels = np.repeat([0, 1, 2], 12)
+        inputs = np.full((36, 4), 0.5, dtype=np.float32)
+        inputs[labels == outside, 0] = 1.5
+        path = str(tmp_path / "train.bnt")
+        save_dataset(Dataset(inputs, labels), path)
+        return path
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_corrupting_rows_outside_the_unit_range_exits_2(self, config_path, tmp_path,
+                                                            capsys, source):
+        """Corruption maps [0, 1] to [0, 1]; stream rows outside it are refused
+        before any training, naming the setting that let them out."""
+        path, outdir = config_path(body=SMALL_CONFIG)
+        if source == "synthetic":
+            sets = ["data.clip_unit=false", "data.separation=3"]
+            origin = "data.clip_unit = false"
+        else:
+            train = self._train_file(tmp_path, outside=2)  # a stream class
+            sets = ["data.source=file", f"data.train_path={train}", f"data.test_path={train}"]
+            origin = f"data.train_path {train!r}"
+        sets.append("mix.corrupted_fraction=0.5")
+        with mock.patch.object(cli, "run_variant") as run_variant:
+            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+        assert not run_variant.called and not os.path.exists(outdir)
+        assert capsys.readouterr().err == (
+            f"config error: mix.corrupted_fraction 0.5 corrupts rows in [0, 1], but the "
+            f"classes after the first data.schedule group have rows outside it ({origin})\n")
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_stream_rows_in_the_unit_range_are_corrupted(self, config_path, tmp_path,
+                                                         source):
+        """Unclipped generated rows that lie in [0, 1] run, and so do
+        pretraining rows outside it, which mixing never corrupts."""
+        path, outdir = config_path(body=SMALL_CONFIG)
+        if source == "synthetic":
+            sets = ["data.clip_unit=false", "data.within_std=0.01"]
+        else:
+            train = self._train_file(tmp_path, outside=0)  # the pretraining class
+            sets = ["data.source=file", f"data.train_path={train}", f"data.test_path={train}"]
+        sets.append("mix.corrupted_fraction=0.5")
+        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 0
+        assert os.path.exists(os.path.join(outdir, "summary.txt"))
 
 
 TINY_CONFIG = """
@@ -689,8 +838,8 @@ class TestOodHist:
                      "--output-dir", hist_dir]) == 0
         monkeypatch.undo()
         assert len(calls) == 2 * chunks
-        class_ids, state = read_checkpoint(checkpoint)
-        net = load_run_config(path).build_network(class_ids=class_ids)
+        state = read_checkpoint(checkpoint)
+        net = load_run_config(path).build_network(class_ids=state["head.class_ids"])
         net.load_state_dict(state)
         chunk = 8 if granularity == "batch" else 512
         expected = []

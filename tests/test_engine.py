@@ -297,6 +297,46 @@ class TestVariants:
         assert len(comp) == 6
         assert max(counts) - min(counts) <= 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_balanced_buffer_fills_free_slots_then_balances(self, seed, monkeypatch):
+        """20 pretraining rows leave 30 of 50 slots free. Each fill appends rows
+        in its permutation's order while a slot is free and only then lets a
+        row replace a member of the largest class; the buffer holds every row
+        seen until it is full, and balanced classes after that."""
+        tasks = tiny_tasks(seed, npc=10)  # 20 rows per timestep
+        config = tiny_config(seed, buffer_capacity=50)
+        fill = engine_mod.VARIANTS["balanced_buffer"].memory
+        fills = []
+
+        def spy(buffer, rows, net, rng):
+            order = copy.deepcopy(rng).permutation(len(rows))  # the fill's first draw
+            new, inserted = fill(buffer, rows, net, rng)
+            fills.append((buffer.ids(), rows.ids[order].tolist(), new.ids(), inserted))
+            return new, inserted
+
+        monkeypatch.setitem(engine_mod.VARIANTS, "balanced_buffer", dataclasses.replace(
+            engine_mod.VARIANTS["balanced_buffer"], memory=spy))
+        rep = run_variant(tiny_net(seed), config, tasks, "balanced_buffer")
+        assert not rep.aborted and len(fills) == 2
+        for before, visited, after, inserted in fills:
+            free = config.buffer_capacity - len(before)
+            appended, replacing = inserted[:free], inserted[free:]
+            assert appended == visited[:free]
+            # Every slot holds what the fill put there, or a row that replaced it.
+            placed = before + appended
+            assert len(after) == len(placed)
+            assert all(a == p or a in replacing for a, p in zip(after, placed))
+        assert rep.tasks[0].buffer_composition == {c: 10 for c in range(4)}  # 40 < 50
+        seen = len(tasks.pretrain_labels)
+        for record, stream in zip(rep.tasks, tasks.streams):
+            seen += len(stream.labels)
+            counts = list(record.buffer_composition.values())
+            assert sum(counts) == min(config.buffer_capacity, seen)
+            if sum(counts) == config.buffer_capacity:
+                assert max(counts) - min(counts) <= 1
+        logged = [i for i, _ in rep.insert_log]
+        assert rep.odp == len(logged) == len(set(logged)) == sum(len(f[3]) for f in fills)
+
     def test_no_cl_never_builds_buffer(self):
         rep = run_variant(tiny_net(), tiny_config(), tiny_tasks(), "no_cl")
         assert all(t.buffer_composition == {} for t in rep.tasks)

@@ -97,8 +97,15 @@ class TestMemoryScores:
         scores = memory_scores(buf, queried, net)
         assert scores.n_buffer == 4
         assert len(scores.gamma) == 5
-        np.testing.assert_allclose(scores.entropy[:4], [0.1, 0.2, 0.3, 0.4])
-        assert np.isfinite(scores.entropy[4])
+        np.testing.assert_allclose(scores.candidates.entropy[:4], [0.1, 0.2, 0.3, 0.4])
+        assert np.isfinite(scores.candidates.entropy[4])
+
+    def test_buffer_without_cached_entropies_is_not_scored(self, net):
+        """Only gamma_m reads the entropies, so only its scoring needs them."""
+        rng = np.random.default_rng(11)
+        buf = MemoryBuffer(4, _queried(rng, 4, 0, 0))  # a balanced fill's buffer
+        with pytest.raises(ValueError, match="cached entropies"):
+            memory_scores(buf, _queried(rng, 2, 1, 10), net)
 
     def test_monotone_in_entropy_and_distinctness(self, net):
         # higher H and lower mean cosine implies strictly higher gamma
@@ -139,7 +146,7 @@ class TestUpdateBuffer:
         queried = _queried(rng, n_new, 0, n_buf)
         gamma = rng.normal(size=n_buf + n_new)
         gamma[rng.choice(n_buf + n_new, 500, replace=False)] = 0.25  # force ties
-        scores = MemoryScores(gamma=gamma, entropy=np.ones(n_buf + n_new),
+        scores = MemoryScores(gamma=gamma, candidates=buf.entries.concat(queried),
                               n_buffer=n_buf)
         new, inserted = update_buffer(buf, queried, scores)
         # oracle: python sort over (-gamma, id)

@@ -381,7 +381,8 @@ class TestExpandHead:
         net = build_mlp(4, [6], 2, rng, class_ids=[2, 5])
         expand_head(net, [0, 6], rng)
         assert net.n_classes == 4
-        assert net.class_ids == [2, 5, 0, 6]
+        assert net.class_ids.dtype == np.int64
+        assert net.class_ids.tolist() == [2, 5, 0, 6]
 
     def test_expand_by_zero_rejected(self):
         net = build_mlp(4, [6], 2, np.random.default_rng(0))
@@ -397,7 +398,7 @@ class TestExpandHead:
         with pytest.raises(ValueError, match="at least one"):
             expand_head(net, [], rng)
         assert net.n_classes == 2
-        assert net.class_ids == [0, 1]
+        assert net.class_ids.tolist() == [0, 1]
         np.testing.assert_array_equal(net.flat_params, params)
         np.testing.assert_array_equal(net.forward(x, False), logits)
 
@@ -423,9 +424,10 @@ class TestCheckpoint:
         path = str(tmp_path / "model.bnt")
         save_checkpoint(net, path)
         other = build_mlp(5, [7, 3], 4, np.random.default_rng(99))
-        class_ids, state = read_checkpoint(path)
+        state = read_checkpoint(path)
         other.load_state_dict(state)
-        assert class_ids == other.class_ids == [1, 3, 5, 7]
+        assert other.class_ids.dtype == np.int64
+        assert state["head.class_ids"].tolist() == other.class_ids.tolist() == [1, 3, 5, 7]
         for (n1, p1), (_, p2) in zip(net.named_parameters(), other.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
         a = net.forward(x, False)
@@ -501,7 +503,7 @@ class TestArena:
         assert_in_arena(net)
         path = str(tmp_path / "model.bnt")
         save_checkpoint(net, path)
-        net.load_state_dict(read_checkpoint(path)[1])
+        net.load_state_dict(read_checkpoint(path))
         assert_in_arena(net)
         for clone in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
             assert_in_arena(clone)

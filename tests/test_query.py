@@ -211,7 +211,7 @@ class TestSelectTop:
 class TestPoolLabelDiscipline:
     def test_peek_excludes_sentinel(self):
         pool = _pool_from(np.eye(3), labels=np.array([-1, 2, 2]))
-        assert pool.peek_unique_labels() == [2]
+        assert pool.peek_unique_labels().tolist() == [2]
         assert pool.oracle_reveals == 0
 
 
