@@ -101,9 +101,12 @@ def _restore_network(cfg: RunConfig, checkpoint: str) -> Network:
 
 def _run(cfg: RunConfig, seed: int, tasks, variant: str, outdir: str) -> RunReport:
     """Train the seed's network on ``tasks`` as ``variant`` and write the run's
-    report, summary, buffer composition and checkpoint to ``outdir``."""
+    report, summary, buffer composition and checkpoint to ``outdir``. A run
+    that diverges ends as aborted, so numpy's overflow warnings on the way
+    there are silenced."""
     net = cfg.build_network(seed)
-    report = run_variant(net, cfg.loop_config(seed), tasks, variant)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = run_variant(net, cfg.loop_config(seed), tasks, variant)
     os.makedirs(outdir, exist_ok=True)
     write_report_csv(report, os.path.join(outdir, "report.csv"))
     write_summary(report, os.path.join(outdir, "summary.txt"))

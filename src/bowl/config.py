@@ -204,8 +204,9 @@ class RunConfig:
         number of classes ``data.schedule`` names for a file source), and the
         cross-key rules, before any data is built: mix fractions sum to <= 1;
         generated sets have simplex-vertex class means (train width >=
-        classes); the schedule names generated classes; a path key is set
-        only under its file source; [loop] is valid."""
+        classes); the schedule names generated classes; generated rows that
+        may be corrupted are clipped into [0, 1]; a path key is set only
+        under its file source; [loop] is valid."""
         d, m = self.values["data"], self.values["mix"]
         for path_key, source_key in _PATH_SOURCES.items():
             if self[path_key] is not None and self[source_key] != "file":
@@ -226,6 +227,10 @@ class RunConfig:
             self._train_key = "data.dims"
             generated["data.n_classes"] = d["n_classes"]
             m["foreign_classes"] = m["foreign_classes"] or d["n_classes"]
+            if m["corrupted_fraction"] > 0 and not d["clip_unit"]:
+                raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} "
+                                  f"corrupts rows in [0, 1], which generated rows keep "
+                                  f"only with data.clip_unit = true")
         if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
             generated["mix.foreign_classes"] = m["foreign_classes"]
         for key, n_classes in generated.items():
@@ -335,30 +340,19 @@ class RunConfig:
         return MixSpec(m["corrupted_fraction"], m["ood_fraction"], m["corruption"],
                        m["severity"], self.foreign_dataset(seed))
 
-    def _check_corruptible(self, train: Dataset) -> None:
-        """Corruption maps [0, 1] to [0, 1], so the rows mixing may corrupt, the
-        train rows of every class after the pretraining group, must lie there."""
-        d = self.values["data"]
-        if self["mix.corrupted_fraction"] <= 0:
-            return
-        later = np.isin(train.labels, [c for group in d["schedule"][1:] for c in group])
-        where = later[:, None]  # a mask, so no rows are copied
-        if (train.inputs.min(where=where, initial=0.0) < 0.0
-                or train.inputs.max(where=where, initial=1.0) > 1.0):
-            origin = ("data.clip_unit = false" if d["source"] == "synthetic"
-                      else f"data.train_path {d['train_path']!r}")
-            raise ConfigError(f"mix.corrupted_fraction {self['mix.corrupted_fraction']} "
-                              f"corrupts rows in [0, 1], but the classes after the first "
-                              f"data.schedule group have rows outside it ({origin})")
-
     def build_tasks(self, seed: int | None = None) -> SplitTasks:
         seed = self.seed if seed is None else seed
         train, test = self.train_test_datasets(seed)
-        self._check_corruptible(train)
         split_seed = int(self._data_seeds(seed)[2])
-        return split_experiment(train, test, self["data.schedule"],
-                                self["loop.ood_batch_size"], split_seed,
-                                self.mix_spec(seed))
+        mix = self.mix_spec(seed)
+        try:
+            return split_experiment(train, test, self["data.schedule"],
+                                    self["loop.ood_batch_size"], split_seed, mix)
+        except ValueError as exc:  # mix_streams' [0, 1] rule; the load checked the rest
+            raise ConfigError(f"mix.corrupted_fraction {self['mix.corrupted_fraction']} "
+                              f"corrupts rows in [0, 1], but the classes after the first "
+                              f"data.schedule group have rows outside it "
+                              f"(data.train_path {self['data.train_path']!r})") from exc
 
     def build_network(self, seed: int | None = None, class_ids=None) -> Network:
         seed = self.seed if seed is None else seed

@@ -44,22 +44,20 @@ class MemoryBuffer:
 
 
 def init_buffer(inputs: np.ndarray, labels: np.ndarray, capacity: int,
-                net: Network, rng: np.random.Generator, ids=None) -> MemoryBuffer:
+                net: Network, rng: np.random.Generator) -> MemoryBuffer:
     """Fill a fresh buffer with a uniform random sample of the dataset.
 
     This is the one point where old training data is assumed available;
-    entropies are cached from the current (just-pretrained) model.
+    entropies are cached from the current (just-pretrained) model. An
+    entry's id is its row's position in ``inputs``.
     """
     inputs = np.asarray(inputs)
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("cannot initialize buffer from an empty dataset")
-    if ids is None:
-        ids = np.arange(n)
     chosen = np.sort(rng.choice(n, size=min(capacity, n), replace=False))
     rows = inputs[chosen]
-    entries = SampleSet(rows, np.asarray(labels)[chosen], np.asarray(ids)[chosen],
-                        sample_entropies(net, rows))
+    entries = SampleSet(rows, np.asarray(labels)[chosen], chosen, sample_entropies(net, rows))
     return MemoryBuffer(capacity, entries)
 
 

@@ -196,8 +196,13 @@ def mix_streams(stream: Stream, mix: MixSpec, seed: int) -> Stream:
     ``mix.corrupted_fraction`` and a foreign batch (sentinel labels) with
     probability ``mix.ood_fraction``; injected batches land at seeded random
     positions while the original batches keep their relative order. A stream
-    that draws no injection is returned as it is.
+    that draws no injection is returned as it is. With corruption on, every
+    row of the stream, each of which it may corrupt, must lie in [0, 1]:
+    before anything is drawn, a row outside it raises ValueError.
     """
+    x = stream.inputs
+    if mix.corrupted_fraction > 0 and x.size and (x.min() < 0.0 or x.max() > 1.0):
+        raise ValueError("corruption expects inputs in [0, 1]")
     rng = np.random.default_rng(seed)
     n = len(stream)
     bounds = np.cumsum(stream.sizes)[:-1]

@@ -3,6 +3,7 @@ blocks of ``BLOCK_VALUES`` values, and BNT1 files are written from and read
 into the arrays themselves. Outputs equal those of the one-shot formulas and
 of the joined encoding, byte for byte."""
 
+import os
 import struct
 import tracemalloc
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from bowl.nn import build_mlp, save_checkpoint
-from bowl.serialization import MAGIC, FormatError, read_tensors, write_tensors
+from bowl.serialization import (MAGIC, FormatError, atomic_write_bytes, read_tensors,
+                                write_tensors)
 from bowl.stream import (BLOCK_VALUES, Dataset, corrupt, load_dataset, save_dataset,
                          simplex_means, synth_generate)
 
@@ -144,6 +146,27 @@ class TestFormatErrors:
 
     def test_magic_alone_holds_no_tensors(self, tmp_path):
         assert read_tensors(_one_tensor_file(tmp_path, cut=4)) == {}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [b"old bytes", None])
+    def test_failed_write_leaves_the_directory_as_it_was(self, tmp_path, existing):
+        """A part that raises part-way propagates; the target keeps its old
+        bytes, or is not created, and no temp file is left."""
+        target = tmp_path / "out.bin"
+        if existing is not None:
+            target.write_bytes(existing)
+        before = sorted(os.listdir(tmp_path))
+
+        def parts():
+            yield b"first part"
+            raise RuntimeError("part failed")
+
+        with pytest.raises(RuntimeError, match="^part failed$"):
+            atomic_write_bytes(str(target), parts())
+        assert sorted(os.listdir(tmp_path)) == before
+        if existing is not None:
+            assert target.read_bytes() == existing
 
 
 def _peak_bytes(fn):

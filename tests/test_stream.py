@@ -240,6 +240,20 @@ class TestMixStreams:
         np.testing.assert_array_equal(mixed.inputs, np.concatenate([k[2] for k in keyed]))
         np.testing.assert_array_equal(mixed.labels, np.concatenate([k[3] for k in keyed]))
 
+    def test_corruption_refuses_any_row_outside_the_unit_range(self):
+        """Any row may be corrupted, so one outside [0, 1] is refused before a
+        draw, at every seed, even where the seed would corrupt no batch.
+        Without corruption the row is mixed as it is."""
+        stream = self._stream()
+        stream.inputs[-1, 0] = 1.5
+        for seed in range(5):
+            with pytest.raises(ValueError, match=r"^corruption expects inputs in \[0, 1\]$"):
+                mix_streams(stream, MixSpec(corrupted_fraction=1e-9), seed=seed)
+            mixed = mix_streams(stream, MixSpec(ood_fraction=0.5, foreign=self._foreign()),
+                                seed=seed)
+            clean = np.repeat(mixed.kinds == "clean", mixed.sizes)
+            np.testing.assert_array_equal(mixed.inputs[clean], stream.inputs)
+
     def test_fraction_sum_validated(self):
         """A mix is validated once, where its ``MixSpec`` is made."""
         with pytest.raises(ValueError, match="sum"):
