@@ -131,11 +131,14 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
     per_variant: dict[str, list[RunReport]] = {v: [] for v in VARIANTS}
-    for seed in cfg.seeds:
+    for seed in cfg["run.seeds"]:
         tasks = cfg.build_tasks(seed)  # shared: run_variant only reads it
         for variant in VARIANTS:
-            run_dir = os.path.join(outdir, f"{variant}_seed{seed}")
-            per_variant[variant].append(_run(cfg, seed, tasks, variant, run_dir))
+            name = f"{variant}_seed{seed}"
+            report = _run(cfg, seed, tasks, variant, os.path.join(outdir, name))
+            if report.aborted:
+                print(f"{name} aborted: {report.abort_reason}", file=sys.stderr)
+            per_variant[variant].append(report)
     # (name, format, getter): each gives the columns <name>_mean and <name>_std over seeds.
     n_tasks = len(cfg["data.schedule"]) - 1
     columns = [*((f"acc_t{t}", ".6f", lambda r, t=t: r.task_accuracies.get(t, math.nan))
@@ -152,7 +155,7 @@ def cmd_ablate(args) -> int:
         rows.append(cells)
     atomic_write_text(os.path.join(outdir, "ablation.csv"),
                       "".join(",".join(row) + "\n" for row in rows))
-    print(f"ablation grid ({len(VARIANTS)} variants x {len(cfg.seeds)} seeds) "
+    print(f"ablation grid ({len(VARIANTS)} variants x {len(cfg['run.seeds'])} seeds) "
           f"-> {outdir}/ablation.csv")
     return 1 if any(r.aborted for reports in per_variant.values() for r in reports) else 0
 

@@ -200,13 +200,15 @@ class RunConfig:
 
     def __post_init__(self):
         """The train width, read once (``data.dims`` or the train file's header),
-        the default of ``mix.foreign_classes`` (``data.n_classes``, or the
-        number of classes ``data.schedule`` names for a file source), and the
-        cross-key rules, before any data is built: mix fractions sum to <= 1;
-        generated sets have simplex-vertex class means (train width >=
-        classes); the schedule names generated classes; generated rows that
-        may be corrupted are clipped into [0, 1]; a path key is set only
-        under its file source; [loop] is valid."""
+        the defaults that name another setting (``mix.foreign_classes``:
+        ``data.n_classes``, or the number of classes ``data.schedule`` names
+        for a file source; ``run.seeds``: ``[run.seed]``;
+        ``loop.bootstrap_size``: ``loop.ood_batch_size``; ``mix.foreign_std``:
+        ``data.within_std``), and the cross-key rules, before any data is
+        built: mix fractions sum to <= 1; generated sets have simplex-vertex
+        class means (train width >= classes); the schedule names generated
+        classes; generated rows that may be corrupted are clipped into [0, 1];
+        a path key is set only under its file source; [loop] is valid."""
         d, m = self.values["data"], self.values["mix"]
         for path_key, source_key in _PATH_SOURCES.items():
             if self[path_key] is not None and self[source_key] != "file":
@@ -231,6 +233,10 @@ class RunConfig:
                 raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} "
                                   f"corrupts rows in [0, 1], which generated rows keep "
                                   f"only with data.clip_unit = true")
+        run, loop = self.values["run"], self.values["loop"]
+        run["seeds"] = run["seeds"] or [self.seed]
+        loop["bootstrap_size"] = loop["bootstrap_size"] or loop["ood_batch_size"]
+        m["foreign_std"] = d["within_std"] if m["foreign_std"] is None else m["foreign_std"]
         if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
             generated["mix.foreign_classes"] = m["foreign_classes"]
         for key, n_classes in generated.items():
@@ -253,10 +259,6 @@ class RunConfig:
     def seed(self) -> int:
         return int(self["run.seed"])
 
-    @property
-    def seeds(self) -> list[int]:
-        return list(self["run.seeds"]) if self["run.seeds"] is not None else [self.seed]
-
     def loop_config(self, seed: int | None = None) -> LoopConfig:
         """The loop's settings: the [loop] and [optimizer] keys named like a
         ``LoopConfig`` field, the bootstrap's three keys and the seed."""
@@ -265,8 +267,7 @@ class RunConfig:
         settings = {key: value for section in ("loop", "optimizer")
                     for key, value in self.values[section].items() if key in names}
         try:
-            bootstrap = ThresholdConfig(loop["bootstrap_k"],
-                                        loop["bootstrap_size"] or loop["ood_batch_size"],
+            bootstrap = ThresholdConfig(loop["bootstrap_k"], loop["bootstrap_size"],
                                         loop["bootstrap_alpha"])
             return LoopConfig(**settings, bootstrap=bootstrap,
                               seed=self.seed if seed is None else seed)
@@ -328,10 +329,9 @@ class RunConfig:
             return load_dataset(self._checked_path("mix.foreign_path"))
         foreign_seed = int(self._data_seeds(seed)[4])
         classes = m["foreign_classes"]
-        std = m["foreign_std"] if m["foreign_std"] is not None else d["within_std"]
         return synth_generate(classes, self.input_dim,
                               d["separation"] * m["foreign_separation_scale"],
-                              std, m["foreign_per_class"] * classes, foreign_seed)
+                              m["foreign_std"], m["foreign_per_class"] * classes, foreign_seed)
 
     def mix_spec(self, seed: int) -> MixSpec | None:
         m = self.values["mix"]

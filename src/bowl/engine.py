@@ -121,8 +121,11 @@ class RunReport:
     oracle_reveals: int = 0
     pretrain_steps: int = 0
     total_steps: int = 0
-    aborted: bool = False
-    abort_reason: str | None = None
+    abort_reason: str | None = None  # why a diverged run ended; None if it finished
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     @property
     def odp(self) -> int:
@@ -366,7 +369,6 @@ def run_variant(net: Network, config: LoopConfig, tasks: SplitTasks,
                 new_classes=n_new, head_width=net.n_classes,
                 buffer_composition={} if stages.memory is None else buffer.composition()))
     except NonFiniteLossError as exc:
-        report.aborted = True
         report.abort_reason = str(exc)
         if not report.task_accuracies:  # diverged during pretraining
             report.pretrain_steps = opt.step_count

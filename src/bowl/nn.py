@@ -57,8 +57,6 @@ class Dense:
         return self.weight.data.shape[1]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"dense layer expects {self.in_dim} inputs, got {x.shape[1]}")
         if train:
             self._x = x
         y = x @ self.weight.data
@@ -297,8 +295,6 @@ def build_mlp(in_dim: int, hidden: list[int], n_classes: int,
               stat_momentum: float = 0.1, dtype=np.float32,
               class_ids=None) -> Network:
     """Dense -> BatchNorm -> ReLU stack for each hidden width, then a head."""
-    if not hidden:
-        raise ValueError("need at least one hidden layer to host batch norm")
     layers: list = []
     prev = in_dim
     for width in hidden:

@@ -132,7 +132,5 @@ def select_top(pool: CandidatePool, scores: np.ndarray, acquisition_batch: int
     if len(pool) == 0:
         raise ValueError("cannot select from an empty pool")
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (len(pool),):
-        raise ValueError("scores must cover the pool")
     order = np.lexsort((pool.ids, -scores))
     return pool.take(order[:acquisition_batch])

@@ -29,9 +29,6 @@ MAGIC = b"BNT1"
 _DTYPE_FOR_CODE = {0: np.dtype("<f4"), 1: np.dtype("<u4")}
 _CODE_FOR_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.uint32): 1}
 
-# Anything past this is a corrupt header, not a real tensor.
-_MAX_ELEMENTS = 1 << 40
-
 
 class FormatError(ValueError):
     """Raised on bad magic, unknown dtype, bad rank/dims, or truncated payload."""
@@ -71,8 +68,6 @@ def _encode_tensor(name: str, array: np.ndarray) -> tuple[bytes, memoryview]:
         raise FormatError(f"unsupported dtype {dtype} for tensor {name!r}")
     if array.ndim == 0:
         raise FormatError(f"rank-0 tensor {name!r} not representable")
-    if array.ndim > 255:
-        raise FormatError(f"rank {array.ndim} exceeds format limit")
     name_bytes = name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
         raise FormatError(f"tensor name too long ({len(name_bytes)} bytes)")
@@ -143,12 +138,9 @@ def _parse_headers(fh, path: str) -> list[TensorHeader]:
         if rank == 0:
             raise FormatError(f"rank-0 tensor {name!r} rejected")
         dims = struct.unpack(f"<{rank}I", fh.read(need(4 * rank, "dims")))
-        count = math.prod(dims)
-        if count > _MAX_ELEMENTS:
-            raise FormatError(f"dimension overflow in tensor {name!r}: {dims}")
         dtype = _DTYPE_FOR_CODE[code]
         headers.append(TensorHeader(name, dtype, dims, offset))
-        need(count * dtype.itemsize, f"payload of {name!r}")
+        need(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
         fh.seek(offset)
     return headers
 

@@ -135,6 +135,17 @@ class TestRowBlocks:
         assert np.concatenate([x for x, _ in blocks]).tobytes() == whole.inputs.tobytes()
         np.testing.assert_array_equal(np.concatenate([y for _, y in blocks]), whole.labels)
 
+    def test_file_cut_after_its_headers_were_read(self, tmp_path):
+        """A file that shrinks between opening and reading fails the read
+        that comes up short, naming the tensor (labels, stored last) and the
+        file."""
+        path = _dataset_file(str(tmp_path / "d.bnt"), 100, seed=3)
+        dataset = DatasetFile(path)
+        os.truncate(path, os.path.getsize(path) - 5)
+        with pytest.raises(FormatError) as info:
+            list(dataset.blocks(8))
+        assert str(info.value) == f"truncated payload of 'labels' in {path!r}"
+
     def test_one_reused_buffer_per_tensor(self, tmp_path):
         path = _dataset_file(str(tmp_path / "d.bnt"), 9000, seed=3)
         headers = read_headers(path)

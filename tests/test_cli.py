@@ -1,5 +1,7 @@
 import os
 import re
+import runpy
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -412,12 +414,19 @@ class TestSettingsARunCannotFinish:
 
     @pytest.mark.parametrize("command, setting, err", [
         ("run", "optimizer.momentum=1e9", "run aborted: tau diverged: inf\n"),
-        ("ablate", "optimizer.learning_rate=1e9", ""),
+        ("ablate", "optimizer.learning_rate=1e9",
+         "full_seed0 aborted: tau diverged: inf\n"
+         "no_ood_seed0 aborted: loss diverged: nan\n"
+         "random_query_seed0 aborted: tau diverged: inf\n"
+         "no_cl_seed0 aborted: tau diverged: inf\n"
+         "finetune_seed0 aborted: loss diverged: nan\n"
+         "balanced_buffer_seed0 aborted: loss diverged: nan\n"),
     ], ids=["run", "ablate"])
     def test_divergence_raises_no_numpy_warning(self, config_path, capsys, command,
                                                 setting, err):
         """The overflows on the way to a divergence are not reported: the
-        abort line (``bowl run``) is all that stderr holds."""
+        abort lines, one per run named like its directory under ``bowl
+        ablate``, are all that stderr holds."""
         path, _ = config_path(body=SMALL_CONFIG)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -707,6 +716,34 @@ class TestBooleanSettings:
         assert os.listdir(tmp_path) == ["run.cfg"]
 
 
+class TestDefaultsFromOtherSettings:
+    """A key whose default is another setting's value holds that value once
+    loaded; a value set in the config, 0 included, is kept."""
+
+    MINIMAL = "[network]\nhidden = 4\n[data]\nschedule = 0,1 | 2\n"
+
+    def _load(self, tmp_path, *sets):
+        path = tmp_path / "run.cfg"
+        path.write_text(self.MINIMAL)
+        return load_run_config(str(path), ["mix.ood_fraction=0.5", *sets])
+
+    def test_unset_keys_take_the_other_settings_value(self, tmp_path):
+        cfg = self._load(tmp_path, "run.seed=3", "loop.ood_batch_size=5",
+                         "data.within_std=0.2")
+        assert cfg["run.seeds"] == [3]
+        assert cfg["loop.bootstrap_size"] == 5 == cfg.loop_config().bootstrap.bootstrap_size
+        assert cfg["mix.foreign_std"] == 0.2
+
+    def test_set_keys_keep_their_value(self, tmp_path):
+        cfg = self._load(tmp_path, "run.seeds=2,0", "loop.bootstrap_size=3",
+                         "mix.foreign_std=0")
+        assert cfg["run.seeds"] == [2, 0]
+        assert cfg.loop_config().bootstrap.bootstrap_size == 3
+        foreign = cfg.foreign_dataset(0)  # zero spread: each class is its mean
+        assert cfg["mix.foreign_std"] == 0.0
+        assert len(np.unique(foreign.inputs, axis=0)) == cfg["mix.foreign_classes"] == 10
+
+
 class TestGenData:
     def test_generates_and_roundtrips(self, tmp_path):
         out = str(tmp_path / "blobs.bnt")
@@ -772,6 +809,21 @@ class TestExitCodes:
     def test_config_path_that_is_a_directory(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: config file not found: {tmp_path}\n"
+
+    def test_module_run_as_a_script_exits_with_mains_code(self, tmp_path, monkeypatch,
+                                                          capsys):
+        """``python -m bowl.cli`` ends in ``sys.exit(main())``. Run in this
+        process, runpy warns that ``bowl.cli`` is imported already."""
+        out = str(tmp_path / "blobs.bnt")
+        monkeypatch.setattr(sys, "argv", [
+            "bowl", "gen-data", "--classes", "2", "--dims", "2", "--separation", "1",
+            "--std", "0.1", "--n", "4", "--out", out])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as info:
+            runpy.run_module("bowl.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"wrote 4 samples (2 classes, 2 dims) -> {out}\n"
+        assert load_dataset(out).n == 4
 
 
 class TestFileModes:
@@ -917,15 +969,19 @@ class TestOodHist:
 
 
 def _damaged_copy(src, dst, damage):
-    """Copy a BNT1 file, cutting its last payload short ("truncated") or
-    giving its first tensor an unknown dtype code ("dtype")."""
+    """Copy a BNT1 file, cutting its last payload short ("truncated"),
+    giving its first tensor an unknown dtype code ("dtype"), or setting each
+    of its first tensor's dims to 2**32 - 1 ("dims")."""
     with open(src, "rb") as fh:
         data = bytearray(fh.read())
+    name_len = int.from_bytes(data[4:6], "little")
     if damage == "truncated":
         data = data[:-3]
-    else:
-        name_len = int.from_bytes(data[4:6], "little")
+    elif damage == "dtype":
         data[6 + name_len] = 7  # the dtype code follows the name
+    else:
+        rank = data[7 + name_len]  # the dims follow the rank
+        data[8 + name_len:8 + name_len + 4 * rank] = b"\xff" * (4 * rank)
     with open(dst, "wb") as fh:
         fh.write(data)
     return dst
@@ -933,7 +989,8 @@ def _damaged_copy(src, dst, damage):
 
 class TestDamagedFiles:
     @pytest.mark.parametrize("damage, message", [("truncated", "truncated payload"),
-                                                 ("dtype", "unknown dtype code 7")])
+                                                 ("dtype", "unknown dtype code 7"),
+                                                 ("dims", "truncated payload")])
     def test_run_failure_with_format_message(self, trained_run, tmp_path, capsys,
                                              damage, message):
         """A damaged dataset or checkpoint is a run failure (exit 1) that names

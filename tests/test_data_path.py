@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from bowl.nn import build_mlp, save_checkpoint
-from bowl.serialization import (MAGIC, FormatError, atomic_write_bytes, read_tensors,
-                                write_tensors)
+from bowl.serialization import (MAGIC, FormatError, atomic_write_bytes, read_headers,
+                                read_tensors, write_tensors)
 from bowl.stream import (BLOCK_VALUES, Dataset, corrupt, load_dataset, save_dataset,
                          simplex_means, synth_generate)
 
@@ -146,6 +146,54 @@ class TestFormatErrors:
 
     def test_magic_alone_holds_no_tensors(self, tmp_path):
         assert read_tensors(_one_tensor_file(tmp_path, cut=4)) == {}
+
+    @pytest.mark.parametrize("dims", [(2**20 + 1, 2**20), (2**32 - 1, 2**32 - 1)])
+    def test_header_of_more_elements_than_the_file_holds(self, tmp_path, dims):
+        """Dims past 2**40 elements fail the payload-size check, like any
+        header whose payload the file does not hold."""
+        path = _one_tensor_file(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.seek(10)
+            fh.write(struct.pack("<2I", *dims))
+        for read in (read_tensors, read_headers):
+            with pytest.raises(FormatError) as info:
+                read(path)
+            assert str(info.value) == f"truncated payload of 'ab' at offset 18 in {path!r}"
+
+
+class TestWriteRefusals:
+    """A tensor the format cannot hold is refused before the file is opened."""
+
+    def _refused(self, tmp_path, tensors, message):
+        path = tmp_path / "t.bnt"
+        with pytest.raises(FormatError, match=message):
+            write_tensors(str(path), tensors)
+        assert os.listdir(tmp_path) == []
+
+    def test_float64_tensor(self, tmp_path):
+        self._refused(tmp_path, {"x": np.zeros(3)}, r"unsupported dtype float64 for tensor 'x'")
+
+    def test_name_over_65535_bytes(self, tmp_path):
+        path = str(tmp_path / "ok.bnt")
+        write_tensors(path, {"n" * 0xFFFF: np.ones(2, np.float32)})
+        assert list(read_tensors(path)) == ["n" * 0xFFFF]
+        os.remove(path)
+        self._refused(tmp_path, {"n" * 0x10000: np.ones(2, np.float32)},
+                      r"tensor name too long \(65536 bytes\)")
+
+    def test_dimension_over_u32(self, tmp_path):
+        """A broadcast view: 2**32 rows are described, none allocated."""
+        huge = np.broadcast_to(np.float32(0), (1 << 32,))
+        self._refused(tmp_path, {"x": huge}, r"dimension 4294967296 overflows u32 in tensor 'x'")
+
+    def test_rank_above_numpys_limit_cannot_be_built(self, tmp_path):
+        """The u8 rank field holds 255; numpy arrays stop far below that, and
+        every rank numpy 1.x allows round-trips."""
+        with pytest.raises(ValueError):
+            np.zeros((1,) * 256, np.float32)
+        path = str(tmp_path / "r.bnt")
+        write_tensors(path, {"x": np.ones((1,) * 32, np.float32)})
+        assert read_tensors(path)["x"].shape == (1,) * 32
 
 
 class TestAtomicWrite:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bowl.engine as engine_mod
-from bowl.engine import LoopConfig, evaluate, run_variant, write_summary
+from bowl.engine import LoopConfig, RunReport, evaluate, run_variant, write_summary
 from bowl.memory import MemoryBuffer, init_buffer, memory_scores
 from bowl.nn import SgdOptimizer, build_mlp
 from bowl.ood import ThresholdConfig, bootstrap_threshold, filter_stream
@@ -43,6 +43,14 @@ def tiny_config(seed=0, **overrides):
 def tiny_net(seed=0, dims=8):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     return build_mlp(dims, [12, 6], 2, rng, class_ids=[0, 1])
+
+
+class TestRunReport:
+    def test_aborted_is_whether_a_reason_was_recorded(self):
+        assert not RunReport("full", 0).aborted
+        assert RunReport("full", 0, abort_reason="loss diverged: nan").aborted
+        with pytest.raises(AttributeError):
+            RunReport("full", 0).aborted = True
 
 
 class TestEvaluate:

@@ -28,6 +28,17 @@ def _queried(rng, n, label, first_id, dim=4):
                      np.arange(first_id, first_id + n))
 
 
+class TestMemoryBuffer:
+    def test_capacity_below_one_rejected(self):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            MemoryBuffer(0, NONE_QUERIED)
+
+    def test_entries_over_capacity_rejected(self):
+        entries = _queried(np.random.default_rng(0), 3, 0, 0)
+        with pytest.raises(ValueError, match="exceed capacity"):
+            MemoryBuffer(2, entries)
+
+
 class TestInitBuffer:
     def test_capacity_larger_than_dataset_keeps_all(self, net):
         rng = np.random.default_rng(1)
@@ -107,6 +118,13 @@ class TestMemoryScores:
         with pytest.raises(ValueError, match="cached entropies"):
             memory_scores(buf, _queried(rng, 2, 1, 10), net)
 
+    def test_no_candidates_rejected(self, net):
+        """An empty buffer whose entries carry an (empty) entropy cache, and
+        no queried rows: nothing to rank."""
+        empty = SampleSet(np.zeros((0, 4), np.float32), [], [], np.zeros(0))
+        with pytest.raises(ValueError, match="no candidates"):
+            memory_scores(MemoryBuffer(3, empty), NONE_QUERIED, net)
+
     def test_monotone_in_entropy_and_distinctness(self, net):
         # higher H and lower mean cosine implies strictly higher gamma
         base = np.array([1.0, 1.0, 1.0, 1.0])
@@ -127,6 +145,17 @@ class TestUpdateBuffer:
         assert inserted == []
         assert new.ids() == buf.ids()
         np.testing.assert_array_equal(new.inputs_matrix(), buf.inputs_matrix())
+
+    @pytest.mark.parametrize("other_size", [4, 6])
+    def test_scores_of_another_buffer_rejected(self, net, other_size):
+        """Scores built for a buffer of another length do not cover this one."""
+        rng = np.random.default_rng(9)
+        buf = _buffer(rng.normal(size=(5, 4)), entropies=rng.uniform(1, 2, 5))
+        other = _buffer(rng.normal(size=(other_size, 4)),
+                        entropies=rng.uniform(1, 2, other_size))
+        queried = _queried(rng, 2, 1, 50)
+        with pytest.raises(ValueError, match="do not cover"):
+            update_buffer(buf, queried, memory_scores(other, queried, net))
 
     def test_everything_kept_when_under_capacity(self, net):
         rng = np.random.default_rng(8)

@@ -79,6 +79,22 @@ class TestGradients:
                                      numeric_gradients(net, x, y, h=1e-5))
             assert err <= 1e-4, f"seed {seed}: max relative error {err}"
 
+    def test_batch_norm_as_the_first_layer(self):
+        """A batch norm that sees the network's input gets its parameter
+        gradients and passes none back; one step trains it."""
+        rng = np.random.default_rng(3)
+        net = Network([BatchNorm(4, dtype=np.float64)], Dense(4, 2, rng, dtype=np.float64))
+        x = rng.normal(size=(6, 4))
+        y = np.array([0, 1, 1, 0, 1, 0])
+        err = max_relative_error(analytic_gradients(net, x, y),
+                                 numeric_gradients(net, x, y, h=1e-5))
+        assert err <= 1e-4
+        before = net.flat_params.copy()
+        loss = backward_and_step(net, x, y, SgdOptimizer(0.1, 0.0, 0.0))
+        assert math.isfinite(loss)
+        bn = net.layers[0]
+        assert (bn.gamma.data != before[:4]).any() and (bn.beta.data != before[4:8]).any()
+
     def test_small_net_default_step(self):
         """2-4-2 net with batch norm at the coarser h=1e-3 step."""
         rng = np.random.default_rng(0)
@@ -122,6 +138,11 @@ class TestBatchNorm:
         bn = BatchNorm(4)
         with pytest.raises(ValueError, match="batch size"):
             bn.forward(np.zeros((1, 4), dtype=np.float32), train=True)
+
+    @pytest.mark.parametrize("momentum", [0.0, -0.1, 1.5])
+    def test_stat_momentum_outside_zero_one_rejected(self, momentum):
+        with pytest.raises(ValueError, match="stat_momentum"):
+            BatchNorm(4, stat_momentum=momentum)
 
     def test_channel_mismatch_rejected(self):
         bn = BatchNorm(4)
@@ -229,6 +250,22 @@ class TestForward:
         with pytest.raises(ValueError, match="batch-norm"):
             Network([Dense(4, 3, rng), ReLU()], Dense(3, 2, rng))
 
+    def test_mlp_without_hidden_layers_has_no_batchnorm(self):
+        with pytest.raises(ValueError, match="at least one batch-norm layer"):
+            build_mlp(4, [], 2, np.random.default_rng(0))
+
+    def test_dense_rejects_rows_of_another_width(self):
+        """A dense layer fed rows of the wrong width fails in its matmul."""
+        dense = Dense(4, 2, np.random.default_rng(0))
+        for train in (True, False):
+            with pytest.raises(ValueError):
+                dense.forward(np.zeros((3, 5), np.float32), train)
+
+    @pytest.mark.parametrize("class_ids", [[0], [0, 1, 2]])
+    def test_class_ids_of_another_length_rejected(self, class_ids):
+        with pytest.raises(ValueError, match="class_ids length"):
+            build_mlp(4, [4], 2, np.random.default_rng(0), class_ids=class_ids)
+
 
 class TestTraining:
     def test_zero_lr_keeps_parameters_and_returns_nll(self):
@@ -310,6 +347,22 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             train_one_epoch(net, np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64),
                             SgdOptimizer(), 8, np.random.default_rng(0))
+
+    def test_label_outside_the_head_rejected_before_any_step(self):
+        net = build_mlp(3, [4], 2, np.random.default_rng(0), class_ids=[3, 7])
+        before = net.flat_params.copy()
+        opt = SgdOptimizer()
+        x, _ = self._rows(4)
+        with pytest.raises(ValueError, match="outside the head"):
+            train_one_epoch(net, x, np.array([3, 7, 5, 3]), opt, 2, np.random.default_rng(0))
+        assert opt.step_count == 0
+        np.testing.assert_array_equal(net.flat_params, before)
+
+    @pytest.mark.parametrize("settings", [dict(learning_rate=-0.1), dict(momentum=-1.0),
+                                          dict(weight_decay=-1e-4)])
+    def test_negative_hyperparameter_rejected(self, settings):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SgdOptimizer(**settings)
 
 
 class TestEvalRows:

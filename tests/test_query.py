@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bowl.nn import EVAL_CHUNK, build_mlp, eval_rows
 from bowl.query import (CandidatePool, entropy_term, mean_pairwise_cosine, query_scores,
                         sample_entropies, select_top)
+from bowl.samples import SampleSet
 
 from bn_reference import bn_net, reference_rows
 from reference import mean_cosine
@@ -196,6 +197,23 @@ class TestSelectTop:
         with pytest.raises(ValueError, match="empty"):
             select_top(CandidatePool(), [], 1)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_acquisition_batch_below_one_rejected(self, batch):
+        pool = _pool_from(np.eye(3))
+        with pytest.raises(ValueError, match="acquisition batch"):
+            select_top(pool, self._scores([1, 2, 3]), batch)
+        assert len(pool) == 3 and pool.oracle_reveals == 0
+
+    @pytest.mark.parametrize("scores", [np.zeros(4), np.zeros((3, 1)), np.float64(1.0)],
+                             ids=["n+1", "column", "scalar"])
+    def test_scores_that_miss_a_row_rejected(self, scores):
+        """Scores of another shape than the pool's fail in the sort and take
+        nothing."""
+        pool = _pool_from(np.eye(3))
+        with pytest.raises(ValueError):
+            select_top(pool, scores, 1)
+        assert len(pool) == 3 and pool.oracle_reveals == 0
+
     def test_selection_invariant_to_pool_order(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(8, 4))
@@ -213,6 +231,16 @@ class TestPoolLabelDiscipline:
         pool = _pool_from(np.eye(3), labels=np.array([-1, 2, 2]))
         assert pool.peek_unique_labels().tolist() == [2]
         assert pool.oracle_reveals == 0
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize("labels, ids, entropy", [
+        ([0, 1], [0, 1, 2], None), ([0, 1, 2], [0, 1], None),
+        ([0, 1, 2], [0, 1, 2], [0.5, 0.5]), ([[0], [1], [2]], [0, 1, 2], None),
+    ], ids=["labels", "ids", "entropy", "labels-2d"])
+    def test_misaligned_arrays_rejected(self, labels, ids, entropy):
+        with pytest.raises(ValueError, match="must align"):
+            SampleSet(np.zeros((3, 2), np.float32), labels, ids, entropy)
 
 
 class TestPoolTake:

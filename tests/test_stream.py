@@ -29,6 +29,22 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             synth_generate(2, 4, 0.5, 0.1, 0, seed=0)
 
+    @pytest.mark.parametrize("separation", [0.0, -0.5])
+    def test_separation_must_be_positive(self, separation):
+        with pytest.raises(ValueError, match="separation must be positive"):
+            synth_generate(2, 4, separation, 0.1, 10, seed=0)
+
+    def test_label_over_u32_not_saved(self, tmp_path):
+        """Labels are stored as u32: 2**32 - 1 round-trips, 2**32 is refused
+        before the file is written."""
+        path = str(tmp_path / "d.bnt")
+        save_dataset(Dataset(np.zeros((2, 3)), [0, 2**32 - 1]), path)
+        assert load_dataset(path).labels.tolist() == [0, 2**32 - 1]
+        other = str(tmp_path / "e.bnt")
+        with pytest.raises(FormatError, match="labels overflow uint32"):
+            save_dataset(Dataset(np.zeros((2, 3)), [0, 2**32]), other)
+        assert not (tmp_path / "e.bnt").exists()
+
     def test_label_histogram_uniform(self):
         ds = synth_generate(3, 4, 0.5, 0.1, 100, seed=2)
         counts = np.bincount(ds.labels)
