@@ -149,9 +149,29 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
-# Each file path key and the source key under which a run reads it.
-_PATH_SOURCES = {"data.train_path": "data.source", "data.test_path": "data.source",
-                 "mix.foreign_path": "mix.foreign_source"}
+# When ``bowl run`` and ``bowl ablate`` read each conditional key: while every
+# (setting, test) pair of one of its conditions holds. A key set while none
+# holds is refused at load, naming the first failing setting of its first
+# condition; a path key's last setting is its source. Every other key is always
+# read, or read by subcommand, flag or variant (README "Config format").
+_SYNTHETIC = (("data.source", lambda v: v == "synthetic"),)
+_FOREIGN = (("mix.ood_fraction", lambda v: v > 0),)
+_SYNTHETIC_FOREIGN = (*_FOREIGN, ("mix.foreign_source", lambda v: v == "synthetic"))
+READ_WHEN: dict[str, list[tuple]] = {
+    **dict.fromkeys(("data.n_classes", "data.dims", "data.train_per_class",
+                     "data.test_per_class", "data.clip_unit"), [_SYNTHETIC]),
+    **dict.fromkeys(("data.train_path", "data.test_path"),
+                    [(("data.source", lambda v: v == "file"),)]),
+    "data.separation": [_SYNTHETIC, _SYNTHETIC_FOREIGN],
+    "data.within_std": [_SYNTHETIC,
+                        (*_SYNTHETIC_FOREIGN, ("mix.foreign_std", lambda v: v is None))],
+    **dict.fromkeys(("mix.corruption", "mix.severity"),
+                    [(("mix.corrupted_fraction", lambda v: v > 0),)]),
+    "mix.foreign_source": [_FOREIGN],
+    "mix.foreign_path": [(*_FOREIGN, ("mix.foreign_source", lambda v: v == "file"))],
+    **dict.fromkeys(("mix.foreign_classes", "mix.foreign_separation_scale",
+                     "mix.foreign_std", "mix.foreign_per_class"), [_SYNTHETIC_FOREIGN]),
+}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str, str]]:
@@ -196,6 +216,7 @@ def apply_overrides(raw: dict[str, dict[str, str]], overrides) -> None:
 @dataclass
 class RunConfig:
     values: dict[str, dict[str, object]]
+    given: set[str] = field(default_factory=set)  # keys set in the file or by --set
     input_dim: int = field(init=False)  # the train set's width
 
     def __post_init__(self):
@@ -208,16 +229,17 @@ class RunConfig:
         built: mix fractions sum to <= 1; generated sets have simplex-vertex
         class means (train width >= classes); the schedule names generated
         classes; generated rows that may be corrupted are clipped into [0, 1];
-        a path key is set only under its file source; [loop] is valid."""
+        [loop] is valid. First, a key given where ``READ_WHEN`` says the run
+        would not read it is refused."""
+        for key in READ_WHEN:
+            switch = key in self.given and self._switched_off(key)
+            if switch:
+                raise ConfigError(f"{key} is set but {switch[0]} is {switch[1]}: "
+                                  f"the run would not read it")
         d, m = self.values["data"], self.values["mix"]
-        for path_key, source_key in _PATH_SOURCES.items():
-            if self[path_key] is not None and self[source_key] != "file":
-                raise ConfigError(f"{path_key} is set but {source_key} is "
-                                  f"{self[source_key]}: the run would not read it")
         if m["corrupted_fraction"] + m["ood_fraction"] > 1:
             raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} + "
                               f"mix.ood_fraction {m['ood_fraction']} exceeds 1")
-        generated = {}
         scheduled = {c for group in d["schedule"] for c in group}
         if d["source"] == "file":
             train = self._path("data.train_path")
@@ -227,31 +249,36 @@ class RunConfig:
         else:
             self.input_dim = d["dims"]
             self._train_key = "data.dims"
-            generated["data.n_classes"] = d["n_classes"]
             m["foreign_classes"] = m["foreign_classes"] or d["n_classes"]
-            if m["corrupted_fraction"] > 0 and not d["clip_unit"]:
-                raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} "
-                                  f"corrupts rows in [0, 1], which generated rows keep "
-                                  f"only with data.clip_unit = true")
+        if m["corrupted_fraction"] > 0 and not d["clip_unit"]:  # given only where read
+            raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} "
+                              f"corrupts rows in [0, 1], which generated rows keep "
+                              f"only with data.clip_unit = true")
+        for key in ("data.n_classes", "mix.foreign_classes"):  # generated class counts
+            if not self._switched_off(key) and self.input_dim < self[key]:
+                raise ConfigError(f"the train set's width {self.input_dim} "
+                                  f"({self._train_key}) is below {key} {self[key]}")
+        outside = scheduled - set(range(d["n_classes"]))
+        if not self._switched_off("data.n_classes") and outside:
+            raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
+                              f"data.n_classes {d['n_classes']}")
         run, loop = self.values["run"], self.values["loop"]
         run["seeds"] = run["seeds"] or [self.seed]
         loop["bootstrap_size"] = loop["bootstrap_size"] or loop["ood_batch_size"]
         m["foreign_std"] = d["within_std"] if m["foreign_std"] is None else m["foreign_std"]
-        if m["ood_fraction"] > 0 and m["foreign_source"] == "synthetic":
-            generated["mix.foreign_classes"] = m["foreign_classes"]
-        for key, n_classes in generated.items():
-            if self.input_dim < n_classes:
-                raise ConfigError(f"the train set's width {self.input_dim} "
-                                  f"({self._train_key}) is below {key} {n_classes}")
-        outside = scheduled - set(range(d["n_classes"]))
-        if "data.n_classes" in generated and outside:
-            raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
-                              f"data.n_classes {d['n_classes']}")
         self.loop_config()
 
     def __getitem__(self, dotted: str):
         section, key = dotted.split(".", 1)
         return self.values[section][key]
+
+    def _switched_off(self, key: str):
+        """None while a run reads ``key`` (asked before ``mix.foreign_std`` takes
+        its default), else the first failing (setting, value) of its first condition."""
+        conditions = READ_WHEN[key]
+        if any(all(holds(self[s]) for s, holds in condition) for condition in conditions):
+            return None
+        return next((s, self[s]) for s, holds in conditions[0] if not holds(self[s]))
 
     # -- assembly ----------------------------------------------------------
 
@@ -281,7 +308,7 @@ class RunConfig:
         """The file under key ``dotted``, which its file source requires."""
         path = self[dotted]
         if path is None:
-            raise ConfigError(f"{_PATH_SOURCES[dotted]}=file requires {dotted}")
+            raise ConfigError(f"{READ_WHEN[dotted][0][-1][0]}=file requires {dotted}")
         if not os.path.isfile(path):
             raise ConfigError(f"{dotted} {path!r} is not a file")
         return path
@@ -383,4 +410,4 @@ def load_run_config(path: str, overrides=None) -> RunConfig:
                     values[section][key] = parser(raw_value)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
-    return RunConfig(values)
+    return RunConfig(values, {f"{section}.{key}" for section in raw for key in raw[section]})

@@ -467,10 +467,15 @@ def save_checkpoint(net: Network, path: str) -> None:
 
 
 def read_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """All of a checkpoint's tensors, ``head.class_ids`` among them, from one read."""
+    """All of a checkpoint's tensors, ``head.class_ids`` among them, from one
+    read. A NaN or infinite value, as an aborted run may save, raises
+    FormatError naming the first tensor that holds one."""
     state = read_tensors(path)
     if "head.class_ids" not in state:
         raise FormatError(f"checkpoint {path!r} has no tensor 'head.class_ids'")
+    for name, value in state.items():
+        if not np.isfinite(value).all():
+            raise FormatError(f"non-finite tensor {name!r} in checkpoint {path!r}")
     return state
 
 

@@ -27,6 +27,7 @@ from bowl.ood import (batch_ood_score, predictive_entropy_per_sample, sample_eta
 from bowl.serialization import FormatError, read_headers, read_row_blocks, read_tensors
 from bowl.stream import (READ_BLOCK_BYTES, Dataset, DatasetFile, load_dataset,
                          save_dataset, synth_generate)
+from test_cli import _file_source
 from test_data_path import _peak_bytes
 
 DIMS = 64
@@ -194,7 +195,7 @@ class TestRowBlocks:
 
 
 def _run_config(tmp, files, extra=()):
-    config = _write(tmp, "run.cfg", CONFIG.format(dims=DIMS))
+    config = _write(tmp, "run.cfg", _file_source(CONFIG))
     sets = ["data.source=file", f"data.train_path={files['train']}",
             f"data.test_path={files['test']}", f"run.output_dir={os.path.join(tmp, 'out')}",
             *extra]

@@ -54,6 +54,14 @@ schedule = 0,1 | 2,3 | 4,5
 """
 
 
+def _file_source(body, *unread):
+    """``body`` for a run with ``data.source = file``: without the [data] keys
+    that only a synthetic source reads, nor the keys ``unread``."""
+    keys = ("n_classes", "dims", "train_per_class", "test_per_class", *unread)
+    return "".join(line for line in body.splitlines(keepends=True)
+                   if line.split(" =")[0] not in keys)
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     def write(outdir=None, extra="", body=BASE_CONFIG):
@@ -180,7 +188,7 @@ class TestRun:
         train file's width, and foreign classes beyond it are a config error
         raised at load, before any set is read."""
         files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2)])
-        path, outdir = config_path()
+        path, outdir = config_path(body=_file_source(BASE_CONFIG))
         sets = ["data.source=file", f"data.train_path={files['train']}",
                 f"data.test_path={files['test']}", "mix.ood_fraction=0.25", *overrides]
         with mock.patch.object(config_mod, "load_dataset",
@@ -199,7 +207,7 @@ class TestRun:
         take as many classes as data.schedule names (6), not data.n_classes's
         default 10, which is above the files' width 8."""
         files = self._write_sets(tmp_path, [("train", 8, 480, 1), ("test", 8, 240, 2)])
-        path, outdir = config_path(body=BASE_CONFIG.replace("n_classes = 6\n", ""))
+        path, outdir = config_path(body=_file_source(BASE_CONFIG))
         sets = ["data.source=file", f"data.train_path={files['train']}",
                 f"data.test_path={files['test']}", "mix.ood_fraction=0.25"]
         cfg = load_run_config(path, sets)
@@ -212,7 +220,7 @@ class TestRun:
                                                            capsys):
         files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2),
                                             ("foreign", 7, 120, 3)])
-        path, _ = config_path()
+        path, _ = config_path(body=_file_source(BASE_CONFIG, "separation", "within_std"))
         sets = ["data.source=file", f"data.train_path={files['train']}",
                 f"data.test_path={files['test']}", "mix.ood_fraction=0.25",
                 "mix.foreign_source=file", f"mix.foreign_path={files['foreign']}"]
@@ -238,7 +246,7 @@ class TestRun:
         dataset = load_dataset(damaged)
         rows = np.isin(dataset.labels, kept)
         save_dataset(Dataset(dataset.inputs[rows], dataset.labels[rows]), damaged)
-        path, _ = config_path()
+        path, _ = config_path(body=_file_source(BASE_CONFIG, "separation", "within_std"))
         sets = ["data.source=file", f"data.train_path={files['train']}",
                 f"data.test_path={files['test']}", "mix.ood_fraction=0.25",
                 "mix.foreign_source=file", f"mix.foreign_path={files['foreign']}"]
@@ -297,7 +305,7 @@ class TestRun:
         at load, naming the path key and the source key, before any data is
         built."""
         data = self._write_sets(tmp_path, [("set", 8, 48, 1)])["set"]
-        path, outdir = config_path()
+        path, outdir = config_path(body=_file_source(BASE_CONFIG))
         argv = ["run", path, *(f for s in sets for f in ("--set", s.replace("@set", data)))]
         with mock.patch.object(config_mod, "synth_generate") as generate, \
                 mock.patch.object(config_mod, "load_dataset") as load:
@@ -318,7 +326,7 @@ class TestRun:
         bad = str(tmp_path / "missing.bnt") if kind == "missing" else str(tmp_path)
         paths = {"data.train_path": files["train"], "data.test_path": files["test"],
                  "mix.foreign_path": files["foreign"], key: bad}
-        path, outdir = config_path()
+        path, outdir = config_path(body=_file_source(BASE_CONFIG, "separation", "within_std"))
         sets = ["data.source=file", "mix.ood_fraction=0.25", "mix.foreign_source=file",
                 *(f"{k}={v}" for k, v in paths.items())]
         with mock.patch.object(config_mod, "load_dataset",
@@ -482,7 +490,8 @@ class TestSettingsARunCannotFinish:
         corrupted must be clipped, which the load checks before any data is
         generated; a file's stream rows must lie in [0, 1], which is checked
         before any training. Either way the run is refused at every seed."""
-        path, outdir = config_path(body=SMALL_CONFIG)
+        path, outdir = config_path(body=SMALL_CONFIG if source == "synthetic"
+                                   else _file_source(SMALL_CONFIG))
         if source == "synthetic":
             sets, seeds = self.UNCLIPPED, range(7)
             message = ("mix.corrupted_fraction 0.5 corrupts rows in [0, 1], which "
@@ -518,7 +527,8 @@ class TestSettingsARunCannotFinish:
                                                          source):
         """Clipped generated rows run, and so does a file whose rows outside
         [0, 1] are pretraining rows, which mixing never corrupts."""
-        path, outdir = config_path(body=SMALL_CONFIG)
+        path, outdir = config_path(body=SMALL_CONFIG if source == "synthetic"
+                                   else _file_source(SMALL_CONFIG))
         if source == "synthetic":
             sets = ["data.within_std=0.15"]
         else:
@@ -1008,6 +1018,43 @@ class TestDamagedFiles:
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, (argv, err)
+
+    # A 4-class, 6-dim run whose momentum drives layer1's running variance to inf.
+    ABORTING = TINY_CONFIG.replace("hidden = 4", "hidden = 8\n[optimizer]\nmomentum = 1e9"
+                                   ).replace("dims = 4", "dims = 6")
+
+    @pytest.mark.parametrize("damage", ["aborted", "inf"])
+    def test_checkpoint_with_a_non_finite_value(self, trained_run, tmp_path, capsys, damage):
+        """An aborted run still saves its checkpoint. eval and ood-hist refuse
+        one that holds a NaN or infinite value as a run failure (exit 1),
+        naming the file and the first such tensor, before any numpy warning
+        or output."""
+        path, outdir, in_set, out_set = trained_run
+        if damage == "aborted":
+            path = str(tmp_path / "aborting.cfg")
+            Path(path).write_text(self.ABORTING)
+            outdir = str(tmp_path / "aborted")
+            assert main(["run", path, "--output-dir", outdir]) == 1
+            in_set = out_set = str(tmp_path / "rows.bnt")
+            assert main(["gen-data", "--classes", "4", "--dims", "6", "--separation", "0.3",
+                         "--std", "0.1", "--n", "40", "--clip-unit", "--out", in_set]) == 0
+            checkpoint, name = os.path.join(outdir, "checkpoint.bnt"), "layer1.running_var"
+        else:
+            state = read_tensors(os.path.join(outdir, "checkpoint.bnt"))
+            state["layer0.bias"][3] = np.inf
+            checkpoint, name = str(tmp_path / "inf.bnt"), "layer0.bias"
+            write_tensors(checkpoint, state)
+        hist = str(tmp_path / "h")
+        for argv in (["eval", path, "--checkpoint", checkpoint, "--dataset", in_set],
+                     ["ood-hist", path, "--checkpoint", checkpoint, "--in-set", in_set,
+                      "--out-set", out_set, "--output-dir", hist]):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 1, argv
+            assert capsys.readouterr().err == (f"error: non-finite tensor {name!r} in "
+                                               f"checkpoint {checkpoint!r}\n"), argv
+        assert not os.path.exists(hist)
 
     @pytest.mark.parametrize("missing", ["head.class_ids", "layer1.running_var"])
     def test_checkpoint_missing_tensor(self, trained_run, tmp_path, capsys, missing):
