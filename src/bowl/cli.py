@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .config import (_NONNEGATIVE, _POSITIVE, ConfigError, RunConfig, _at_least,
-                     load_run_config)
+from .config import (_NONEMPTY, _NONNEGATIVE, _POSITIVE, ConfigError, RunConfig,
+                     _at_least, load_run_config)
 from .engine import (VARIANTS, RunReport, count_correct, run_variant,
                      write_buffer_composition, write_report_csv, write_summary)
 from .metrics import auroc
@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--dataset", required=True)
 
     for writer in (run_p, ablate_p, hist_p):  # eval writes nothing
-        writer.add_argument("--output-dir", default=None, help="override run.output_dir")
+        writer.add_argument("--output-dir", type=_flag(_NONEMPTY),
+                            help="override run.output_dir")
     return parser
 
 

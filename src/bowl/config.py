@@ -58,6 +58,7 @@ def _at_least(low: int, parse=int):
 _POSITIVE = _checked(float, "finite and > 0", lambda v: np.isfinite(v) & (v > 0))
 _NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) & (v >= 0))
 _FRACTION = _checked(float, "in [0, 1]", lambda v: (v >= 0) & (v <= 1))
+_NONEMPTY = _checked(str, "non-empty", lambda v: v != "")
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -95,7 +96,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "variant": (_choice(tuple(VARIANTS)), "full"),
         "seed": (_at_least(0), 0),
         "seeds": (_parse_seeds, None),  # ablation sweeps; defaults to [seed]
-        "output_dir": (str, "runs/out"),
+        "output_dir": (_NONEMPTY, "runs/out"),
     },
     "network": {
         "hidden": (_at_least(1, _parse_int_list), _REQUIRED),
@@ -108,13 +109,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "weight_decay": (_NONNEGATIVE, 0.0005),
     },
     "loop": {
-        "acquisition_batch": (int, 256),
-        "buffer_capacity": (int, 5000),
+        "acquisition_batch": (_at_least(1), 256),
+        "buffer_capacity": (_at_least(1), 5000),
         "ood_batch_size": (_at_least(1), 8),
-        "epochs_per_update": (int, 1),
+        "epochs_per_update": (_at_least(1), 1),
         "pretrain_epochs": (_at_least(0), 30),
         "baseline_epochs_per_task": (_at_least(1), None),
-        "minibatch_size": (int, 256),
+        "minibatch_size": (_at_least(2), 256),  # train-mode batch norm needs two rows
         "bootstrap_k": (_at_least(1), 100),
         "bootstrap_size": (_at_least(1), None),  # defaults to ood_batch_size
         "bootstrap_alpha": (_checked(float, "in (0, 1)", lambda v: (v > 0) & (v < 1)), 0.99),
@@ -228,9 +229,9 @@ class RunConfig:
         ``data.within_std``), and the cross-key rules, before any data is
         built: mix fractions sum to <= 1; generated sets have simplex-vertex
         class means (train width >= classes); the schedule names generated
-        classes; generated rows that may be corrupted are clipped into [0, 1];
-        [loop] is valid. First, a key given where ``READ_WHEN`` says the run
-        would not read it is refused."""
+        classes; generated rows that may be corrupted are clipped into [0, 1].
+        First, a key given where ``READ_WHEN`` says the run would not read it
+        is refused."""
         for key in READ_WHEN:
             switch = key in self.given and self._switched_off(key)
             if switch:
@@ -266,7 +267,6 @@ class RunConfig:
         run["seeds"] = run["seeds"] or [self.seed]
         loop["bootstrap_size"] = loop["bootstrap_size"] or loop["ood_batch_size"]
         m["foreign_std"] = d["within_std"] if m["foreign_std"] is None else m["foreign_std"]
-        self.loop_config()
 
     def __getitem__(self, dotted: str):
         section, key = dotted.split(".", 1)
@@ -293,13 +293,10 @@ class RunConfig:
         names = {f.name for f in fields(LoopConfig)}
         settings = {key: value for section in ("loop", "optimizer")
                     for key, value in self.values[section].items() if key in names}
-        try:
-            bootstrap = ThresholdConfig(loop["bootstrap_k"], loop["bootstrap_size"],
-                                        loop["bootstrap_alpha"])
-            return LoopConfig(**settings, bootstrap=bootstrap,
-                              seed=self.seed if seed is None else seed)
-        except ValueError as exc:  # LoopConfig / ThresholdConfig validation
-            raise ConfigError(f"bad [loop] setting: {exc}") from exc
+        bootstrap = ThresholdConfig(loop["bootstrap_k"], loop["bootstrap_size"],
+                                    loop["bootstrap_alpha"])
+        return LoopConfig(**settings, bootstrap=bootstrap,
+                          seed=self.seed if seed is None else seed)
 
     def _data_seeds(self, seed: int) -> np.ndarray:
         return np.random.SeedSequence([seed, 1]).generate_state(5)

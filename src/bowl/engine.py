@@ -67,17 +67,13 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("acquisition_batch", 1), ("epochs_per_update", 1),
+        # A minibatch needs two rows for train-mode batch norm.
+        for name, low in (("acquisition_batch", 1), ("buffer_capacity", 1),
+                          ("epochs_per_update", 1), ("minibatch_size", 2),
                           ("pretrain_epochs", 0), ("baseline_epochs_per_task", 1)):
             value = getattr(self, name)
             if value is not None and value < low:  # None: the baseline budget is unset
                 raise ValueError(f"{name} must be >= {low}")
-        if self.minibatch_size < 2:
-            raise ValueError("minibatch_size must be >= 2: train-mode batch norm "
-                             "needs two rows")
-        if self.buffer_capacity < self.bootstrap.bootstrap_size:
-            raise ValueError(f"buffer_capacity {self.buffer_capacity} is below the bootstrap "
-                             f"size {self.bootstrap.bootstrap_size}: tau resamples the buffer")
         if self.buffer_capacity < self.acquisition_batch:
             warnings.warn("buffer capacity below acquisition batch; churn will be high",
                           stacklevel=3)

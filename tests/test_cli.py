@@ -100,7 +100,7 @@ class TestRun:
         assert "warp_speed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["epochs_per_update=0", "minibatch_size=1",
-                                         "buffer_capacity=3", "ood_batch_size=0",
+                                         "buffer_capacity=0", "ood_batch_size=0",
                                          "network.hidden=0", "network.hidden=16,0",
                                          "network.bn_eps=-1", "network.bn_eps=0",
                                          "network.bn_momentum=0", "network.bn_momentum=1.5",
@@ -157,6 +157,44 @@ class TestRun:
         assert main(["run", path, "--set", "loop.minibatch_size=1"]) == 2
         assert "minibatch_size" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("key, low", [("acquisition_batch", 1), ("buffer_capacity", 1),
+                                          ("epochs_per_update", 1), ("minibatch_size", 2)])
+    def test_loop_range_is_a_schema_error(self, config_path, capsys, key, low):
+        """The schema holds the range LoopConfig enforces (train-mode batch
+        norm needs two rows a minibatch), so the value below it is refused
+        at load like any other key's, before any data is built."""
+        path, outdir = config_path()
+        with mock.patch.object(config_mod, "synth_generate") as generate:
+            assert main(["run", path, "--set", f"loop.{key}={low - 1}"]) == 2
+        assert not generate.called and not os.path.exists(outdir)
+        assert capsys.readouterr().err == (
+            f"config error: bad value for loop.{key}: must be >= {low}, got '{low - 1}'\n")
+
+    @pytest.mark.parametrize("command, argv, err", [
+        ("run", ["--set", "run.output_dir="], "config error: bad value for run.output_dir"),
+        ("ablate", ["--set", "run.output_dir=", "--set", "run.seeds=0"],
+         "config error: bad value for run.output_dir"),
+        ("ood-hist", ["--set", "run.output_dir=", "--checkpoint", "c.bnt",
+                      "--in-set", "in.bnt", "--out-set", "out.bnt"],
+         "config error: bad value for run.output_dir"),
+        ("run", ["--output-dir", ""], "bowl run: error: argument --output-dir"),
+    ], ids=["run", "ablate", "ood-hist", "run-flag"])
+    def test_empty_output_dir_exits_2(self, config_path, tmp_path, monkeypatch, capsys,
+                                      command, argv, err):
+        """An empty output directory names no directory: it is refused,
+        naming the key or the flag, before any data is built or read and
+        before anything is written (the working directory stays empty)."""
+        path, outdir = config_path()
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with mock.patch.object(config_mod, "synth_generate") as generate, \
+                mock.patch.object(cli, "read_checkpoint") as read:
+            assert main([command, path, *argv]) == 2
+        assert not generate.called and not read.called
+        assert os.listdir(work) == [] and not os.path.exists(outdir)
+        assert capsys.readouterr().err.splitlines()[-1] == f"{err}: must be non-empty, got ''"
 
     def test_foreign_classes_beyond_dims_is_config_error(self, config_path, capsys):
         """Synthetic foreign classes are simplex vertices in data.dims too."""
@@ -393,6 +431,17 @@ test_per_class = 6
 schedule = 0 | 1 | 2
 """
 FILTERING = [name for name, variant in VARIANTS.items() if variant.ood_filter]
+# A first buffer below the bootstrap size 4 for want of capacity (12 pretraining
+# rows), and (--set values, buffer_capacity, pretraining rows) of each small one.
+SMALL_CAPACITY = ["loop.buffer_capacity=3", "loop.acquisition_batch=3"]
+SMALL_FIRST_BUFFERS = [
+    *(pytest.param([f"data.train_per_class={rows}"], 20, rows, id=str(rows))
+      for rows in (1, 2, 3)),
+    pytest.param(SMALL_CAPACITY, 3, 12, id="capacity")]
+
+
+def _sets(*settings):
+    return [flag for setting in settings for flag in ("--set", setting)]
 
 
 class TestSettingsARunCannotFinish:
@@ -444,9 +493,9 @@ class TestSettingsARunCannotFinish:
         assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("variant", FILTERING)
-    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("sets, capacity, rows", SMALL_FIRST_BUFFERS)
     def test_pretraining_set_below_the_bootstrap_size_exits_1_untrained(
-            self, config_path, capsys, monkeypatch, variant, rows):
+            self, config_path, capsys, monkeypatch, variant, sets, capacity, rows):
         """tau resamples the buffer, whose first and smallest size is
         min(buffer_capacity, pretraining rows); below the bootstrap size (4)
         a filtering variant is refused before pretraining."""
@@ -454,20 +503,35 @@ class TestSettingsARunCannotFinish:
         monkeypatch.setattr(engine_mod, "_train_supervised",
                             lambda *args: trained.append(1))
         path, outdir = config_path(body=SMALL_CONFIG)
-        assert main(["run", path, "--set", f"data.train_per_class={rows}",
-                     "--set", f"run.variant={variant}"]) == 1
+        assert main(["run", path, *_sets(*sets, f"run.variant={variant}")]) == 1
         assert trained == [] and not os.path.exists(outdir)
         assert capsys.readouterr().err == (
-            f"error: the first buffer, min(buffer_capacity 20, {rows} pretraining rows) "
-            f"= {rows}, is below the bootstrap size 4\n")
+            f"error: the first buffer, min(buffer_capacity {capacity}, {rows} pretraining "
+            f"rows) = {min(capacity, rows)}, is below the bootstrap size 4\n")
 
-    @pytest.mark.parametrize("variant", sorted(set(VARIANTS) - set(FILTERING)))
-    def test_pretraining_set_below_the_bootstrap_size_runs_without_a_filter(
-            self, config_path, variant):
+    def test_small_first_buffer_stops_ablate_at_its_first_filtering_variant(
+            self, config_path, capsys):
+        """``full`` comes first in the grid and filters, so the sweep is
+        refused before any variant trains or writes."""
         path, outdir = config_path(body=SMALL_CONFIG)
-        assert main(["run", path, "--set", "data.train_per_class=1",
-                     "--set", f"run.variant={variant}"]) == 0
-        assert os.path.exists(os.path.join(outdir, "summary.txt"))
+        assert main(["ablate", path, *_sets(*SMALL_CAPACITY, "run.seeds=0")]) == 1
+        assert next(iter(VARIANTS)) in FILTERING and not os.path.exists(outdir)
+        assert capsys.readouterr().err == (
+            "error: the first buffer, min(buffer_capacity 3, 12 pretraining rows) = 3, "
+            "is below the bootstrap size 4\n")
+
+    @pytest.mark.parametrize("variant, sets", [
+        pytest.param(variant, sets, id=f"{name}{variant}")
+        for name, sets in (("", ["data.train_per_class=1"]), ("capacity-", SMALL_CAPACITY))
+        for variant in sorted(set(VARIANTS) - set(FILTERING))])
+    def test_pretraining_set_below_the_bootstrap_size_runs_without_a_filter(
+            self, config_path, variant, sets):
+        """A variant that admits every batch never bootstraps tau, so a small
+        first buffer leaves it a complete run."""
+        path, outdir = config_path(body=SMALL_CONFIG)
+        assert main(["run", path, *_sets(*sets, f"run.variant={variant}")]) == 0
+        assert sorted(os.listdir(outdir)) == ["buffer_composition.csv", "checkpoint.bnt",
+                                              "report.csv", "summary.txt"]
 
     @staticmethod
     def _train_file(tmp_path, outside: int) -> str:
@@ -604,11 +668,16 @@ class TestRunFuzz:
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     """Files the fuzzed commands read: a tiny config, its checkpoint, a
-    dataset of its width and one of no rows."""
+    dataset of its width, one of no rows, and a config that reads its train
+    and test rows from that dataset."""
     root = tmp_path_factory.mktemp("cli_inputs")
-    paths = {name: str(root / name) for name in ("config", "dataset", "no_rows")}
+    paths = {name: str(root / name)
+             for name in ("config", "dataset", "no_rows", "file_config")}
     with open(paths["config"], "w", encoding="utf-8") as fh:
         fh.write(TINY_CONFIG)
+    with open(paths["file_config"], "w", encoding="utf-8") as fh:
+        fh.write(_file_source(TINY_CONFIG) + f"source = file\ntrain_path = "
+                 f"{paths['dataset']}\ntest_path = {paths['dataset']}\n")
     assert main(["run", paths["config"], "--output-dir", str(root / "run")]) == 0
     paths["checkpoint"] = str(root / "run" / "checkpoint.bnt")
     assert main(["gen-data", "--classes", "4", "--dims", "4", "--separation", "0.5",
@@ -650,7 +719,7 @@ SETS = st.lists(st.sampled_from([
     "data.source=file;data.train_path=@dataset",
     "data.source=file;data.train_path=@dataset;data.test_path=@no_rows"]), max_size=2).map(
         lambda items: [t for item in items for s in item.split(";") for t in ("--set", s)])
-CONFIG = _path("@config").map(lambda p: [p])
+CONFIG = _path("@file_config", "@config").map(lambda p: [p])
 # eval writes nothing and takes no --output-dir.
 COMMON = (CONFIG, _path("@out").map(lambda p: ["--output-dir", p]), SETS)
 ROWS = _path("@dataset", "@dataset", "@no_rows")
@@ -689,6 +758,43 @@ class TestMainFuzz:
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert (_tree(root), _tree(work)) == before, argv
+
+
+class TestLoadedLoop:
+    """The schema checks every [loop] key, so a config that loads builds its
+    loop, and only a command that runs the loop builds it."""
+
+    @pytest.mark.filterwarnings("ignore:buffer capacity below acquisition batch")
+    @pytest.mark.parametrize("key", sorted(SCHEMA["loop"]))
+    def test_every_accepted_value_builds_the_loop(self, tmp_path, key):
+        """Each value of FUZZ_VALUES that the schema accepts for ``key``, on a
+        config that leaves loop.bootstrap_size at its default."""
+        path = tmp_path / "run.cfg"
+        path.write_text(TINY_CONFIG.replace("bootstrap_size = 2\n", ""))
+        accepted = [raw for raw in FUZZ_VALUES if not _schema_rejects(f"loop.{key}", raw)]
+        assert accepted
+        for raw in accepted:
+            load_run_config(str(path), [f"loop.{key}={raw}"]).loop_config()
+
+    @pytest.mark.parametrize("command", ["run", "eval", "ood-hist"])
+    def test_only_run_warns_of_a_buffer_below_the_acquisition_batch(
+            self, cli_inputs, tmp_path, capsys, command):
+        _, inputs = cli_inputs
+        argv = [command, inputs["config"], "--set", "loop.buffer_capacity=4"]
+        if command != "eval":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        if command != "run":
+            argv += ["--checkpoint", inputs["checkpoint"]]
+        argv += {"run": [], "eval": ["--dataset", inputs["dataset"]],
+                 "ood-hist": ["--in-set", inputs["dataset"], "--out-set", inputs["dataset"]]
+                 }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [str(w.message) for w in caught] == (
+            ["buffer capacity below acquisition batch; churn will be high"]
+            if command == "run" else [])
+        assert capsys.readouterr().err == ""
 
 
 class TestFiniteSettings:

@@ -233,15 +233,29 @@ class TestLoopStructure:
 
     @pytest.mark.parametrize("field, value", [("epochs_per_update", 0),
                                               ("minibatch_size", 1),
-                                              ("buffer_capacity", 3),
+                                              ("buffer_capacity", 0),
                                               ("acquisition_batch", 0),
                                               ("pretrain_epochs", -1),
                                               ("baseline_epochs_per_task", 0)])
     def test_invalid_loop_settings_rejected(self, field, value):
-        """A buffer smaller than the bootstrap size (4 here) would fail only
-        after pretraining, when the first filtering task bootstraps tau."""
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_buffer_below_the_bootstrap_size_refuses_only_a_filter(self, variant):
+        """tau resamples the buffer, so a filtering variant with a buffer of 3
+        rows, below the bootstrap size 4, is refused before pretraining; a
+        variant that admits every batch runs."""
+        net, config = tiny_net(), tiny_config(buffer_capacity=3, acquisition_batch=3)
+        before = copy.deepcopy(net.state_dict())
+        if engine_mod.VARIANTS[variant].ood_filter:
+            with pytest.raises(ValueError, match=r"min\(buffer_capacity 3, 160 pretraining "
+                                                 r"rows\) = 3, is below the bootstrap size 4"):
+                run_variant(net, config, tiny_tasks(), variant)
+            assert all(np.array_equal(before[k], v) for k, v in net.state_dict().items())
+        else:
+            report = run_variant(net, config, tiny_tasks(), variant)
+            assert not report.aborted and set(report.task_accuracies) == {0, 1, 2}
 
 
 class TestVariants:
