@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--std", type=_flag(_NONNEGATIVE), required=True)
     gen_p.add_argument("--n", type=_flag(_at_least(1)), required=True,
                        help="total sample count")
-    gen_p.add_argument("--seed", type=int, default=0)
+    gen_p.add_argument("--seed", type=_flag(_at_least(0)), default=0)
     gen_p.add_argument("--clip-unit", action="store_true")
     gen_p.add_argument("--out", required=True)
 

@@ -88,66 +88,56 @@ def _choice(options):
     return parse
 
 
-# (parser, default) — default None with no parser output means "required".
+# (parser, default) per ``section.key``: default ``_REQUIRED`` marks a required key,
+# ``None`` an optional key that stays unset or takes a default derived from another key.
 _REQUIRED = object()
 
-SCHEMA: dict[str, dict[str, tuple]] = {
-    "run": {
-        "variant": (_choice(tuple(VARIANTS)), "full"),
-        "seed": (_at_least(0), 0),
-        "seeds": (_parse_seeds, None),  # ablation sweeps; defaults to [seed]
-        "output_dir": (_NONEMPTY, "runs/out"),
-    },
-    "network": {
-        "hidden": (_at_least(1, _parse_int_list), _REQUIRED),
-        "bn_eps": (_POSITIVE, 1e-5),
-        "bn_momentum": (_checked(float, "in (0, 1]", lambda v: (v > 0) & (v <= 1)), 0.1),
-    },
-    "optimizer": {
-        "learning_rate": (_NONNEGATIVE, 0.1),
-        "momentum": (_NONNEGATIVE, 0.9),
-        "weight_decay": (_NONNEGATIVE, 0.0005),
-    },
-    "loop": {
-        "acquisition_batch": (_at_least(1), 256),
-        "buffer_capacity": (_at_least(1), 5000),
-        "ood_batch_size": (_at_least(1), 8),
-        "epochs_per_update": (_at_least(1), 1),
-        "pretrain_epochs": (_at_least(0), 30),
-        "baseline_epochs_per_task": (_at_least(1), None),
-        "minibatch_size": (_at_least(2), 256),  # train-mode batch norm needs two rows
-        "bootstrap_k": (_at_least(1), 100),
-        "bootstrap_size": (_at_least(1), None),  # defaults to ood_batch_size
-        "bootstrap_alpha": (_checked(float, "in (0, 1)", lambda v: (v > 0) & (v < 1)), 0.99),
-        "eval_every_update": (_parse_bool, True),
-    },
-    "data": {
-        "source": (_choice(("synthetic", "file")), "synthetic"),
-        "schedule": (_parse_schedule, _REQUIRED),
-        "n_classes": (int, 10),
-        "dims": (int, 16),
-        "separation": (_POSITIVE, 0.3),
-        "within_std": (_NONNEGATIVE, 0.05),
-        "train_per_class": (_at_least(1), 400),
-        "test_per_class": (_at_least(1), 200),
-        "clip_unit": (_parse_bool, True),
-        "train_path": (str, None),
-        "test_path": (str, None),
-    },
-    "mix": {
-        "corrupted_fraction": (_FRACTION, 0.0),
-        "ood_fraction": (_FRACTION, 0.0),
-        "corruption": (_choice(CORRUPTION_KINDS), "gaussian"),
-        "severity": (_POSITIVE, 0.5),
-        "foreign_source": (_choice(("synthetic", "file")), "synthetic"),
-        "foreign_path": (str, None),
-        # defaults to data.n_classes, or to the classes data.schedule names for a file source
-        "foreign_classes": (_at_least(1), None),
-        "foreign_separation_scale": (_POSITIVE, 20.0),
-        "foreign_std": (_NONNEGATIVE, None),  # defaults to within_std
-        "foreign_per_class": (_at_least(1), 200),
-    },
+SCHEMA: dict[str, tuple] = {
+    "run.variant": (_choice(tuple(VARIANTS)), "full"),
+    "run.seed": (_at_least(0), 0),
+    "run.seeds": (_parse_seeds, None),  # ablation sweeps; defaults to [seed]
+    "run.output_dir": (_NONEMPTY, "runs/out"),
+    "network.hidden": (_at_least(1, _parse_int_list), _REQUIRED),
+    "network.bn_eps": (_POSITIVE, 1e-5),
+    "network.bn_momentum": (_checked(float, "in (0, 1]", lambda v: (v > 0) & (v <= 1)), 0.1),
+    "optimizer.learning_rate": (_NONNEGATIVE, 0.1),
+    "optimizer.momentum": (_NONNEGATIVE, 0.9),
+    "optimizer.weight_decay": (_NONNEGATIVE, 0.0005),
+    "loop.acquisition_batch": (_at_least(1), 256),
+    "loop.buffer_capacity": (_at_least(1), 5000),
+    "loop.ood_batch_size": (_at_least(1), 8),
+    "loop.epochs_per_update": (_at_least(1), 1),
+    "loop.pretrain_epochs": (_at_least(0), 30),
+    "loop.baseline_epochs_per_task": (_at_least(1), None),
+    "loop.minibatch_size": (_at_least(2), 256),  # train-mode batch norm needs two rows
+    "loop.bootstrap_k": (_at_least(1), 100),
+    "loop.bootstrap_size": (_at_least(1), None),  # defaults to ood_batch_size
+    "loop.bootstrap_alpha": (_checked(float, "in (0, 1)", lambda v: (v > 0) & (v < 1)), 0.99),
+    "loop.eval_every_update": (_parse_bool, True),
+    "data.source": (_choice(("synthetic", "file")), "synthetic"),
+    "data.schedule": (_parse_schedule, _REQUIRED),
+    "data.n_classes": (int, 10),
+    "data.dims": (int, 16),
+    "data.separation": (_POSITIVE, 0.3),
+    "data.within_std": (_NONNEGATIVE, 0.05),
+    "data.train_per_class": (_at_least(1), 400),
+    "data.test_per_class": (_at_least(1), 200),
+    "data.clip_unit": (_parse_bool, True),
+    "data.train_path": (str, None),
+    "data.test_path": (str, None),
+    "mix.corrupted_fraction": (_FRACTION, 0.0),
+    "mix.ood_fraction": (_FRACTION, 0.0),
+    "mix.corruption": (_choice(CORRUPTION_KINDS), "gaussian"),
+    "mix.severity": (_POSITIVE, 0.5),
+    "mix.foreign_source": (_choice(("synthetic", "file")), "synthetic"),
+    "mix.foreign_path": (str, None),
+    # defaults to data.n_classes, or to the classes data.schedule names for a file source
+    "mix.foreign_classes": (_at_least(1), None),
+    "mix.foreign_separation_scale": (_POSITIVE, 20.0),
+    "mix.foreign_std": (_NONNEGATIVE, None),  # defaults to within_std
+    "mix.foreign_per_class": (_at_least(1), 200),
 }
+_SECTIONS = {key.split(".", 1)[0] for key in SCHEMA}
 
 
 # When ``bowl run`` and ``bowl ablate`` read each conditional key: while every
@@ -175,9 +165,10 @@ READ_WHEN: dict[str, list[tuple]] = {
 }
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str, str]]:
-    """Raw section/key/value strings with strict validation against the schema."""
-    raw: dict[str, dict[str, str]] = {}
+def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
+    """The raw value string of each ``section.key`` the text sets, with strict
+    validation against the schema."""
+    raw: dict[str, str] = {}
     section: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -185,38 +176,37 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{origin}:{lineno}: unknown section [{section}]")
-            raw.setdefault(section, {})
             continue
         if "=" not in stripped:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
         if section is None:
             raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in SCHEMA[section]:
+        dotted = f"{section}.{key}"
+        if dotted not in SCHEMA:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in [{section}]")
-        if key in raw[section]:
+        if dotted in raw:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r} in [{section}]")
-        raw[section][key] = value
+        raw[dotted] = value
     return raw
 
 
-def apply_overrides(raw: dict[str, dict[str, str]], overrides) -> None:
+def apply_overrides(raw: dict[str, str], overrides) -> None:
     """Apply ``section.key=value`` strings (command-line flags) onto raw config."""
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, value = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
+        if dotted not in SCHEMA:
             raise ConfigError(f"unknown override target {dotted!r}")
-        raw.setdefault(section, {})[key] = value
+        raw[dotted] = value
 
 
 @dataclass
 class RunConfig:
-    values: dict[str, dict[str, object]]
+    values: dict[str, object]
     given: set[str] = field(default_factory=set)  # keys set in the file or by --set
     input_dim: int = field(init=False)  # the train set's width
 
@@ -237,40 +227,40 @@ class RunConfig:
             if switch:
                 raise ConfigError(f"{key} is set but {switch[0]} is {switch[1]}: "
                                   f"the run would not read it")
-        d, m = self.values["data"], self.values["mix"]
-        if m["corrupted_fraction"] + m["ood_fraction"] > 1:
-            raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} + "
-                              f"mix.ood_fraction {m['ood_fraction']} exceeds 1")
-        scheduled = {c for group in d["schedule"] for c in group}
-        if d["source"] == "file":
+        corrupted = self["mix.corrupted_fraction"]
+        if corrupted + self["mix.ood_fraction"] > 1:
+            raise ConfigError(f"mix.corrupted_fraction {corrupted} + "
+                              f"mix.ood_fraction {self['mix.ood_fraction']} exceeds 1")
+        scheduled = {c for group in self["data.schedule"] for c in group}
+        if self["data.source"] == "file":
             train = self._path("data.train_path")
             self.input_dim = DatasetFile(train).width
             self._train_key = f"data.train_path {train!r}"
-            m["foreign_classes"] = m["foreign_classes"] or len(scheduled)
+            classes = len(scheduled)
         else:
-            self.input_dim = d["dims"]
+            self.input_dim = self["data.dims"]
             self._train_key = "data.dims"
-            m["foreign_classes"] = m["foreign_classes"] or d["n_classes"]
-        if m["corrupted_fraction"] > 0 and not d["clip_unit"]:  # given only where read
-            raise ConfigError(f"mix.corrupted_fraction {m['corrupted_fraction']} "
+            classes = self["data.n_classes"]
+        for key, default in (("mix.foreign_classes", classes), ("run.seeds", [self.seed]),
+                             ("loop.bootstrap_size", self["loop.ood_batch_size"]),
+                             ("mix.foreign_std", self["data.within_std"])):
+            if self[key] is None:
+                self.values[key] = default
+        if corrupted > 0 and not self["data.clip_unit"]:  # given only where read
+            raise ConfigError(f"mix.corrupted_fraction {corrupted} "
                               f"corrupts rows in [0, 1], which generated rows keep "
                               f"only with data.clip_unit = true")
         for key in ("data.n_classes", "mix.foreign_classes"):  # generated class counts
             if not self._switched_off(key) and self.input_dim < self[key]:
                 raise ConfigError(f"the train set's width {self.input_dim} "
                                   f"({self._train_key}) is below {key} {self[key]}")
-        outside = scheduled - set(range(d["n_classes"]))
+        outside = scheduled - set(range(self["data.n_classes"]))
         if not self._switched_off("data.n_classes") and outside:
             raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
-                              f"data.n_classes {d['n_classes']}")
-        run, loop = self.values["run"], self.values["loop"]
-        run["seeds"] = run["seeds"] or [self.seed]
-        loop["bootstrap_size"] = loop["bootstrap_size"] or loop["ood_batch_size"]
-        m["foreign_std"] = d["within_std"] if m["foreign_std"] is None else m["foreign_std"]
+                              f"data.n_classes {self['data.n_classes']}")
 
-    def __getitem__(self, dotted: str):
-        section, key = dotted.split(".", 1)
-        return self.values[section][key]
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def _switched_off(self, key: str):
         """None while a run reads ``key`` (asked before ``mix.foreign_std`` takes
@@ -289,12 +279,10 @@ class RunConfig:
     def loop_config(self, seed: int | None = None) -> LoopConfig:
         """The loop's settings: the [loop] and [optimizer] keys named like a
         ``LoopConfig`` field, the bootstrap's three keys and the seed."""
-        loop = self.values["loop"]
-        names = {f.name for f in fields(LoopConfig)}
-        settings = {key: value for section in ("loop", "optimizer")
-                    for key, value in self.values[section].items() if key in names}
-        bootstrap = ThresholdConfig(loop["bootstrap_k"], loop["bootstrap_size"],
-                                    loop["bootstrap_alpha"])
+        settings = {f.name: self[key] for f in fields(LoopConfig)
+                    for key in (f"loop.{f.name}", f"optimizer.{f.name}") if key in SCHEMA}
+        bootstrap = ThresholdConfig(self["loop.bootstrap_k"], self["loop.bootstrap_size"],
+                                    self["loop.bootstrap_alpha"])
         return LoopConfig(**settings, bootstrap=bootstrap,
                           seed=self.seed if seed is None else seed)
 
@@ -321,48 +309,47 @@ class RunConfig:
         return header.path
 
     def train_test_datasets(self, seed: int) -> tuple[Dataset, Dataset]:
-        d = self.values["data"]
         train_seed, test_seed = (int(s) for s in self._data_seeds(seed)[:2])
-        if d["source"] == "file":
+        schedule, n_classes = self["data.schedule"], self["data.n_classes"]
+        if self["data.source"] == "file":
             test_path = self._checked_path("data.test_path")
             train_path = self._path("data.train_path")
             train, test = load_dataset(train_path), load_dataset(test_path)
-            unlisted = {c for group in d["schedule"] for c in group} - set(train.classes())
+            unlisted = {c for group in schedule for c in group} - set(train.classes())
             if unlisted:
                 raise ConfigError(f"data.train_path {train_path!r} has no rows of "
                                   f"data.schedule classes {sorted(unlisted)}")
-            if not np.isin(test.labels, d["schedule"][0]).any():
+            if not np.isin(test.labels, schedule[0]).any():
                 raise ConfigError(f"data.test_path {test_path!r} has no rows of the "
-                                  f"pretraining classes {d['schedule'][0]} (data.schedule)")
+                                  f"pretraining classes {schedule[0]} (data.schedule)")
             return train, test
-        n_train = d["train_per_class"] * d["n_classes"]
-        n_test = d["test_per_class"] * d["n_classes"]
-        train = synth_generate(d["n_classes"], d["dims"], d["separation"],
-                               d["within_std"], n_train, train_seed, d["clip_unit"])
-        test = synth_generate(d["n_classes"], d["dims"], d["separation"],
-                              d["within_std"], n_test, test_seed, d["clip_unit"])
+        common = (n_classes, self["data.dims"], self["data.separation"], self["data.within_std"])
+        train = synth_generate(*common, self["data.train_per_class"] * n_classes, train_seed,
+                               self["data.clip_unit"])
+        test = synth_generate(*common, self["data.test_per_class"] * n_classes, test_seed,
+                              self["data.clip_unit"])
         return train, test
 
     def foreign_dataset(self, seed: int) -> Dataset | None:
         """Foreign rows for the mix, or None without them. They have the train
         set's width (``data.dims`` or the train file's)."""
-        m, d = self.values["mix"], self.values["data"]
-        if m["ood_fraction"] <= 0.0:
+        if self["mix.ood_fraction"] <= 0.0:
             return None
-        if m["foreign_source"] == "file":
+        if self["mix.foreign_source"] == "file":
             return load_dataset(self._checked_path("mix.foreign_path"))
         foreign_seed = int(self._data_seeds(seed)[4])
-        classes = m["foreign_classes"]
+        classes = self["mix.foreign_classes"]
         return synth_generate(classes, self.input_dim,
-                              d["separation"] * m["foreign_separation_scale"],
-                              m["foreign_std"], m["foreign_per_class"] * classes, foreign_seed)
+                              self["data.separation"] * self["mix.foreign_separation_scale"],
+                              self["mix.foreign_std"], self["mix.foreign_per_class"] * classes,
+                              foreign_seed)
 
     def mix_spec(self, seed: int) -> MixSpec | None:
-        m = self.values["mix"]
-        if m["corrupted_fraction"] <= 0.0 and m["ood_fraction"] <= 0.0:
+        fractions = self["mix.corrupted_fraction"], self["mix.ood_fraction"]
+        if max(fractions) <= 0.0:
             return None
-        return MixSpec(m["corrupted_fraction"], m["ood_fraction"], m["corruption"],
-                       m["severity"], self.foreign_dataset(seed))
+        return MixSpec(*fractions, self["mix.corruption"], self["mix.severity"],
+                       self.foreign_dataset(seed))
 
     def build_tasks(self, seed: int | None = None) -> SplitTasks:
         seed = self.seed if seed is None else seed
@@ -393,18 +380,15 @@ def load_run_config(path: str, overrides=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read(), origin=path)
     apply_overrides(raw, overrides)
-    values: dict[str, dict[str, object]] = {}
-    for section, keys in SCHEMA.items():
-        values[section] = {}
-        for key, (parser, default) in keys.items():
-            raw_value = raw.get(section, {}).get(key)
-            if raw_value is None:
-                if default is _REQUIRED:
-                    raise ConfigError(f"missing required key {section}.{key}")
-                values[section][key] = default
-            else:
-                try:
-                    values[section][key] = parser(raw_value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
-    return RunConfig(values, {f"{section}.{key}" for section in raw for key in raw[section]})
+    values: dict[str, object] = {}
+    for key, (parser, default) in SCHEMA.items():
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key}")
+            values[key] = default
+        else:
+            try:
+                values[key] = parser(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from exc
+    return RunConfig(values, set(raw))

@@ -4,8 +4,10 @@ corruption injection, open-world stream mixing, and the on-disk format.
 Datasets are stored in the BNT1 container with two named tensors, ``inputs``
 (float32) and ``labels`` (uint32, rank 1). ``load_dataset`` reads a file
 whole; ``DatasetFile`` reads its headers, then its rows a block at a time.
-Both reject a non-finite input. Foreign samples injected into a stream carry
-the in-memory sentinel label -1 and are excluded from accuracy bookkeeping.
+Both reject rows of width 0 and a non-finite input, and ``save_dataset``
+applies the same row checks before it writes. Foreign samples injected into
+a stream carry the in-memory sentinel label -1 and are excluded from
+accuracy bookkeeping.
 """
 
 from __future__ import annotations
@@ -290,19 +292,20 @@ def split_experiment(train: Dataset, test: Dataset, schedule: list[list[int]],
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
+    """Write ``dataset`` to ``path`` once it passes its readers' row checks."""
     labels = dataset.labels
     if labels.size and labels.max() >= 2**32:
         raise FormatError("labels overflow uint32")
-    write_tensors(path, {
-        "inputs": dataset.inputs.astype(np.float32, copy=False),
-        "labels": labels.astype(np.uint32),
-    })
+    inputs = dataset.inputs.astype(np.float32, copy=False)
+    _dataset_shape(path, {"inputs": inputs.shape, "labels": labels.shape})
+    _check_finite(path, inputs)
+    write_tensors(path, {"inputs": inputs, "labels": labels.astype(np.uint32)})
 
 
 def _dataset_shape(path: str, shapes: dict[str, tuple]) -> tuple[int, int]:
     """(rows, width) of a dataset file with tensors of ``shapes``; raises
-    FormatError when they are not an ``inputs`` tensor and a rank-1 ``labels``
-    tensor of the same length."""
+    FormatError when they are not an ``inputs`` tensor of rows of width >= 1
+    and a rank-1 ``labels`` tensor of the same length."""
     for name in ("inputs", "labels"):
         if name not in shapes:
             raise FormatError(f"dataset file {path!r} missing tensor {name!r}")
@@ -311,7 +314,10 @@ def _dataset_shape(path: str, shapes: dict[str, tuple]) -> tuple[int, int]:
         raise FormatError(f"labels tensor of {path!r} must be rank 1")
     if inputs[0] != labels[0]:
         raise FormatError(f"{path!r} holds {inputs[0]} input rows but {labels[0]} labels")
-    return labels[0], math.prod(inputs[1:])
+    width = math.prod(inputs[1:])
+    if width == 0:
+        raise FormatError(f"{path!r} holds rows of width 0")
+    return labels[0], width
 
 
 def _check_finite(path: str, inputs: np.ndarray, first_row: int = 0) -> None:

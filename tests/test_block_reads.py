@@ -83,6 +83,13 @@ def _dataset_file(path, n, seed, dims=DIMS):
     return path
 
 
+def _write_unchecked(path, dataset):
+    """``dataset`` as a dataset file, past the writer's row checks."""
+    serialization.write_tensors(path, {"inputs": dataset.inputs,
+                                       "labels": dataset.labels.astype(np.uint32)})
+    return path
+
+
 def _in_memory_scores(net, inputs, batch, granularity):
     """The whole-set pass: one ``batch_ood_score`` or ``sample_eta1_scores``."""
     if granularity == "sample":
@@ -175,8 +182,7 @@ class TestRowBlocks:
     def test_non_finite_input_names_file_and_row(self, tmp_path, value):
         ds = synth_generate(3, DIMS, 0.3, 0.1, 6000, seed=4)
         ds.inputs[4500, 7] = value
-        path = str(tmp_path / "bad.bnt")
-        save_dataset(ds, path)
+        path = _write_unchecked(str(tmp_path / "bad.bnt"), ds)
         with pytest.raises(FormatError) as info:
             load_dataset(path)
         assert str(info.value) == f"non-finite input in row 4500 of {path!r}"
@@ -184,6 +190,18 @@ class TestRowBlocks:
         assert len(next(blocks)[1]) == 4096  # the bad row is in the second block
         with pytest.raises(FormatError, match="non-finite input in row 4500 "):
             next(blocks)
+
+    def test_rows_of_width_0_are_format_error(self, tmp_path):
+        path = str(tmp_path / "d.bnt")
+        empty_rows = Dataset(np.zeros((3, 0)), np.zeros(3))
+        with pytest.raises(FormatError, match="rows of width 0"):
+            save_dataset(empty_rows, path)
+        assert not os.path.exists(path)
+        _write_unchecked(path, empty_rows)
+        for read in (load_dataset, DatasetFile):
+            with pytest.raises(FormatError) as info:
+                read(path)
+            assert str(info.value) == f"{path!r} holds rows of width 0"
 
     def test_length_mismatch_is_format_error(self, tmp_path):
         path = str(tmp_path / "d.bnt")
@@ -267,12 +285,38 @@ class TestCheckedAtLoad:
         files = _sets(tmp, [("train", DIMS, 240, 1), ("test", DIMS, 120, 2)])
         train = load_dataset(files["train"])
         train.inputs[17, 3] = np.nan
-        save_dataset(train, files["train"])
+        _write_unchecked(files["train"], train)
         with mock.patch.object(cli, "run_variant") as run_variant:
             assert main(["run", *_run_config(tmp, files)]) == 1
         assert not run_variant.called
         err = capsys.readouterr().err
         assert err == f"error: non-finite input in row 17 of {files['train']!r}\n"
+
+    def test_train_rows_of_width_0(self, tmp_path, capsys):
+        """Exit 1 at load, naming the file, before any data is built."""
+        tmp = str(tmp_path)
+        files = _sets(tmp, [("test", DIMS, 120, 2)])
+        files["train"] = _write_unchecked(os.path.join(tmp, "train.bnt"),
+                                          Dataset(np.zeros((240, 0)), np.arange(240) % 6))
+        with mock.patch.object(cli, "run_variant") as run_variant:
+            assert main(["run", *_run_config(tmp, files)]) == 1
+        assert not run_variant.called
+        assert capsys.readouterr().err == f"error: {files['train']!r} holds rows of width 0\n"
+        assert not os.path.exists(os.path.join(tmp, "out"))
+
+    @pytest.mark.parametrize("flag", ["--in-set", "--dataset"])
+    def test_scored_rows_of_width_0(self, scorer, tmp_path, capsys, flag):
+        """Exit 1 before any scoring, naming the file."""
+        config, checkpoint, _ = scorer
+        good = _dataset_file(str(tmp_path / "good.bnt"), 100, seed=1)
+        bad = _write_unchecked(str(tmp_path / "bad.bnt"),
+                               Dataset(np.zeros((100, 0)), np.zeros(100)))
+        outdir = str(tmp_path / "h")
+        argv = (["eval", config, "--dataset", bad] if flag == "--dataset" else
+                ["ood-hist", config, "--in-set", bad, "--out-set", good, "--output-dir", outdir])
+        assert main([*argv, "--checkpoint", checkpoint]) == 1
+        assert capsys.readouterr().err == f"error: {bad!r} holds rows of width 0\n"
+        assert not os.path.exists(outdir)
 
     @pytest.mark.parametrize("command", ["eval", "ood-hist-in", "ood-hist-out"])
     def test_scored_file_of_another_width(self, scorer, tmp_path, capsys, command):

@@ -626,8 +626,7 @@ schedule = 0,1 | 2,3
 """
 
 # Every key but the output directory, which --output-dir overrides.
-FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
-                   if key != "output_dir")
+FUZZ_KEYS = sorted(key for key in SCHEMA if key != "run.output_dir")
 # Boundary, zero, negative, empty and unparsable values; none makes a run long.
 FUZZ_VALUES = ("", "0", "-1", "1", "2", "0.5", "-0.5", "1.5", "nan", "inf", "-inf", "x")
 # The float settings with a lower bound only; each must also be finite.
@@ -637,9 +636,8 @@ FINITE_KEYS = ("network.bn_eps", "optimizer.learning_rate", "optimizer.momentum"
 
 
 def _schema_rejects(dotted: str, raw: str) -> bool:
-    section, key = dotted.split(".")
     try:
-        SCHEMA[section][key][0](raw)
+        SCHEMA[dotted][0](raw)
     except (TypeError, ValueError):
         return True
     return False
@@ -765,16 +763,17 @@ class TestLoadedLoop:
     loop, and only a command that runs the loop builds it."""
 
     @pytest.mark.filterwarnings("ignore:buffer capacity below acquisition batch")
-    @pytest.mark.parametrize("key", sorted(SCHEMA["loop"]))
+    @pytest.mark.parametrize("key", sorted(key for key in SCHEMA if key.startswith("loop.")),
+                             ids=lambda key: key.removeprefix("loop."))
     def test_every_accepted_value_builds_the_loop(self, tmp_path, key):
         """Each value of FUZZ_VALUES that the schema accepts for ``key``, on a
         config that leaves loop.bootstrap_size at its default."""
         path = tmp_path / "run.cfg"
         path.write_text(TINY_CONFIG.replace("bootstrap_size = 2\n", ""))
-        accepted = [raw for raw in FUZZ_VALUES if not _schema_rejects(f"loop.{key}", raw)]
+        accepted = [raw for raw in FUZZ_VALUES if not _schema_rejects(key, raw)]
         assert accepted
         for raw in accepted:
-            load_run_config(str(path), [f"loop.{key}={raw}"]).loop_config()
+            load_run_config(str(path), [f"{key}={raw}"]).loop_config()
 
     @pytest.mark.parametrize("command", ["run", "eval", "ood-hist"])
     def test_only_run_warns_of_a_buffer_below_the_acquisition_batch(
@@ -880,7 +879,8 @@ class TestGenData:
 
     @pytest.mark.parametrize("flag, value", [("--classes", "0"), ("--classes", "-2"),
                                              ("--std", "nan"), ("--separation", "inf"),
-                                             ("--dims", "0"), ("--n", "0")])
+                                             ("--dims", "0"), ("--n", "0"),
+                                             ("--seed", "-1")])
     def test_bad_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
         out = str(tmp_path / "blobs.bnt")
         flags = {"--classes": "2", "--dims": "4", "--separation": "0.5", "--std": "0.1",
@@ -899,6 +899,19 @@ class TestGenData:
         err = capsys.readouterr().err
         assert "--dims 3" in err and "--classes 5" in err, err
         assert not os.path.exists(out)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_rows_beyond_float32_exit_1_and_write_nothing(self, tmp_path, capsys):
+        """The writer makes its readers' row checks: a spread that overflows
+        float32 is refused, unless --clip-unit keeps the rows in [0, 1]."""
+        out = str(tmp_path / "blobs.bnt")
+        argv = ["gen-data", "--classes", "2", "--dims", "2", "--separation", "0.3",
+                "--std", "1e39", "--n", "4", "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: non-finite input in row 1 of {out!r}\n"
+        assert not os.path.exists(out)
+        assert main([*argv, "--clip-unit"]) == 0
+        assert np.isfinite(load_dataset(out).inputs).all()
 
 
 class TestExitCodes:
@@ -986,8 +999,7 @@ class TestReadme:
                 section = header.group(1)
             elif key := re.match(r"(\w+)\s*=", line):
                 listed.add(f"{section}.{key.group(1)}")
-        missing = [f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
-                   if f"{section}.{key}" not in listed and f"`{section}.{key}" not in text]
+        missing = [key for key in SCHEMA if key not in listed and f"`{key}" not in text]
         assert not missing, missing
 
 
