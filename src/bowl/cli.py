@@ -16,11 +16,12 @@ import sys
 import numpy as np
 
 from .config import (_NONEMPTY, _NONNEGATIVE, _POSITIVE, ConfigError, RunConfig,
-                     _at_least, load_run_config)
+                     _at_least, load_config_values, load_run_config)
 from .engine import (VARIANTS, RunReport, count_correct, run_variant,
                      write_buffer_composition, write_report_csv, write_summary)
 from .metrics import auroc
-from .nn import EVAL_CHUNK, Network, NonFiniteLossError, read_checkpoint, save_checkpoint
+from .nn import (EVAL_CHUNK, Network, NonFiniteLossError, network_from_state,
+                 read_checkpoint, save_checkpoint)
 from .ood import (batch_ood_score, export_score_csv, predictive_entropy_per_sample,
                   sample_eta1_scores, segment_means)
 from .serialization import FormatError, atomic_write_text
@@ -43,19 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Batch-norm open-world learner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config_command(name: str, text: str):
+        p = sub.add_parser(name, help=text)
         p.add_argument("config", help="path to a run configuration file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="override a config key")
+        return p
 
-    run_p = sub.add_parser("run", help="execute one experiment")
-    add_common(run_p)
-
-    ablate_p = sub.add_parser("ablate", help="run the ablation grid over seeds")
-    add_common(ablate_p)
-
-    hist_p = sub.add_parser("ood-hist", help="export score histograms for two datasets")
-    add_common(hist_p)
+    run_p = add_config_command("run", "execute one experiment")
+    ablate_p = add_config_command("ablate", "run the ablation grid over seeds")
+    hist_p = add_config_command("ood-hist", "export score histograms for two datasets")
     hist_p.add_argument("--checkpoint", required=True)
     hist_p.add_argument("--in-set", required=True, help="in-distribution dataset file")
     hist_p.add_argument("--out-set", required=True, help="out-of-distribution dataset file")
@@ -72,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--clip-unit", action="store_true")
     gen_p.add_argument("--out", required=True)
 
-    eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    add_common(eval_p)
+    eval_p = add_config_command("eval", "evaluate a checkpoint on a dataset")
     eval_p.add_argument("--checkpoint", required=True)
     eval_p.add_argument("--dataset", required=True)
 
@@ -83,21 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str, overrides) -> RunConfig:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    return load_run_config(path, overrides)
-
-
-def _resolve_outdir(args, cfg: RunConfig) -> str:
+def _resolve_outdir(args, cfg) -> str:
     return args.output_dir or str(cfg["run.output_dir"])
-
-
-def _restore_network(cfg: RunConfig, checkpoint: str) -> Network:
-    state = read_checkpoint(checkpoint)
-    net = cfg.build_network(class_ids=state["head.class_ids"])
-    net.load_state_dict(state)
-    return net
 
 
 def _run(cfg: RunConfig, seed: int, tasks, variant: str, outdir: str) -> RunReport:
@@ -117,7 +101,7 @@ def _run(cfg: RunConfig, seed: int, tasks, variant: str, outdir: str) -> RunRepo
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.overrides)
+    cfg = load_run_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
     report = _run(cfg, cfg.seed, cfg.build_tasks(), cfg["run.variant"], outdir)
     print(f"{report.variant}: final_accuracy={report.final_accuracy:.4f} "
@@ -129,7 +113,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args.config, args.overrides)
+    cfg = load_run_config(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
     per_variant: dict[str, list[RunReport]] = {v: [] for v in VARIANTS}
     for seed in cfg["run.seeds"]:
@@ -194,9 +178,9 @@ def _dataset_scores(net: Network, blocks, batch_size: int, granularity: str):
 
 
 def cmd_ood_hist(args) -> int:
-    cfg = _load_config(args.config, args.overrides)
+    cfg = load_config_values(args.config, args.overrides)
     outdir = _resolve_outdir(args, cfg)
-    net = _restore_network(cfg, args.checkpoint)
+    net = network_from_state(read_checkpoint(args.checkpoint))
     sets = [_scored_file(net, args.in_set, "--in-set"),
             _scored_file(net, args.out_set, "--out-set")]
     batch = int(cfg["loop.ood_batch_size"])
@@ -227,8 +211,9 @@ def cmd_gen_data(args) -> int:
     if args.dims < args.classes:
         raise ConfigError(f"--dims {args.dims} is below --classes {args.classes}: "
                           f"class means are the vertices of a regular simplex")
-    dataset = synth_generate(args.classes, args.dims, args.separation, args.std,
-                             args.n, args.seed, args.clip_unit)
+    with np.errstate(over="ignore"):  # save_dataset refuses the overflowed rows
+        dataset = synth_generate(args.classes, args.dims, args.separation, args.std,
+                                 args.n, args.seed, args.clip_unit)
     save_dataset(dataset, args.out)
     print(f"wrote {dataset.n} samples ({args.classes} classes, {args.dims} dims) "
           f"-> {args.out}")
@@ -236,8 +221,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.overrides)
-    net = _restore_network(cfg, args.checkpoint)
+    load_config_values(args.config, args.overrides)  # checked, not read
+    net = network_from_state(read_checkpoint(args.checkpoint))
     dataset = _scored_file(net, args.dataset, "--dataset")
     correct = sum(count_correct(net, inputs, labels)
                   for inputs, labels in dataset.blocks(EVAL_CHUNK))

@@ -1,13 +1,14 @@
 """Experiment configuration: a strict sectioned key = value file format.
 
-Sections in square brackets, ``key = value`` lines, ``#`` comments. Unknown
-sections or keys are hard errors so typos cannot silently change a run. All
-randomness derives from the single ``run.seed`` through named substreams.
+``[section]`` headers, ``key = value`` lines, and comments from a ``#`` at a line's
+start or after whitespace. Unknown sections or keys are hard errors so typos
+cannot silently change a run. All randomness derives from ``run.seed`` by named substreams.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -165,13 +166,22 @@ READ_WHEN: dict[str, list[tuple]] = {
 }
 
 
+def _switched_off(values: dict[str, object], key: str):
+    """None while a run reads ``key`` (asked before ``mix.foreign_std`` takes
+    its default), else the first failing (setting, value) of its first condition."""
+    conditions = READ_WHEN[key]
+    if any(all(holds(values[s]) for s, holds in condition) for condition in conditions):
+        return None
+    return next((s, values[s]) for s, holds in conditions[0] if not holds(values[s]))
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     """The raw value string of each ``section.key`` the text sets, with strict
     validation against the schema."""
     raw: dict[str, str] = {}
     section: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
@@ -207,7 +217,6 @@ def apply_overrides(raw: dict[str, str], overrides) -> None:
 @dataclass
 class RunConfig:
     values: dict[str, object]
-    given: set[str] = field(default_factory=set)  # keys set in the file or by --set
     input_dim: int = field(init=False)  # the train set's width
 
     def __post_init__(self):
@@ -219,14 +228,7 @@ class RunConfig:
         ``data.within_std``), and the cross-key rules, before any data is
         built: mix fractions sum to <= 1; generated sets have simplex-vertex
         class means (train width >= classes); the schedule names generated
-        classes; generated rows that may be corrupted are clipped into [0, 1].
-        First, a key given where ``READ_WHEN`` says the run would not read it
-        is refused."""
-        for key in READ_WHEN:
-            switch = key in self.given and self._switched_off(key)
-            if switch:
-                raise ConfigError(f"{key} is set but {switch[0]} is {switch[1]}: "
-                                  f"the run would not read it")
+        classes; generated rows that may be corrupted are clipped into [0, 1]."""
         corrupted = self["mix.corrupted_fraction"]
         if corrupted + self["mix.ood_fraction"] > 1:
             raise ConfigError(f"mix.corrupted_fraction {corrupted} + "
@@ -251,24 +253,16 @@ class RunConfig:
                               f"corrupts rows in [0, 1], which generated rows keep "
                               f"only with data.clip_unit = true")
         for key in ("data.n_classes", "mix.foreign_classes"):  # generated class counts
-            if not self._switched_off(key) and self.input_dim < self[key]:
+            if not _switched_off(self.values, key) and self.input_dim < self[key]:
                 raise ConfigError(f"the train set's width {self.input_dim} "
                                   f"({self._train_key}) is below {key} {self[key]}")
         outside = scheduled - set(range(self["data.n_classes"]))
-        if not self._switched_off("data.n_classes") and outside:
+        if not _switched_off(self.values, "data.n_classes") and outside:
             raise ConfigError(f"data.schedule names classes {sorted(outside)} outside "
                               f"data.n_classes {self['data.n_classes']}")
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def _switched_off(self, key: str):
-        """None while a run reads ``key`` (asked before ``mix.foreign_std`` takes
-        its default), else the first failing (setting, value) of its first condition."""
-        conditions = READ_WHEN[key]
-        if any(all(holds(self[s]) for s, holds in condition) for condition in conditions):
-            return None
-        return next((s, self[s]) for s, holds in conditions[0] if not holds(self[s]))
 
     # -- assembly ----------------------------------------------------------
 
@@ -365,18 +359,21 @@ class RunConfig:
                               f"data.schedule group have rows outside it "
                               f"(data.train_path {self['data.train_path']!r})") from exc
 
-    def build_network(self, seed: int | None = None, class_ids=None) -> Network:
+    def build_network(self, seed: int | None = None) -> Network:
         seed = self.seed if seed is None else seed
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        if class_ids is None:
-            class_ids = sorted(self["data.schedule"][0])
+        class_ids = sorted(self["data.schedule"][0])
         return build_mlp(self.input_dim, self["network.hidden"], len(class_ids), rng,
-                         eps=self["network.bn_eps"],
-                         stat_momentum=self["network.bn_momentum"],
+                         eps=self["network.bn_eps"], stat_momentum=self["network.bn_momentum"],
                          class_ids=class_ids)
 
 
-def load_run_config(path: str, overrides=None) -> RunConfig:
+def load_config_values(path: str, overrides=None) -> dict[str, object]:
+    """Each ``SCHEMA`` key's value from the file, then ``overrides``, else its
+    default; a key set where ``READ_WHEN`` says a run would not read it is
+    refused. No other file is opened (``RunConfig`` checks the rest)."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read(), origin=path)
     apply_overrides(raw, overrides)
@@ -391,4 +388,12 @@ def load_run_config(path: str, overrides=None) -> RunConfig:
                 values[key] = parser(raw[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {exc}") from exc
-    return RunConfig(values, set(raw))
+    for key in READ_WHEN:
+        if key in raw and (switch := _switched_off(values, key)):
+            raise ConfigError(f"{key} is set but {switch[0]} is {switch[1]}: "
+                              f"the run would not read it")
+    return values
+
+
+def load_run_config(path: str, overrides=None) -> RunConfig:
+    return RunConfig(load_config_values(path, overrides))

@@ -80,7 +80,7 @@ class BatchNorm:
     Train mode normalizes with batch statistics (biased variance) and updates
     the running estimates in place by EMA ``running <- (1 - m) * running + m *
     batch``. Eval mode normalizes with the running estimates and never mutates
-    state.
+    state. ``eps`` is a (1,) array, saved with the running statistics.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5, stat_momentum: float = 0.1,
@@ -91,7 +91,7 @@ class BatchNorm:
         self.beta = Param(np.zeros(dim, dtype=dtype))
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
-        self.eps = eps
+        self.eps = np.full(1, eps, dtype=dtype)
         self.stat_momentum = stat_momentum
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -272,22 +272,21 @@ class Network:
             if isinstance(layer, BatchNorm):
                 state[f"layer{i}.running_mean"] = layer.running_mean
                 state[f"layer{i}.running_var"] = layer.running_var
+                state[f"layer{i}.eps"] = layer.eps
         state["head.class_ids"] = self.class_ids.astype(np.uint32)
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load every tensor of ``state_dict()``, each checked by name and shape."""
+        """Load every tensor of ``state_dict()``, each checked by name and shape;
+        ``head.class_ids`` replaces the network's class ids."""
         for name, target in self.state_dict().items():
-            if name == "head.class_ids":
-                continue
             if name not in state:
                 raise ValueError(f"checkpoint missing tensor {name!r}")
             if state[name].shape != target.shape:
                 raise ValueError(f"shape mismatch for {name!r}: "
                                  f"{state[name].shape} vs {target.shape}")
             target[...] = state[name].astype(target.dtype)
-        if "head.class_ids" in state:
-            self.class_ids = state["head.class_ids"].astype(np.int64)
+        self.class_ids = state["head.class_ids"].astype(np.int64)
 
 
 def build_mlp(in_dim: int, hidden: list[int], n_classes: int,
@@ -304,6 +303,23 @@ def build_mlp(in_dim: int, hidden: list[int], n_classes: int,
         prev = width
     head = Dense(prev, n_classes, rng, dtype=dtype)
     return Network(layers, head, class_ids)
+
+
+def network_from_state(state: dict[str, np.ndarray]) -> Network:
+    """The ``build_mlp`` network that ``state`` describes (widths from the weight
+    shapes, its eps, a head row per class id), loaded; momentum is the default."""
+    for name in ("layer0.weight", "head.class_ids"):
+        if name not in state:
+            raise ValueError(f"checkpoint missing tensor {name!r}")
+    widths = [state["layer0.weight"].shape[0]]
+    while f"layer{3 * len(widths) - 3}.weight" in state:
+        widths.append(state[f"layer{3 * len(widths) - 3}.weight"].shape[-1])
+    if 0 in widths:
+        raise ValueError(f"checkpoint layer widths {widths} include 0")
+    net = build_mlp(widths[0], widths[1:], len(state["head.class_ids"]),
+                    np.random.default_rng(0))  # the load overwrites every drawn weight
+    net.load_state_dict(state)
+    return net
 
 
 EVAL_CHUNK = 512
@@ -463,23 +479,17 @@ def expand_head(net: Network, new_class_ids, rng: np.random.Generator) -> Networ
 
 
 def save_checkpoint(net: Network, path: str) -> None:
-    write_tensors(path, {k: _as_storable(v) for k, v in net.state_dict().items()})
+    """Write ``net.state_dict()``: the class ids as u32, every other tensor as f32."""
+    write_tensors(path, {k: v if v.dtype == np.uint32 else v.astype(np.float32)
+                         for k, v in net.state_dict().items()})
 
 
 def read_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """All of a checkpoint's tensors, ``head.class_ids`` among them, from one
-    read. A NaN or infinite value, as an aborted run may save, raises
-    FormatError naming the first tensor that holds one."""
+    """All of a checkpoint's tensors from one read (``network_from_state``
+    builds their network). A NaN or infinite value, as an aborted run may
+    save, raises FormatError naming the first tensor that holds one."""
     state = read_tensors(path)
-    if "head.class_ids" not in state:
-        raise FormatError(f"checkpoint {path!r} has no tensor 'head.class_ids'")
     for name, value in state.items():
         if not np.isfinite(value).all():
             raise FormatError(f"non-finite tensor {name!r} in checkpoint {path!r}")
     return state
-
-
-def _as_storable(array: np.ndarray) -> np.ndarray:
-    if array.dtype == np.uint32:
-        return array
-    return array.astype(np.float32)

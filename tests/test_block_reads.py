@@ -229,8 +229,8 @@ def _sets(tmp, sets):
 class TestReadOnce:
     def test_payload_bytes_read_per_command(self, tmp_path, monkeypatch):
         """``run`` reads the train and test payloads once each; ``eval`` and
-        ``ood-hist`` read the train file's header only, and each of their own
-        files once."""
+        ``ood-hist`` open no file the config names, not even for its header,
+        and read each of their own files once."""
         tmp = str(tmp_path)
         files = _sets(tmp, [("train", DIMS, 240, 1), ("test", DIMS, 120, 2),
                             ("in", DIMS, 5000, 3), ("out", DIMS, 700, 4)])
@@ -244,6 +244,10 @@ class TestReadOnce:
             return read_into(fh, array, offset, path, name)
 
         monkeypatch.setattr(serialization, "_read_into", counting)
+        parsed = []
+        parse_headers = serialization._parse_headers
+        monkeypatch.setattr(serialization, "_parse_headers",
+                            lambda fh, path: parsed.append(path) or parse_headers(fh, path))
         argv = _run_config(tmp, files)
         assert main(["run", *argv]) == 0
         assert read == {files["train"]: payload[files["train"]],
@@ -252,7 +256,9 @@ class TestReadOnce:
         for command in (["eval", "--dataset", files["in"]],
                         ["ood-hist", "--in-set", files["in"], "--out-set", files["out"]]):
             read.clear()
+            parsed.clear()
             assert main([command[0], *argv, "--checkpoint", checkpoint, *command[1:]]) == 0
+            assert set(parsed) == {checkpoint, *command[2::2]}
             del read[checkpoint]
             assert read == {path: payload[path] for path in command[2::2]}
 

@@ -18,7 +18,7 @@ from bowl import cli
 from bowl.cli import main
 from bowl.config import SCHEMA, load_run_config
 from bowl.engine import VARIANTS
-from bowl.nn import Network, read_checkpoint
+from bowl.nn import Network, network_from_state, read_checkpoint
 from bowl.ood import predictive_entropy_per_sample
 from bowl.serialization import read_tensors, write_tensors
 from bowl.stream import Dataset, load_dataset, save_dataset
@@ -398,6 +398,21 @@ class TestRun:
         assert not generate.called and not os.path.exists(outdir)
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.endswith(message + "\n"), err
+
+    @pytest.mark.parametrize("how", ["file", "set"])
+    def test_hash_inside_a_value_is_part_of_it(self, config_path, tmp_path, how):
+        """A comment starts at a '#' that begins a line or follows whitespace:
+        a path holding '#' loads from the file as from --set, and a trailing
+        '  # note' is still stripped."""
+        (tmp_path / "h#d").mkdir()
+        data = self._write_sets(tmp_path / "h#d", [("t", 8, 48, 1)])["t"]
+        paths = f"train_path = {data}\n# a comment line\ntest_path = {data}  # note\n"
+        body = _file_source(BASE_CONFIG, "separation", "within_std") + "source = file\n"
+        path, _ = config_path(body=body + (paths if how == "file" else ""))
+        sets = [] if how == "file" else [f"data.train_path={data}", f"data.test_path={data}"]
+        cfg = load_run_config(path, sets)
+        assert cfg["data.train_path"] == cfg["data.test_path"] == data
+        assert cfg.input_dim == 8
 
     def test_set_flag_overrides_key(self, config_path, capsys):
         path, outdir = config_path()
@@ -900,14 +915,17 @@ class TestGenData:
         assert "--dims 3" in err and "--classes 5" in err, err
         assert not os.path.exists(out)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_rows_beyond_float32_exit_1_and_write_nothing(self, tmp_path, capsys):
         """The writer makes its readers' row checks: a spread that overflows
-        float32 is refused, unless --clip-unit keeps the rows in [0, 1]."""
+        float32 is refused, with its one error line and no numpy warning,
+        unless --clip-unit keeps the rows in [0, 1]."""
         out = str(tmp_path / "blobs.bnt")
         argv = ["gen-data", "--classes", "2", "--dims", "2", "--separation", "0.3",
                 "--std", "1e39", "--n", "4", "--out", out]
-        assert main(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"error: non-finite input in row 1 of {out!r}\n"
         assert not os.path.exists(out)
         assert main([*argv, "--clip-unit"]) == 0
@@ -1073,9 +1091,7 @@ class TestOodHist:
                      "--output-dir", hist_dir]) == 0
         monkeypatch.undo()
         assert len(calls) == 2 * chunks
-        state = read_checkpoint(checkpoint)
-        net = load_run_config(path).build_network(class_ids=state["head.class_ids"])
-        net.load_state_dict(state)
+        net = network_from_state(read_checkpoint(checkpoint))
         chunk = 8 if granularity == "batch" else 512
         expected = []
         for name in (in_set, out_set):
@@ -1174,10 +1190,12 @@ class TestDamagedFiles:
                                                f"checkpoint {checkpoint!r}\n"), argv
         assert not os.path.exists(hist)
 
-    @pytest.mark.parametrize("missing", ["head.class_ids", "layer1.running_var"])
+    @pytest.mark.parametrize("missing", ["head.class_ids", "layer1.running_var",
+                                         "layer4.eps", "layer0.weight"])
     def test_checkpoint_missing_tensor(self, trained_run, tmp_path, capsys, missing):
-        """A checkpoint without its class ids or a running statistic is a run
-        failure that names the tensor."""
+        """A checkpoint without its class ids, a running statistic, a
+        batch-norm eps or its first weight is a run failure that names the
+        tensor."""
         path, outdir, in_set, _ = trained_run
         state = read_tensors(os.path.join(outdir, "checkpoint.bnt"))
         del state[missing]
@@ -1209,6 +1227,66 @@ class TestEval:
         out = capsys.readouterr().out
         assert out.startswith("accuracy=")
         assert 0.0 <= float(out.split()[0].split("=")[1]) <= 1.0
+
+
+class TestCheckpointDescribesItsNetwork:
+    """eval and ood-hist build the network from the checkpoint alone: its
+    tensor shapes, batch-norm eps and class ids. No network.* or data.* key
+    of the config moves what they print or write."""
+
+    @staticmethod
+    def _score(path, checkpoint, in_set, out_set, hist, capsys, sets=()):
+        """What eval and ood-hist print, and the files ood-hist writes."""
+        flags = [f for s in sets for f in ("--set", s)]
+        assert main(["eval", path, "--checkpoint", checkpoint, "--dataset", in_set,
+                     *flags]) == 0
+        assert main(["ood-hist", path, "--checkpoint", checkpoint, "--in-set", in_set,
+                     "--out-set", out_set, "--output-dir", hist, *flags]) == 0
+        return capsys.readouterr().out, [Path(hist, name).read_bytes() for name in
+                                         ("hist_eta1.csv", "hist_pe.csv", "ood_summary.txt")]
+
+    @pytest.mark.parametrize("setting", ["network.bn_eps=10", "network.hidden=3,5",
+                                         "network.bn_momentum=0.5"])
+    def test_network_settings_move_nothing(self, trained_run, tmp_path, capsys, setting):
+        path, outdir, in_set, out_set = trained_run
+        checkpoint = os.path.join(outdir, "checkpoint.bnt")
+        plain = self._score(path, checkpoint, in_set, out_set, str(tmp_path / "a"), capsys)
+        assert plain == self._score(path, checkpoint, in_set, out_set, str(tmp_path / "b"),
+                                    capsys, [setting])
+
+    def test_file_source_without_its_train_file_scores(self, trained_run, tmp_path,
+                                                        capsys):
+        """A file-source config whose train file is missing scores the
+        checkpoint as the synthetic config it was trained from does."""
+        path, outdir, in_set, out_set = trained_run
+        checkpoint = os.path.join(outdir, "checkpoint.bnt")
+        file_config = tmp_path / "file.cfg"
+        file_config.write_text(
+            _file_source(BASE_CONFIG, "separation", "within_std").format(outdir=outdir)
+            + f"source = file\ntrain_path = {tmp_path / 'missing.bnt'}\n")
+        assert main(["run", str(file_config)]) == 2
+        capsys.readouterr()
+        assert (self._score(str(file_config), checkpoint, in_set, out_set,
+                            str(tmp_path / "a"), capsys)
+                == self._score(path, checkpoint, in_set, out_set, str(tmp_path / "b"), capsys))
+
+    def test_checkpoint_without_an_eps_exits_1(self, trained_run, tmp_path, capsys):
+        """Reading a default eps would be a silent mismatch: both subcommands
+        refuse, naming the tensor, and ood-hist writes nothing."""
+        path, outdir, in_set, out_set = trained_run
+        state = read_tensors(os.path.join(outdir, "checkpoint.bnt"))
+        assert state["layer1.eps"].tolist() == state["layer4.eps"].tolist() == [
+            np.float32(1e-5)]
+        del state["layer1.eps"]
+        checkpoint = str(tmp_path / "no_eps.bnt")
+        write_tensors(checkpoint, state)
+        hist = str(tmp_path / "h")
+        for argv in (["eval", path, "--checkpoint", checkpoint, "--dataset", in_set],
+                     ["ood-hist", path, "--checkpoint", checkpoint, "--in-set", in_set,
+                      "--out-set", out_set, "--output-dir", hist]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: checkpoint missing tensor 'layer1.eps'\n"
+        assert not os.path.exists(hist)
 
 
 class TestAblate:

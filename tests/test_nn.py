@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bowl.nn import (EVAL_CHUNK, BatchNorm, Dense, Network, ReLU, SgdOptimizer,
                      backward_and_step, build_mlp, eval_rows, expand_head,
-                     read_checkpoint, save_checkpoint, softmax_cross_entropy,
-                     train_one_epoch)
+                     network_from_state, read_checkpoint, save_checkpoint,
+                     softmax_cross_entropy, train_one_epoch)
 
 from bn_reference import reference_rows
 
@@ -174,6 +174,19 @@ class TestBatchNorm:
         np.testing.assert_array_equal(bn.running_var, var)
         np.testing.assert_array_equal(z, (x - mean) * (1.0 / np.sqrt(var + bn.eps)))
         assert bn.running_mean.dtype == bn.running_var.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eps_array_normalizes_like_the_scalar(self, dtype):
+        """eps is a (1,) array of the layer's dtype, and both modes give the
+        bits that the Python float eps gives."""
+        x = np.random.default_rng(4).normal(3.0, 2.0, size=(9, 4)).astype(dtype)
+        bn = BatchNorm(4, eps=0.25, stat_momentum=0.5, dtype=dtype)
+        assert bn.eps.shape == (1,) and bn.eps.dtype == dtype
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        np.testing.assert_array_equal(bn.forward(x, train=True),
+                                      (x - mean) * (1.0 / np.sqrt(var + 0.25)))
+        np.testing.assert_array_equal(bn.forward(x, train=False),
+                                      (x - bn.running_mean) / np.sqrt(bn.running_var + 0.25))
 
     def test_running_stats_update_in_place(self):
         bn = BatchNorm(3)
@@ -497,6 +510,48 @@ class TestCheckpoint:
         state[name] = np.full(1, 9.0, np.float32)
         with pytest.raises(ValueError, match=rf"shape mismatch for '{name}': \(1,\) vs"):
             net.load_state_dict(state)
+
+
+    def test_network_from_state_rebuilds_the_network(self, tmp_path):
+        """The state alone describes the network: the rebuilt one gives
+        eval_rows outputs bit for bit, with its eps and its class ids, also
+        through a checkpoint."""
+        rng = np.random.default_rng(16)
+        net = build_mlp(5, [7, 3], 3, rng, eps=0.3, class_ids=[2, 0, 7])
+        x = rng.normal(size=(40, 5)).astype(np.float32)
+        opt = SgdOptimizer()
+        for _ in range(3):
+            backward_and_step(net, x, rng.integers(0, 3, size=40), opt)
+        path = str(tmp_path / "model.bnt")
+        save_checkpoint(net, path)
+        expected = eval_rows(net, x, eta0=True, spread=True)
+        for state in (net.state_dict(), read_checkpoint(path)):
+            other = network_from_state(state)
+            assert other.class_ids.tolist() == [2, 0, 7]
+            assert [bn.eps.tolist() for bn in other.layers if isinstance(bn, BatchNorm)] == [
+                [np.float32(0.3)]] * 2
+            assert not np.shares_memory(other.flat_params, net.flat_params)
+            for got, want in zip(eval_rows(other, x, eta0=True, spread=True), expected):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("missing", ["layer0.weight", "head.class_ids", "layer4.eps"])
+    def test_network_from_state_names_a_missing_tensor(self, missing):
+        state = dict(build_mlp(5, [7, 3], 4, np.random.default_rng(17)).state_dict())
+        del state[missing]
+        with pytest.raises(ValueError, match=rf"^checkpoint missing tensor '{missing}'$"):
+            network_from_state(state)
+
+
+    @pytest.mark.parametrize("name, shape", [("layer0.weight", (0, 7)),
+                                             ("layer0.weight", (5, 0)),
+                                             ("layer3.weight", (7, 0))])
+    def test_network_from_state_refuses_a_layer_of_width_0(self, name, shape):
+        """No layer is built from a weight with an empty dimension, which
+        the uniform init cannot draw for."""
+        state = dict(build_mlp(5, [7, 3], 4, np.random.default_rng(18)).state_dict())
+        state[name] = np.zeros(shape, np.float32)
+        with pytest.raises(ValueError, match=r"^checkpoint layer widths \[.*\] include 0$"):
+            network_from_state(state)
 
 
 class ReferenceSgd:

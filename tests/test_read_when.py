@@ -18,7 +18,7 @@ import bowl.config as config_mod
 import workloads
 from bowl import cli
 from bowl.cli import main
-from bowl.config import READ_WHEN, SCHEMA, load_run_config
+from bowl.config import READ_WHEN, SCHEMA, load_run_config, parse_config_text
 from bowl.stream import save_dataset, synth_generate
 
 # Every other key is set only where a run must have it, so each case's
@@ -217,6 +217,8 @@ def test_the_rule_does_not_depend_on_the_subcommand(tmp_path, capsys, command, f
 def test_the_bench_configs_load(tmp_path, size, mixed):
     """The bench's configs set conditional keys, each of which their runs read."""
     path = workloads.write_config(str(tmp_path / "run.cfg"), 0, size, mixed)
-    cfg = load_run_config(path)
-    assert {"data.n_classes", "data.dims"} <= cfg.given & set(READ_WHEN)
-    assert mixed == ("mix.severity" in cfg.given)
+    load_run_config(path)
+    with open(path, encoding="utf-8") as fh:
+        given = set(parse_config_text(fh.read()))
+    assert {"data.n_classes", "data.dims"} <= given & set(READ_WHEN)
+    assert mixed == ("mix.severity" in given)
