@@ -23,6 +23,7 @@ from bowl.query import mean_pairwise_cosine
 from bowl.samples import SampleSet
 from bowl.stream import MixSpec, corrupt, split_experiment, synth_generate
 
+from configs import BASE, write_config
 from reference import mean_cosine, pairwise_auroc
 from test_nn import analytic_gradients, max_relative_error, numeric_gradients
 
@@ -316,42 +317,17 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_byte_identical_summaries(self, tmp_path):
-        config = f"""
-[run]
-variant = full
-seed = 0
-output_dir = {tmp_path}/unused
-
-[network]
-hidden = 16,8
-
-[loop]
-acquisition_batch = 128
-buffer_capacity = 300
-epochs_per_update = 2
-pretrain_epochs = 30
-minibatch_size = 64
-bootstrap_k = 100
-bootstrap_size = 3
-eval_every_update = false
-
-[optimizer]
-weight_decay = 0.0005
-
-[data]
-n_classes = 10
-dims = 16
-separation = 0.24
-within_std = 0.1
-train_per_class = 300
-test_per_class = 150
-schedule = 0,1 | 2,3 | 4,5 | 6,7 | 8,9
-"""
-        cfg_path = tmp_path / "toy.cfg"
-        cfg_path.write_text(config)
+        cfg_path = write_config(tmp_path, {
+            **BASE, "network.hidden": "16,8", "loop.acquisition_batch": "128",
+            "loop.buffer_capacity": "300", "loop.epochs_per_update": "2",
+            "loop.minibatch_size": "64", "loop.bootstrap_size": "3",
+            "loop.eval_every_update": "false", "data.separation": "0.24",
+            "data.within_std": "0.1", "data.train_per_class": "300",
+            "data.test_per_class": "150", "data.schedule": "0,1 | 2,3 | 4,5 | 6,7 | 8,9"},
+            "toy.cfg")
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-        assert cli_main(["run", str(cfg_path), "--output-dir", out1]) == 0
-        assert cli_main(["run", str(cfg_path), "--output-dir", out2]) == 0
+        assert cli_main(["run", cfg_path, "--output-dir", out1]) == 0
+        assert cli_main(["run", cfg_path, "--output-dir", out2]) == 0
         s1 = open(os.path.join(out1, "summary.txt"), "rb").read()
         s2 = open(os.path.join(out2, "summary.txt"), "rb").read()
         r1 = open(os.path.join(out1, "report.csv"), "rb").read()

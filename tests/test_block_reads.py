@@ -27,37 +27,16 @@ from bowl.ood import (batch_ood_score, predictive_entropy_per_sample, sample_eta
 from bowl.serialization import FormatError, read_headers, read_row_blocks, read_tensors
 from bowl.stream import (READ_BLOCK_BYTES, Dataset, DatasetFile, load_dataset,
                          save_dataset, synth_generate)
-from test_cli import _file_source
+from configs import BASE, file_source, write_config
 from test_data_path import _peak_bytes
 
 DIMS = 64
 
-CONFIG = """
-[network]
-hidden = 24,12
-[loop]
-acquisition_batch = 48
-buffer_capacity = 100
-ood_batch_size = 8
-pretrain_epochs = 2
-minibatch_size = 32
-bootstrap_k = 30
-bootstrap_size = 4
-eval_every_update = false
-[data]
-n_classes = 6
-dims = {dims}
-train_per_class = 40
-test_per_class = 20
-schedule = 0,1,2,3 | 4,5
-"""
-
-
-def _write(tmp, name, text):
-    path = os.path.join(tmp, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+CONFIG = {**BASE, "network.hidden": "24,12", "loop.acquisition_batch": "48",
+          "loop.buffer_capacity": "100", "loop.pretrain_epochs": "2", "loop.minibatch_size": "32",
+          "loop.bootstrap_k": "30", "loop.bootstrap_size": "4", "loop.eval_every_update": "false",
+          "data.n_classes": "6", "data.dims": str(DIMS), "data.train_per_class": "40",
+          "data.test_per_class": "20", "data.schedule": "0,1,2,3 | 4,5"}
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +44,7 @@ def scorer(tmp_path_factory):
     """A 64-dim config and a checkpoint of its network with nontrivial running
     statistics: (config path, checkpoint path, the restored network)."""
     tmp = str(tmp_path_factory.mktemp("scorer"))
-    config = _write(tmp, "run.cfg", CONFIG.format(dims=DIMS))
+    config = write_config(tmp, CONFIG)
     net = load_run_config(config).build_network()
     rng = np.random.default_rng(5)
     for name, value in net.state_dict().items():
@@ -212,12 +191,15 @@ class TestRowBlocks:
                 read(path)
 
 
-def _run_config(tmp, files, extra=()):
-    config = _write(tmp, "run.cfg", _file_source(CONFIG))
-    sets = ["data.source=file", f"data.train_path={files['train']}",
-            f"data.test_path={files['test']}", f"run.output_dir={os.path.join(tmp, 'out')}",
-            *extra]
-    return [config, *(flag for s in sets for flag in ("--set", s))]
+def _run_config(tmp, files):
+    """A config whose run reads its train and test rows from ``files``, and
+    its foreign rows too where ``files`` has them."""
+    config = {**file_source(CONFIG, files["train"], files["test"]),
+              "run.output_dir": os.path.join(tmp, "out")}
+    if "foreign" in files:
+        config.update({"mix.ood_fraction": "0.25", "mix.foreign_source": "file",
+                       "mix.foreign_path": files["foreign"]})
+    return write_config(tmp, config)
 
 
 def _sets(tmp, sets):
@@ -248,8 +230,8 @@ class TestReadOnce:
         parse_headers = serialization._parse_headers
         monkeypatch.setattr(serialization, "_parse_headers",
                             lambda fh, path: parsed.append(path) or parse_headers(fh, path))
-        argv = _run_config(tmp, files)
-        assert main(["run", *argv]) == 0
+        config = _run_config(tmp, files)
+        assert main(["run", config]) == 0
         assert read == {files["train"]: payload[files["train"]],
                         files["test"]: payload[files["test"]]}
         checkpoint = os.path.join(tmp, "out", "checkpoint.bnt")
@@ -257,7 +239,7 @@ class TestReadOnce:
                         ["ood-hist", "--in-set", files["in"], "--out-set", files["out"]]):
             read.clear()
             parsed.clear()
-            assert main([command[0], *argv, "--checkpoint", checkpoint, *command[1:]]) == 0
+            assert main([command[0], config, "--checkpoint", checkpoint, *command[1:]]) == 0
             assert set(parsed) == {checkpoint, *command[2::2]}
             del read[checkpoint]
             assert read == {path: payload[path] for path in command[2::2]}
@@ -273,11 +255,8 @@ class TestCheckedAtLoad:
         """Exit 2 before pretraining, naming both keys and both files."""
         tmp = str(tmp_path)
         files = _sets(tmp, sets)
-        extra = ["mix.ood_fraction=0.25", "mix.foreign_source=file",
-                 f"mix.foreign_path={files.get('foreign')}"] if "foreign" in files else []
-        argv = _run_config(tmp, files, extra)
         with mock.patch.object(cli, "run_variant") as run_variant:
-            assert main(["run", *argv]) == 2
+            assert main(["run", _run_config(tmp, files)]) == 2
         assert not run_variant.called
         err = capsys.readouterr().err
         wrong = files["test" if key == "data.test_path" else "foreign"]
@@ -293,7 +272,7 @@ class TestCheckedAtLoad:
         train.inputs[17, 3] = np.nan
         _write_unchecked(files["train"], train)
         with mock.patch.object(cli, "run_variant") as run_variant:
-            assert main(["run", *_run_config(tmp, files)]) == 1
+            assert main(["run", _run_config(tmp, files)]) == 1
         assert not run_variant.called
         err = capsys.readouterr().err
         assert err == f"error: non-finite input in row 17 of {files['train']!r}\n"
@@ -305,7 +284,7 @@ class TestCheckedAtLoad:
         files["train"] = _write_unchecked(os.path.join(tmp, "train.bnt"),
                                           Dataset(np.zeros((240, 0)), np.arange(240) % 6))
         with mock.patch.object(cli, "run_variant") as run_variant:
-            assert main(["run", *_run_config(tmp, files)]) == 1
+            assert main(["run", _run_config(tmp, files)]) == 1
         assert not run_variant.called
         assert capsys.readouterr().err == f"error: {files['train']!r} holds rows of width 0\n"
         assert not os.path.exists(os.path.join(tmp, "out"))

@@ -17,59 +17,37 @@ import bowl.engine as engine_mod
 from bowl import cli
 from bowl.cli import main
 from bowl.config import SCHEMA, load_run_config
-from bowl.engine import VARIANTS
-from bowl.nn import Network, network_from_state, read_checkpoint
+from bowl.engine import VARIANTS, LoopConfig
+from bowl.nn import BatchNorm, Network, SgdOptimizer, network_from_state, read_checkpoint
 from bowl.ood import predictive_entropy_per_sample
 from bowl.serialization import read_tensors, write_tensors
 from bowl.stream import Dataset, load_dataset, save_dataset
 
-BASE_CONFIG = """
-# toy experiment used by the CLI tests
-[run]
-variant = full
-seed = 0
-output_dir = {outdir}
+from configs import BASE, file_source, set_flags, write_config
 
-[network]
-hidden = 12,6
-
-[loop]
-acquisition_batch = 48
-buffer_capacity = 100
-ood_batch_size = 8
-pretrain_epochs = 8
-minibatch_size = 32
-bootstrap_k = 30
-bootstrap_size = 4
-eval_every_update = false
-
-[data]
-n_classes = 6
-dims = 8
-separation = 0.3
-within_std = 0.1
-train_per_class = 80
-test_per_class = 40
-schedule = 0,1 | 2,3 | 4,5
-"""
-
-
-def _file_source(body, *unread):
-    """``body`` for a run with ``data.source = file``: without the [data] keys
-    that only a synthetic source reads, nor the keys ``unread``."""
-    keys = ("n_classes", "dims", "train_per_class", "test_per_class", *unread)
-    return "".join(line for line in body.splitlines(keepends=True)
-                   if line.split(" =")[0] not in keys)
+# A toy run: six classes over three timesteps, a few seconds to train.
+RUN = {**BASE, "network.hidden": "12,6", "loop.acquisition_batch": "48",
+       "loop.buffer_capacity": "100", "loop.pretrain_epochs": "8", "loop.minibatch_size": "32",
+       "loop.bootstrap_k": "30", "loop.bootstrap_size": "4", "loop.eval_every_update": "false",
+       "data.n_classes": "6", "data.dims": "8", "data.within_std": "0.1",
+       "data.train_per_class": "80", "data.test_per_class": "40",
+       "data.schedule": "0,1 | 2,3 | 4,5"}
 
 
 @pytest.fixture()
 def config_path(tmp_path):
-    def write(outdir=None, extra="", body=BASE_CONFIG):
-        outdir = outdir or str(tmp_path / "out")
-        path = tmp_path / "run.cfg"
-        path.write_text(body.format(outdir=outdir) + extra)
-        return str(path), outdir
+    """Writes ``config`` as tmp_path's run.cfg, with ``run.output_dir``
+    under tmp_path: (the config's path, the output directory)."""
+    def write(config=RUN):
+        outdir = str(tmp_path / "out")
+        return write_config(tmp_path, {**config, "run.output_dir": outdir}), outdir
     return write
+
+
+def _surround(path, before="", after=""):
+    """Raw text before and after the config file ``path``."""
+    text = Path(path).read_text(encoding="utf-8")
+    Path(path).write_text(before + text + after, encoding="utf-8")
 
 
 class TestRun:
@@ -89,13 +67,13 @@ class TestRun:
         assert s1 == s2
 
     def test_missing_required_key_names_it(self, config_path, capsys):
-        body = BASE_CONFIG.replace("schedule = 0,1 | 2,3 | 4,5\n", "")
-        path, _ = config_path(body=body)
+        path, _ = config_path({k: v for k, v in RUN.items() if k != "data.schedule"})
         assert main(["run", path]) == 2
         assert "data.schedule" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, config_path, capsys):
-        path, _ = config_path(extra="\n[loop]\nwarp_speed = 9\n")
+        path, _ = config_path()
+        _surround(path, after="\n[loop]\nwarp_speed = 9\n")
         assert main(["run", path]) == 2
         assert "warp_speed" in capsys.readouterr().err
 
@@ -124,13 +102,14 @@ class TestRun:
                                          # the mix fractions share the batches
                                          "mix.corrupted_fraction=0.8;mix.ood_fraction=0.5"])
     def test_invalid_loop_setting_is_config_error(self, config_path, capsys, setting):
-        """Each ';'-separated setting is set; the error names every key."""
-        path, _ = config_path()
-        keys, argv = [], ["run", path]
-        for item in setting.split(";"):
-            keys.append(item.split("=")[0])
-            argv += ["--set", item if "." in keys[-1] else f"loop.{item}"]
-        assert main(argv) == 2
+        """Each ';'-separated setting is set; the error names every key. The
+        run mixes corrupted and foreign rows, so it reads every key set here
+        and a [mix] value fails its own check, not the unread-key rule."""
+        path, _ = config_path({**RUN, "mix.corrupted_fraction": "0.25",
+                               "mix.ood_fraction": "0.25"})
+        keys = dict(item.split("=") for item in setting.split(";"))
+        sets = {key if "." in key else f"loop.{key}": value for key, value in keys.items()}
+        assert main(["run", path, *set_flags(sets)]) == 2
         err = capsys.readouterr().err
         assert all(key in err for key in keys), err
 
@@ -198,9 +177,8 @@ class TestRun:
 
     def test_foreign_classes_beyond_dims_is_config_error(self, config_path, capsys):
         """Synthetic foreign classes are simplex vertices in data.dims too."""
-        path, _ = config_path()
-        assert main(["run", path, "--set", "mix.ood_fraction=0.25",
-                     "--set", "mix.foreign_classes=9"]) == 2
+        path, _ = config_path({**RUN, "mix.ood_fraction": "0.25", "mix.foreign_classes": "9"})
+        assert main(["run", path]) == 2
         err = capsys.readouterr().err
         assert "data.dims" in err and "mix.foreign_classes" in err
 
@@ -215,10 +193,16 @@ class TestRun:
                          "--clip-unit", "--out", files[name]]) == 0
         return files
 
+    @staticmethod
+    def _foreign_file(path):
+        """Settings that mix foreign rows from the file ``path`` into the stream."""
+        return {"mix.ood_fraction": "0.25", "mix.foreign_source": "file",
+                "mix.foreign_path": path}
+
     @pytest.mark.parametrize("overrides, code", [
-        ([], 0),
-        (["mix.foreign_classes=10"], 0),  # above data.dims (8), within the files' 12
-        (["mix.foreign_classes=13"], 2),
+        ({}, 0),
+        ({"mix.foreign_classes": "10"}, 0),  # above data.dims (8), within the files' 12
+        ({"mix.foreign_classes": "13"}, 2),
     ])
     def test_synthetic_foreign_rows_take_the_file_width(self, config_path, tmp_path,
                                                         capsys, overrides, code):
@@ -226,12 +210,11 @@ class TestRun:
         train file's width, and foreign classes beyond it are a config error
         raised at load, before any set is read."""
         files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2)])
-        path, outdir = config_path(body=_file_source(BASE_CONFIG))
-        sets = ["data.source=file", f"data.train_path={files['train']}",
-                f"data.test_path={files['test']}", "mix.ood_fraction=0.25", *overrides]
+        path, outdir = config_path({**file_source(RUN, files["train"], files["test"]),
+                                    "mix.ood_fraction": "0.25", **overrides})
         with mock.patch.object(config_mod, "load_dataset",
                                side_effect=config_mod.load_dataset) as load:
-            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == code
+            assert main(["run", path]) == code
         if code == 0:
             assert "aborted=False" in open(os.path.join(outdir, "summary.txt")).read()
         else:
@@ -245,24 +228,21 @@ class TestRun:
         take as many classes as data.schedule names (6), not data.n_classes's
         default 10, which is above the files' width 8."""
         files = self._write_sets(tmp_path, [("train", 8, 480, 1), ("test", 8, 240, 2)])
-        path, outdir = config_path(body=_file_source(BASE_CONFIG))
-        sets = ["data.source=file", f"data.train_path={files['train']}",
-                f"data.test_path={files['test']}", "mix.ood_fraction=0.25"]
-        cfg = load_run_config(path, sets)
+        path, outdir = config_path({**file_source(RUN, files["train"], files["test"]),
+                                    "mix.ood_fraction": "0.25"})
+        cfg = load_run_config(path)
         assert cfg["mix.foreign_classes"] == 6
         assert cfg.foreign_dataset(0).classes() == list(range(6))
-        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 0
+        assert main(["run", path]) == 0
         assert "aborted=False" in open(os.path.join(outdir, "summary.txt")).read()
 
     def test_foreign_file_of_another_width_is_config_error(self, config_path, tmp_path,
                                                            capsys):
         files = self._write_sets(tmp_path, [("train", 12, 480, 1), ("test", 12, 240, 2),
                                             ("foreign", 7, 120, 3)])
-        path, _ = config_path(body=_file_source(BASE_CONFIG, "separation", "within_std"))
-        sets = ["data.source=file", f"data.train_path={files['train']}",
-                f"data.test_path={files['test']}", "mix.ood_fraction=0.25",
-                "mix.foreign_source=file", f"mix.foreign_path={files['foreign']}"]
-        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+        path, _ = config_path({**file_source(RUN, files["train"], files["test"]),
+                               **self._foreign_file(files["foreign"])})
+        assert main(["run", path]) == 2
         err = capsys.readouterr().err
         assert "mix.foreign_path" in err and "width 7, the train set 12" in err, err
 
@@ -284,12 +264,10 @@ class TestRun:
         dataset = load_dataset(damaged)
         rows = np.isin(dataset.labels, kept)
         save_dataset(Dataset(dataset.inputs[rows], dataset.labels[rows]), damaged)
-        path, _ = config_path(body=_file_source(BASE_CONFIG, "separation", "within_std"))
-        sets = ["data.source=file", f"data.train_path={files['train']}",
-                f"data.test_path={files['test']}", "mix.ood_fraction=0.25",
-                "mix.foreign_source=file", f"mix.foreign_path={files['foreign']}"]
+        path, _ = config_path({**file_source(RUN, files["train"], files["test"]),
+                               **self._foreign_file(files["foreign"])})
         with mock.patch.object(cli, "run_variant") as run_variant:
-            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+            assert main(["run", path]) == 2
         assert not run_variant.called
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err and repr(damaged) in err, err
@@ -310,7 +288,8 @@ class TestRun:
             assert os.path.exists(os.path.join(outdir, name)), name
 
     def test_duplicate_section_key_rejected(self, config_path, capsys):
-        path, _ = config_path(extra="\n[data]\ndims = 9\n")
+        path, _ = config_path()
+        _surround(path, after="\n[data]\ndims = 9\n")
         assert main(["run", path]) == 2
         assert "duplicate" in capsys.readouterr().err
 
@@ -329,12 +308,12 @@ class TestRun:
         assert not os.path.exists(env_dir)
 
     @pytest.mark.parametrize("sets, keys", [
-        (["data.train_path=@set"], ["data.train_path", "data.source"]),
-        (["data.test_path=@set"], ["data.test_path", "data.source"]),
-        (["mix.ood_fraction=0.25", "mix.foreign_path=@set"],
+        ({"data.train_path": "@set"}, ["data.train_path", "data.source"]),
+        ({"data.test_path": "@set"}, ["data.test_path", "data.source"]),
+        ({"mix.ood_fraction": "0.25", "mix.foreign_path": "@set"},
          ["mix.foreign_path", "mix.foreign_source"]),
-        (["data.source=file", "data.train_path=@set", "data.test_path=@set",
-          "mix.ood_fraction=0.25", "mix.foreign_path=@set"],
+        ({**file_source({}, "@set", "@set"), "mix.ood_fraction": "0.25",
+          "mix.foreign_path": "@set"},
          ["mix.foreign_path", "mix.foreign_source"]),
     ])
     def test_path_key_without_its_file_source_exits_2(self, config_path, tmp_path, capsys,
@@ -343,11 +322,11 @@ class TestRun:
         at load, naming the path key and the source key, before any data is
         built."""
         data = self._write_sets(tmp_path, [("set", 8, 48, 1)])["set"]
-        path, outdir = config_path(body=_file_source(BASE_CONFIG))
-        argv = ["run", path, *(f for s in sets for f in ("--set", s.replace("@set", data)))]
+        path, outdir = config_path(BASE)
+        sets = {key: data if value == "@set" else value for key, value in sets.items()}
         with mock.patch.object(config_mod, "synth_generate") as generate, \
                 mock.patch.object(config_mod, "load_dataset") as load:
-            assert main(argv) == 2
+            assert main(["run", path, *set_flags(sets)]) == 2
         assert not (generate.called or load.called) and not os.path.exists(outdir)
         err = capsys.readouterr().err
         assert err == (f"config error: {keys[0]} is set but {keys[1]} is synthetic: "
@@ -362,39 +341,40 @@ class TestRun:
         files = self._write_sets(tmp_path, [("train", 8, 96, 1), ("test", 8, 48, 2),
                                             ("foreign", 8, 24, 3)])
         bad = str(tmp_path / "missing.bnt") if kind == "missing" else str(tmp_path)
-        paths = {"data.train_path": files["train"], "data.test_path": files["test"],
-                 "mix.foreign_path": files["foreign"], key: bad}
-        path, outdir = config_path(body=_file_source(BASE_CONFIG, "separation", "within_std"))
-        sets = ["data.source=file", "mix.ood_fraction=0.25", "mix.foreign_source=file",
-                *(f"{k}={v}" for k, v in paths.items())]
+        path, outdir = config_path({**file_source(RUN, files["train"], files["test"]),
+                                    **self._foreign_file(files["foreign"]), key: bad})
         with mock.patch.object(config_mod, "load_dataset",
                                side_effect=config_mod.load_dataset) as load, \
                 mock.patch.object(cli, "run_variant") as run_variant:
-            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+            assert main(["run", path]) == 2
         assert bad not in [call.args[0] for call in load.call_args_list]
         assert not run_variant.called and not os.path.exists(outdir)
         if key != "mix.foreign_path":  # the foreign file is checked after these load
             assert not load.called
         assert capsys.readouterr().err == f"config error: {key} {bad!r} is not a file\n"
 
+    # With the 6 lines of BASE and run.output_dir, 28 lines before ``after``.
+    COMMENTS = "# a comment\n" * 22
+
     @pytest.mark.parametrize("before, after, sets, message", [
-        # BASE_CONFIG's lines, a blank line, then the section header.
-        ("", "\n[warp]\n", [], f":{len(BASE_CONFIG.splitlines()) + 2}: unknown section [warp]"),
-        ("", "\n[loop]\nwarp_speed\n", [],
-         f":{len(BASE_CONFIG.splitlines()) + 3}: expected 'key = value', got 'warp_speed'"),
+        # 28 lines, a blank line, then the section header.
+        ("", "\n[warp]\n", [], ":30: unknown section [warp]"),
+        ("", "\n[loop]\nwarp_speed\n", [], ":31: expected 'key = value', got 'warp_speed'"),
         ("seed = 1\n", "", [], ":1: key outside any [section]"),
-        ("", "", ["loop.minibatch_size"],
+        ("", "", ["--set", "loop.minibatch_size"],
          "override must look like section.key=value, got 'loop.minibatch_size'"),
-        ("", "", ["data.schedule=0,1 | | 2"],
+        ("", "", ["--set", "data.schedule=0,1 | | 2"],
          "bad value for data.schedule: schedule timesteps must be nonempty"),
     ])
     def test_malformed_config_exits_2(self, config_path, capsys, before, after, sets,
                                       message):
         """A config file line or a --set that does not parse exits 2 with its
-        message, before any data is built or directory made."""
-        path, outdir = config_path(body=before + BASE_CONFIG, extra=after)
+        message, before any data is built or directory made. The line a
+        message names counts comment lines."""
+        path, outdir = config_path(BASE)
+        _surround(path, before, self.COMMENTS + after)
         with mock.patch.object(config_mod, "synth_generate") as generate:
-            assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 2
+            assert main(["run", path, *sets]) == 2
         assert not generate.called and not os.path.exists(outdir)
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.endswith(message + "\n"), err
@@ -406,9 +386,12 @@ class TestRun:
         '  # note' is still stripped."""
         (tmp_path / "h#d").mkdir()
         data = self._write_sets(tmp_path / "h#d", [("t", 8, 48, 1)])["t"]
-        paths = f"train_path = {data}\n# a comment line\ntest_path = {data}  # note\n"
-        body = _file_source(BASE_CONFIG, "separation", "within_std") + "source = file\n"
-        path, _ = config_path(body=body + (paths if how == "file" else ""))
+        config = file_source(RUN, data, data)
+        del config["data.train_path"], config["data.test_path"]
+        path, _ = config_path(config)
+        if how == "file":
+            _surround(path, after=f"[data]\ntrain_path = {data}\n# a comment line\n"
+                                  f"test_path = {data}  # note\n")
         sets = [] if how == "file" else [f"data.train_path={data}", f"data.test_path={data}"]
         cfg = load_run_config(path, sets)
         assert cfg["data.train_path"] == cfg["data.test_path"] == data
@@ -426,37 +409,19 @@ class TestRun:
 
 
 # 4 dims, 3 classes, one class per timestep, 12 train rows per class.
-SMALL_CONFIG = """
-[run]
-output_dir = {outdir}
-[network]
-hidden = 8
-[loop]
-acquisition_batch = 8
-buffer_capacity = 20
-ood_batch_size = 4
-pretrain_epochs = 3
-minibatch_size = 8
-bootstrap_k = 10
-[data]
-n_classes = 3
-dims = 4
-train_per_class = 12
-test_per_class = 6
-schedule = 0 | 1 | 2
-"""
+SMALL = {**BASE, "network.hidden": "8", "loop.acquisition_batch": "8",
+         "loop.buffer_capacity": "20", "loop.ood_batch_size": "4", "loop.pretrain_epochs": "3",
+         "loop.minibatch_size": "8", "loop.bootstrap_k": "10", "data.n_classes": "3",
+         "data.dims": "4", "data.train_per_class": "12", "data.test_per_class": "6",
+         "data.schedule": "0 | 1 | 2"}
 FILTERING = [name for name, variant in VARIANTS.items() if variant.ood_filter]
 # A first buffer below the bootstrap size 4 for want of capacity (12 pretraining
-# rows), and (--set values, buffer_capacity, pretraining rows) of each small one.
-SMALL_CAPACITY = ["loop.buffer_capacity=3", "loop.acquisition_batch=3"]
+# rows), and (settings, buffer_capacity, pretraining rows) of each small one.
+SMALL_CAPACITY = {"loop.buffer_capacity": "3", "loop.acquisition_batch": "3"}
 SMALL_FIRST_BUFFERS = [
-    *(pytest.param([f"data.train_per_class={rows}"], 20, rows, id=str(rows))
+    *(pytest.param({"data.train_per_class": str(rows)}, 20, rows, id=str(rows))
       for rows in (1, 2, 3)),
     pytest.param(SMALL_CAPACITY, 3, 12, id="capacity")]
-
-
-def _sets(*settings):
-    return [flag for setting in settings for flag in ("--set", setting)]
 
 
 class TestSettingsARunCannotFinish:
@@ -468,7 +433,7 @@ class TestSettingsARunCannotFinish:
     def test_diverged_tau_aborts_the_run(self, config_path, capsys, setting):
         """The batch-norm statistics overflow while the loss stays finite, so
         tau is +inf: the run ends as aborted, with all four files and exit 1."""
-        path, outdir = config_path(body=SMALL_CONFIG)
+        path, outdir = config_path(SMALL)
         assert main(["run", path, "--set", setting]) == 1
         assert "run aborted: tau diverged: inf" in capsys.readouterr().err
         assert sorted(os.listdir(outdir)) == ["buffer_composition.csv", "checkpoint.bnt",
@@ -477,7 +442,7 @@ class TestSettingsARunCannotFinish:
         assert "aborted=True" in summary and "timesteps=0" in summary
 
     def test_diverged_tau_lets_ablate_run_every_variant(self, config_path):
-        path, outdir = config_path(body=SMALL_CONFIG)
+        path, outdir = config_path(SMALL)
         assert main(["ablate", path, "--set", "optimizer.learning_rate=1e9"]) == 1
         for variant in VARIANTS:
             summary = open(os.path.join(outdir, f"{variant}_seed0", "summary.txt")).read()
@@ -499,7 +464,7 @@ class TestSettingsARunCannotFinish:
         """The overflows on the way to a divergence are not reported: the
         abort lines, one per run named like its directory under ``bowl
         ablate``, are all that stderr holds."""
-        path, _ = config_path(body=SMALL_CONFIG)
+        path, _ = config_path(SMALL)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, path, "--set", setting]) == 1
@@ -517,8 +482,8 @@ class TestSettingsARunCannotFinish:
         trained = []
         monkeypatch.setattr(engine_mod, "_train_supervised",
                             lambda *args: trained.append(1))
-        path, outdir = config_path(body=SMALL_CONFIG)
-        assert main(["run", path, *_sets(*sets, f"run.variant={variant}")]) == 1
+        path, outdir = config_path({**SMALL, **sets, "run.variant": variant})
+        assert main(["run", path]) == 1
         assert trained == [] and not os.path.exists(outdir)
         assert capsys.readouterr().err == (
             f"error: the first buffer, min(buffer_capacity {capacity}, {rows} pretraining "
@@ -528,8 +493,8 @@ class TestSettingsARunCannotFinish:
             self, config_path, capsys):
         """``full`` comes first in the grid and filters, so the sweep is
         refused before any variant trains or writes."""
-        path, outdir = config_path(body=SMALL_CONFIG)
-        assert main(["ablate", path, *_sets(*SMALL_CAPACITY, "run.seeds=0")]) == 1
+        path, outdir = config_path({**SMALL, **SMALL_CAPACITY, "run.seeds": "0"})
+        assert main(["ablate", path]) == 1
         assert next(iter(VARIANTS)) in FILTERING and not os.path.exists(outdir)
         assert capsys.readouterr().err == (
             "error: the first buffer, min(buffer_capacity 3, 12 pretraining rows) = 3, "
@@ -537,20 +502,20 @@ class TestSettingsARunCannotFinish:
 
     @pytest.mark.parametrize("variant, sets", [
         pytest.param(variant, sets, id=f"{name}{variant}")
-        for name, sets in (("", ["data.train_per_class=1"]), ("capacity-", SMALL_CAPACITY))
+        for name, sets in (("", {"data.train_per_class": "1"}), ("capacity-", SMALL_CAPACITY))
         for variant in sorted(set(VARIANTS) - set(FILTERING))])
     def test_pretraining_set_below_the_bootstrap_size_runs_without_a_filter(
             self, config_path, variant, sets):
         """A variant that admits every batch never bootstraps tau, so a small
         first buffer leaves it a complete run."""
-        path, outdir = config_path(body=SMALL_CONFIG)
-        assert main(["run", path, *_sets(*sets, f"run.variant={variant}")]) == 0
+        path, outdir = config_path({**SMALL, **sets, "run.variant": variant})
+        assert main(["run", path]) == 0
         assert sorted(os.listdir(outdir)) == ["buffer_composition.csv", "checkpoint.bnt",
                                               "report.csv", "summary.txt"]
 
     @staticmethod
     def _train_file(tmp_path, outside: int) -> str:
-        """12 rows per class of SMALL_CONFIG's 4 dims, all 0.5 but one value of
+        """12 rows per class of SMALL's 4 dims, all 0.5 but one value of
         a class ``outside`` row, 1.5."""
         labels = np.repeat([0, 1, 2], 12)
         inputs = np.full((36, 4), 0.5, dtype=np.float32)
@@ -560,7 +525,8 @@ class TestSettingsARunCannotFinish:
         return path
 
     # Unclipped generated rows with this spread leave [0, 1] at some seeds only.
-    UNCLIPPED = ["data.clip_unit=false", "data.within_std=0.15", "mix.corrupted_fraction=0.5"]
+    UNCLIPPED = {"data.clip_unit": "false", "data.within_std": "0.15",
+                 "mix.corrupted_fraction": "0.5"}
 
     @pytest.mark.parametrize("source", ["synthetic", "file"])
     def test_corrupting_rows_outside_the_unit_range_exits_2(self, config_path, tmp_path,
@@ -569,35 +535,30 @@ class TestSettingsARunCannotFinish:
         corrupted must be clipped, which the load checks before any data is
         generated; a file's stream rows must lie in [0, 1], which is checked
         before any training. Either way the run is refused at every seed."""
-        path, outdir = config_path(body=SMALL_CONFIG if source == "synthetic"
-                                   else _file_source(SMALL_CONFIG))
         if source == "synthetic":
-            sets, seeds = self.UNCLIPPED, range(7)
+            config, seeds = {**SMALL, **self.UNCLIPPED}, range(7)
             message = ("mix.corrupted_fraction 0.5 corrupts rows in [0, 1], which "
                        "generated rows keep only with data.clip_unit = true")
         else:
             train = self._train_file(tmp_path, outside=2)  # a stream class
-            sets = ["data.source=file", f"data.train_path={train}", f"data.test_path={train}",
-                    "mix.corrupted_fraction=0.5"]
+            config = {**file_source(SMALL, train, train), "mix.corrupted_fraction": "0.5"}
             seeds = range(5)
             message = ("mix.corrupted_fraction 0.5 corrupts rows in [0, 1], but the "
                        "classes after the first data.schedule group have rows outside it "
                        f"(data.train_path {train!r})")
+        path, outdir = config_path(config)
         for seed in seeds:
-            argv = ["run", path, "--set", f"run.seed={seed}",
-                    *(f for s in sets for f in ("--set", s))]
             with mock.patch.object(config_mod, "synth_generate",
                                    side_effect=config_mod.synth_generate) as generate, \
                     mock.patch.object(cli, "run_variant") as run_variant:
-                assert main(argv) == 2, seed
+                assert main(["run", path, "--set", f"run.seed={seed}"]) == 2, seed
             assert not (run_variant.called or generate.called or os.path.exists(outdir)), seed
             assert capsys.readouterr().err == f"config error: {message}\n", seed
 
     def test_ablate_refuses_unclipped_corruption_before_any_seed(self, config_path, capsys):
-        path, outdir = config_path(body=SMALL_CONFIG)
-        sets = [*self.UNCLIPPED, "run.seeds=0,3"]
+        path, outdir = config_path({**SMALL, **self.UNCLIPPED, "run.seeds": "0,3"})
         with mock.patch.object(cli, "run_variant", side_effect=cli.run_variant) as run_variant:
-            assert main(["ablate", path, *(f for s in sets for f in ("--set", s))]) == 2
+            assert main(["ablate", path]) == 2
         assert not run_variant.called and not os.path.exists(outdir)
         assert "data.clip_unit = true" in capsys.readouterr().err
 
@@ -606,39 +567,24 @@ class TestSettingsARunCannotFinish:
                                                          source):
         """Clipped generated rows run, and so does a file whose rows outside
         [0, 1] are pretraining rows, which mixing never corrupts."""
-        path, outdir = config_path(body=SMALL_CONFIG if source == "synthetic"
-                                   else _file_source(SMALL_CONFIG))
         if source == "synthetic":
-            sets = ["data.within_std=0.15"]
+            config = {**SMALL, "data.within_std": "0.15"}
         else:
             train = self._train_file(tmp_path, outside=0)  # the pretraining class
-            sets = ["data.source=file", f"data.train_path={train}", f"data.test_path={train}"]
-        sets.append("mix.corrupted_fraction=0.5")
-        tasks = load_run_config(path, sets).build_tasks()
+            config = file_source(SMALL, train, train)
+        path, outdir = config_path({**config, "mix.corrupted_fraction": "0.5"})
+        tasks = load_run_config(path).build_tasks()
         assert any("corrupted" in stream.kinds for stream in tasks.streams)
-        assert main(["run", path, *(f for s in sets for f in ("--set", s))]) == 0
+        assert main(["run", path]) == 0
         assert os.path.exists(os.path.join(outdir, "summary.txt"))
 
 
-TINY_CONFIG = """
-[network]
-hidden = 4
-[loop]
-acquisition_batch = 8
-buffer_capacity = 16
-ood_batch_size = 4
-pretrain_epochs = 1
-minibatch_size = 8
-bootstrap_k = 5
-bootstrap_size = 2
-eval_every_update = false
-[data]
-n_classes = 4
-dims = 4
-train_per_class = 8
-test_per_class = 2
-schedule = 0,1 | 2,3
-"""
+# 4 dims, 4 classes, 8 train rows per class, one epoch of pretraining.
+TINY = {**BASE, "loop.acquisition_batch": "8", "loop.buffer_capacity": "16",
+        "loop.ood_batch_size": "4", "loop.pretrain_epochs": "1", "loop.minibatch_size": "8",
+        "loop.bootstrap_k": "5", "loop.bootstrap_size": "2", "loop.eval_every_update": "false",
+        "data.n_classes": "4", "data.dims": "4", "data.train_per_class": "8",
+        "data.test_per_class": "2"}
 
 # Every key but the output directory, which --output-dir overrides.
 FUZZ_KEYS = sorted(key for key in SCHEMA if key != "run.output_dir")
@@ -666,13 +612,8 @@ class TestRunFuzz:
         """Per-key draws of ``bowl run --set``: the exit code is 0, 1 or 2, no
         exception escapes main, and a value the schema rejects exits 2."""
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "run.cfg")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(TINY_CONFIG)
-            argv = ["run", path, "--output-dir", os.path.join(tmp, "out")]
-            for dotted, raw in overrides.items():
-                argv += ["--set", f"{dotted}={raw}"]
-            code = main(argv)
+            code = main(["run", write_config(tmp, TINY), "--output-dir",
+                         os.path.join(tmp, "out"), *set_flags(overrides)])
         assert code in (0, 1, 2)
         if any(_schema_rejects(dotted, raw) for dotted, raw in overrides.items()):
             assert code == 2
@@ -684,13 +625,10 @@ def cli_inputs(tmp_path_factory):
     dataset of its width, one of no rows, and a config that reads its train
     and test rows from that dataset."""
     root = tmp_path_factory.mktemp("cli_inputs")
-    paths = {name: str(root / name)
-             for name in ("config", "dataset", "no_rows", "file_config")}
-    with open(paths["config"], "w", encoding="utf-8") as fh:
-        fh.write(TINY_CONFIG)
-    with open(paths["file_config"], "w", encoding="utf-8") as fh:
-        fh.write(_file_source(TINY_CONFIG) + f"source = file\ntrain_path = "
-                 f"{paths['dataset']}\ntest_path = {paths['dataset']}\n")
+    paths = {name: str(root / name) for name in ("dataset", "no_rows")}
+    paths["config"] = write_config(root, TINY, "config")
+    paths["file_config"] = write_config(
+        root, file_source(TINY, paths["dataset"], paths["dataset"]), "file_config")
     assert main(["run", paths["config"], "--output-dir", str(root / "run")]) == 0
     paths["checkpoint"] = str(root / "run" / "checkpoint.bnt")
     assert main(["gen-data", "--classes", "4", "--dims", "4", "--separation", "0.5",
@@ -727,11 +665,11 @@ def _argv(command, *parts):
 # --set values: valid, unknown, unparsable, a class named twice, and file
 # sources whose test file is unset or holds no rows.
 SETS = st.lists(st.sampled_from([
-    "loop.pretrain_epochs=2", "run.variant=finetune", "run.seeds=1,0", "mix.ood_fraction=0.5",
-    "loop.warp=1", "data.dims=x", "data.schedule=0,1 | 1,2",
-    "data.source=file;data.train_path=@dataset",
-    "data.source=file;data.train_path=@dataset;data.test_path=@no_rows"]), max_size=2).map(
-        lambda items: [t for item in items for s in item.split(";") for t in ("--set", s)])
+    {"loop.pretrain_epochs": "2"}, {"run.variant": "finetune"}, {"run.seeds": "1,0"},
+    {"mix.ood_fraction": "0.5"}, {"loop.warp": "1"}, {"data.dims": "x"},
+    {"data.schedule": "0,1 | 1,2"}, {"data.source": "file", "data.train_path": "@dataset"},
+    {"data.source": "file", "data.train_path": "@dataset", "data.test_path": "@no_rows"}]),
+    max_size=2).map(lambda items: set_flags({k: v for item in items for k, v in item.items()}))
 CONFIG = _path("@file_config", "@config").map(lambda p: [p])
 # eval writes nothing and takes no --output-dir.
 COMMON = (CONFIG, _path("@out").map(lambda p: ["--output-dir", p]), SETS)
@@ -783,12 +721,12 @@ class TestLoadedLoop:
     def test_every_accepted_value_builds_the_loop(self, tmp_path, key):
         """Each value of FUZZ_VALUES that the schema accepts for ``key``, on a
         config that leaves loop.bootstrap_size at its default."""
-        path = tmp_path / "run.cfg"
-        path.write_text(TINY_CONFIG.replace("bootstrap_size = 2\n", ""))
+        path = write_config(tmp_path, {k: v for k, v in TINY.items()
+                                       if k != "loop.bootstrap_size"})
         accepted = [raw for raw in FUZZ_VALUES if not _schema_rejects(key, raw)]
         assert accepted
         for raw in accepted:
-            load_run_config(str(path), [f"{key}={raw}"]).loop_config()
+            load_run_config(path, [f"{key}={raw}"]).loop_config()
 
     @pytest.mark.parametrize("command", ["run", "eval", "ood-hist"])
     def test_only_run_warns_of_a_buffer_below_the_acquisition_batch(
@@ -814,9 +752,8 @@ class TestLoadedLoop:
 class TestFiniteSettings:
     @pytest.mark.parametrize("key", FINITE_KEYS)
     def test_infinite_setting_exits_before_any_data_is_built(self, tmp_path, capsys, key):
-        path = tmp_path / "run.cfg"
-        path.write_text(TINY_CONFIG)
-        argv = ["run", str(path), "--output-dir", str(tmp_path / "out"), "--set", f"{key}=inf"]
+        path = write_config(tmp_path, TINY)
+        argv = ["run", path, "--output-dir", str(tmp_path / "out"), "--set", f"{key}=inf"]
         with mock.patch.object(config_mod, "synth_generate") as generate:
             assert main(argv) == 2
         assert not generate.called
@@ -831,16 +768,14 @@ class TestBooleanSettings:
         ("false", False), ("no", False), ("Off", False), ("0", False),
     ])
     def test_boolean_words_load(self, tmp_path, key, raw, value):
-        path = tmp_path / "run.cfg"
-        path.write_text(TINY_CONFIG)
-        assert load_run_config(str(path), [f"{key}={raw}"])[key] is value
+        path = write_config(tmp_path, TINY)
+        assert load_run_config(path, [f"{key}={raw}"])[key] is value
 
     @pytest.mark.parametrize("key", ["data.clip_unit", "loop.eval_every_update"])
     def test_other_word_exits_2_writing_nothing(self, tmp_path, capsys, key):
-        path = tmp_path / "run.cfg"
-        path.write_text(TINY_CONFIG)
+        path = write_config(tmp_path, TINY)
         out = tmp_path / "out"
-        assert main(["run", str(path), "--output-dir", str(out), "--set", f"{key}=maybe"]) == 2
+        assert main(["run", path, "--output-dir", str(out), "--set", f"{key}=maybe"]) == 2
         assert capsys.readouterr().err == (
             f"config error: bad value for {key}: expected a boolean, got 'maybe'\n")
         assert os.listdir(tmp_path) == ["run.cfg"]
@@ -850,28 +785,42 @@ class TestDefaultsFromOtherSettings:
     """A key whose default is another setting's value holds that value once
     loaded; a value set in the config, 0 included, is kept."""
 
-    MINIMAL = "[network]\nhidden = 4\n[data]\nschedule = 0,1 | 2\n"
-
-    def _load(self, tmp_path, *sets):
-        path = tmp_path / "run.cfg"
-        path.write_text(self.MINIMAL)
-        return load_run_config(str(path), ["mix.ood_fraction=0.5", *sets])
+    def _load(self, tmp_path, config):
+        return load_run_config(write_config(tmp_path, {**BASE, "mix.ood_fraction": "0.5",
+                                                       **config}))
 
     def test_unset_keys_take_the_other_settings_value(self, tmp_path):
-        cfg = self._load(tmp_path, "run.seed=3", "loop.ood_batch_size=5",
-                         "data.within_std=0.2")
+        cfg = self._load(tmp_path, {"run.seed": "3", "loop.ood_batch_size": "5",
+                                    "data.within_std": "0.2"})
         assert cfg["run.seeds"] == [3]
         assert cfg["loop.bootstrap_size"] == 5 == cfg.loop_config().bootstrap.bootstrap_size
         assert cfg["mix.foreign_std"] == 0.2
 
     def test_set_keys_keep_their_value(self, tmp_path):
-        cfg = self._load(tmp_path, "run.seeds=2,0", "loop.bootstrap_size=3",
-                         "mix.foreign_std=0")
+        cfg = self._load(tmp_path, {"run.seeds": "2,0", "loop.bootstrap_size": "3",
+                                    "mix.foreign_std": "0"})
         assert cfg["run.seeds"] == [2, 0]
         assert cfg.loop_config().bootstrap.bootstrap_size == 3
         foreign = cfg.foreign_dataset(0)  # zero spread: each class is its mean
         assert cfg["mix.foreign_std"] == 0.0
         assert len(np.unique(foreign.inputs, axis=0)) == cfg["mix.foreign_classes"] == 10
+
+
+class TestSchemaDefaults:
+    def test_each_default_is_the_classes_default(self, tmp_path):
+        """BASE runs on SCHEMA's defaults, which LoopConfig, BatchNorm and
+        SgdOptimizer restate: each copy holds the same value."""
+        cfg = load_run_config(write_config(tmp_path, BASE))
+        assert cfg.loop_config() == LoopConfig()
+        fresh = BatchNorm(1)
+        norms = [layer for layer in cfg.build_network().layers
+                 if isinstance(layer, BatchNorm)]
+        assert norms and all((norm.eps.tolist(), norm.stat_momentum)
+                             == (fresh.eps.tolist(), fresh.stat_momentum) for norm in norms)
+        optimizer = SgdOptimizer()
+        assert [cfg[f"optimizer.{name}"] for name in ("learning_rate", "momentum",
+                                                      "weight_decay")] == [
+            optimizer.learning_rate, optimizer.momentum, optimizer.weight_decay]
 
 
 class TestGenData:
@@ -1004,13 +953,20 @@ class TestFileModes:
 
 
 class TestReadme:
+    @staticmethod
+    def _config_format():
+        """README's "Config format" section, and the example config in it."""
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            readme = fh.read()
+        text = readme[readme.index("### Config format"):readme.index("## File formats")]
+        start = text.index("```ini\n") + len("```ini\n")
+        return text, text[start:text.index("```\n", start)]
+
     def test_config_section_names_every_key(self):
         """Each schema key is a line of the example's [section], or is named as
         section.key in the "Config format" section's text."""
-        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
-                      encoding="utf-8").read()
-        text = readme[readme.index("### Config format"):readme.index("## File formats")]
-        example = text[text.index("```ini"):text.index("```\n", text.index("```ini") + 1)]
+        text, example = self._config_format()
         listed, section = set(), None
         for line in example.splitlines():
             if header := re.match(r"\[(\w+)\]", line):
@@ -1019,6 +975,11 @@ class TestReadme:
                 listed.add(f"{section}.{key.group(1)}")
         missing = [key for key in SCHEMA if key not in listed and f"`{key}" not in text]
         assert not missing, missing
+
+    def test_config_example_loads(self, tmp_path):
+        path = tmp_path / "example.cfg"
+        path.write_text(self._config_format()[1], encoding="utf-8")
+        assert load_run_config(str(path))["run.output_dir"] == "runs/toy"
 
 
 @pytest.fixture()
@@ -1154,8 +1115,7 @@ class TestDamagedFiles:
             assert err.startswith("error: ") and message in err, (argv, err)
 
     # A 4-class, 6-dim run whose momentum drives layer1's running variance to inf.
-    ABORTING = TINY_CONFIG.replace("hidden = 4", "hidden = 8\n[optimizer]\nmomentum = 1e9"
-                                   ).replace("dims = 4", "dims = 6")
+    ABORTING = {**TINY, "network.hidden": "8", "optimizer.momentum": "1e9", "data.dims": "6"}
 
     @pytest.mark.parametrize("damage", ["aborted", "inf"])
     def test_checkpoint_with_a_non_finite_value(self, trained_run, tmp_path, capsys, damage):
@@ -1165,8 +1125,7 @@ class TestDamagedFiles:
         or output."""
         path, outdir, in_set, out_set = trained_run
         if damage == "aborted":
-            path = str(tmp_path / "aborting.cfg")
-            Path(path).write_text(self.ABORTING)
+            path = write_config(tmp_path, self.ABORTING, "aborting.cfg")
             outdir = str(tmp_path / "aborted")
             assert main(["run", path, "--output-dir", outdir]) == 1
             in_set = out_set = str(tmp_path / "rows.bnt")
@@ -1235,9 +1194,8 @@ class TestCheckpointDescribesItsNetwork:
     of the config moves what they print or write."""
 
     @staticmethod
-    def _score(path, checkpoint, in_set, out_set, hist, capsys, sets=()):
+    def _score(path, checkpoint, in_set, out_set, hist, capsys, flags=()):
         """What eval and ood-hist print, and the files ood-hist writes."""
-        flags = [f for s in sets for f in ("--set", s)]
         assert main(["eval", path, "--checkpoint", checkpoint, "--dataset", in_set,
                      *flags]) == 0
         assert main(["ood-hist", path, "--checkpoint", checkpoint, "--in-set", in_set,
@@ -1252,7 +1210,7 @@ class TestCheckpointDescribesItsNetwork:
         checkpoint = os.path.join(outdir, "checkpoint.bnt")
         plain = self._score(path, checkpoint, in_set, out_set, str(tmp_path / "a"), capsys)
         assert plain == self._score(path, checkpoint, in_set, out_set, str(tmp_path / "b"),
-                                    capsys, [setting])
+                                    capsys, ["--set", setting])
 
     def test_file_source_without_its_train_file_scores(self, trained_run, tmp_path,
                                                         capsys):
@@ -1260,14 +1218,13 @@ class TestCheckpointDescribesItsNetwork:
         checkpoint as the synthetic config it was trained from does."""
         path, outdir, in_set, out_set = trained_run
         checkpoint = os.path.join(outdir, "checkpoint.bnt")
-        file_config = tmp_path / "file.cfg"
-        file_config.write_text(
-            _file_source(BASE_CONFIG, "separation", "within_std").format(outdir=outdir)
-            + f"source = file\ntrain_path = {tmp_path / 'missing.bnt'}\n")
-        assert main(["run", str(file_config)]) == 2
+        missing = tmp_path / "missing.bnt"
+        file_config = write_config(tmp_path, {**file_source(RUN, missing, missing),
+                                              "run.output_dir": outdir}, "file.cfg")
+        assert main(["run", file_config]) == 2
         capsys.readouterr()
-        assert (self._score(str(file_config), checkpoint, in_set, out_set,
-                            str(tmp_path / "a"), capsys)
+        assert (self._score(file_config, checkpoint, in_set, out_set, str(tmp_path / "a"),
+                            capsys)
                 == self._score(path, checkpoint, in_set, out_set, str(tmp_path / "b"), capsys))
 
     def test_checkpoint_without_an_eps_exits_1(self, trained_run, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every name a ``bowl`` module imports is used in that module.
+"""Every name a ``bowl`` module, a test file or a demo imports is used in
+that file.
 
 ``__init__.py`` re-exports the package API, so it is not checked. The one
 other exemption is ``engine.backward_and_step``: the benchmark's tracer
@@ -6,12 +7,19 @@ wraps the training step under that engine attribute.
 """
 
 import ast
+import glob
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "bowl")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "bowl")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+# Each checked file by its id: a module by its name, a test file or demo by
+# its path from the repository root.
+FILES = {**{module: os.path.join(SRC, module) for module in MODULES},
+         **{os.path.relpath(path, ROOT): path for folder in ("tests", "demos")
+            for path in sorted(glob.glob(os.path.join(ROOT, folder, "*.py")))}}
 EXEMPT = {("engine.py", "backward_and_step")}
 
 
@@ -33,9 +41,9 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(source + "x: Network = None\n") == ["math", "eval_rows"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", FILES)
 def test_no_unused_import(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+    with open(FILES[module], encoding="utf-8") as fh:
         unused = [n for n in unused_imports(fh.read()) if (module, n) not in EXEMPT]
     assert unused == [], f"{module} imports {unused} but never uses them"
 

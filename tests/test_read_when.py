@@ -20,10 +20,10 @@ from bowl import cli
 from bowl.cli import main
 from bowl.config import READ_WHEN, SCHEMA, load_run_config, parse_config_text
 from bowl.stream import save_dataset, synth_generate
+from configs import BASE, set_flags, write_config
 
-# Every other key is set only where a run must have it, so each case's
-# settings decide which conditional keys the run reads.
-BASE = "[network]\nhidden = 4\n[data]\nschedule = 0,1 | 2,3\n"
+# BASE sets only the keys a run must have, so each case's settings decide
+# which conditional keys the run reads.
 
 # Keys every run reads, and the keys whose reading depends on the subcommand,
 # a flag or the variant, which the table leaves out.
@@ -37,57 +37,59 @@ BY_SUBCOMMAND = {"run.variant", "run.seed", "run.seeds", "run.output_dir",
                  "loop.bootstrap_k", "loop.bootstrap_size", "loop.bootstrap_alpha",
                  "loop.baseline_epochs_per_task"}
 
-FILE = ["data.source=file", "data.train_path=@train", "data.test_path=@test"]
-SYNTHETIC_FOREIGN = ["mix.ood_fraction=0.5"]
-FOREIGN_FILE = ["mix.ood_fraction=0.5", "mix.foreign_source=file",
-                "mix.foreign_path=@foreign"]
+FILE = {"data.source": "file", "data.train_path": "@train", "data.test_path": "@test"}
+SYNTHETIC_FOREIGN = {"mix.ood_fraction": "0.5"}
+FOREIGN_FILE = {"mix.ood_fraction": "0.5", "mix.foreign_source": "file",
+                "mix.foreign_path": "@foreign"}
 
 # (the key's settings, the settings under which the run reads the key)
 READ = [
-    (["data.n_classes=12"], []),
-    (["data.dims=20"], []),
-    (["data.train_per_class=50"], []),
-    (["data.test_per_class=50"], []),
-    (["data.clip_unit=false"], ["data.within_std=0.3"]),
-    (["data.train_path=@other"], FILE),
-    (["data.test_path=@other"], FILE),
-    (["data.separation=0.6"], []),
-    (["data.separation=0.6"], [*FILE, *SYNTHETIC_FOREIGN]),
-    (["data.within_std=0.2"], []),
-    (["data.within_std=0.2"], [*FILE, *SYNTHETIC_FOREIGN]),
-    (["mix.corruption=shot"], ["mix.corrupted_fraction=0.5"]),
-    (["mix.severity=0.9"], ["mix.corrupted_fraction=0.5"]),
-    (["mix.foreign_source=file", "mix.foreign_path=@foreign"], SYNTHETIC_FOREIGN),
-    (["mix.foreign_path=@other_foreign"], FOREIGN_FILE),
-    *((["mix.foreign_classes=3"], sets) for sets in (SYNTHETIC_FOREIGN,
-                                                     [*FILE, *SYNTHETIC_FOREIGN])),
-    *(([f"mix.{key}"], SYNTHETIC_FOREIGN) for key in (
-        "foreign_separation_scale=5", "foreign_std=0.3", "foreign_per_class=7")),
+    ({"data.n_classes": "12"}, {}),
+    ({"data.dims": "20"}, {}),
+    ({"data.train_per_class": "50"}, {}),
+    ({"data.test_per_class": "50"}, {}),
+    ({"data.clip_unit": "false"}, {"data.within_std": "0.3"}),
+    ({"data.train_path": "@other"}, FILE),
+    ({"data.test_path": "@other"}, FILE),
+    ({"data.separation": "0.6"}, {}),
+    ({"data.separation": "0.6"}, {**FILE, **SYNTHETIC_FOREIGN}),
+    ({"data.within_std": "0.2"}, {}),
+    ({"data.within_std": "0.2"}, {**FILE, **SYNTHETIC_FOREIGN}),
+    ({"mix.corruption": "shot"}, {"mix.corrupted_fraction": "0.5"}),
+    ({"mix.severity": "0.9"}, {"mix.corrupted_fraction": "0.5"}),
+    ({"mix.foreign_source": "file", "mix.foreign_path": "@foreign"}, SYNTHETIC_FOREIGN),
+    ({"mix.foreign_path": "@other_foreign"}, FOREIGN_FILE),
+    *(({"mix.foreign_classes": "3"}, sets) for sets in (SYNTHETIC_FOREIGN,
+                                                        {**FILE, **SYNTHETIC_FOREIGN})),
+    *(({f"mix.{key}": value}, SYNTHETIC_FOREIGN) for key, value in (
+        ("foreign_separation_scale", "5"), ("foreign_std", "0.3"), ("foreign_per_class", "7"))),
 ]
 
 # (the key's setting, the settings under which the run does not read it, the
 # setting that turns it off and its value)
 UNREAD = [
-    *((f"data.{key}", FILE, "data.source is file") for key in (
-        "n_classes=3", "dims=999", "train_per_class=50", "test_per_class=50",
-        "clip_unit=false", "separation=7", "within_std=4")),
-    ("data.separation=7", [*FILE, *FOREIGN_FILE], "data.source is file"),
-    ("data.within_std=4", [*FILE, *FOREIGN_FILE], "data.source is file"),
-    ("data.within_std=4", [*FILE, *SYNTHETIC_FOREIGN, "mix.foreign_std=0.1"],
+    *(({f"data.{key}": value}, FILE, "data.source is file") for key, value in (
+        ("n_classes", "3"), ("dims", "999"), ("train_per_class", "50"),
+        ("test_per_class", "50"), ("clip_unit", "false"), ("separation", "7"),
+        ("within_std", "4"))),
+    ({"data.separation": "7"}, {**FILE, **FOREIGN_FILE}, "data.source is file"),
+    ({"data.within_std": "4"}, {**FILE, **FOREIGN_FILE}, "data.source is file"),
+    ({"data.within_std": "4"}, {**FILE, **SYNTHETIC_FOREIGN, "mix.foreign_std": "0.1"},
      "data.source is file"),
-    ("data.train_path=@other", [], "data.source is synthetic"),
-    ("data.test_path=@other", [], "data.source is synthetic"),
-    ("mix.corruption=shot", [], "mix.corrupted_fraction is 0.0"),
-    ("mix.corruption=shot", SYNTHETIC_FOREIGN, "mix.corrupted_fraction is 0.0"),
-    ("mix.severity=3", [], "mix.corrupted_fraction is 0.0"),
-    ("mix.foreign_source=file", [], "mix.ood_fraction is 0.0"),
-    ("mix.foreign_source=file", ["mix.corrupted_fraction=0.5"], "mix.ood_fraction is 0.0"),
-    ("mix.foreign_path=@foreign", [], "mix.ood_fraction is 0.0"),
-    ("mix.foreign_path=@foreign", SYNTHETIC_FOREIGN, "mix.foreign_source is synthetic"),
-    *((f"mix.{key}", sets, switch)
-      for key in ("foreign_classes=3", "foreign_separation_scale=5", "foreign_std=9",
-                  "foreign_per_class=7")
-      for sets, switch in (([], "mix.ood_fraction is 0.0"),
+    ({"data.train_path": "@other"}, {}, "data.source is synthetic"),
+    ({"data.test_path": "@other"}, {}, "data.source is synthetic"),
+    ({"mix.corruption": "shot"}, {}, "mix.corrupted_fraction is 0.0"),
+    ({"mix.corruption": "shot"}, SYNTHETIC_FOREIGN, "mix.corrupted_fraction is 0.0"),
+    ({"mix.severity": "3"}, {}, "mix.corrupted_fraction is 0.0"),
+    ({"mix.foreign_source": "file"}, {}, "mix.ood_fraction is 0.0"),
+    ({"mix.foreign_source": "file"}, {"mix.corrupted_fraction": "0.5"},
+     "mix.ood_fraction is 0.0"),
+    ({"mix.foreign_path": "@foreign"}, {}, "mix.ood_fraction is 0.0"),
+    ({"mix.foreign_path": "@foreign"}, SYNTHETIC_FOREIGN, "mix.foreign_source is synthetic"),
+    *(({f"mix.{key}": value}, sets, switch)
+      for key, value in (("foreign_classes", "3"), ("foreign_separation_scale", "5"),
+                         ("foreign_std", "9"), ("foreign_per_class", "7"))
+      for sets, switch in (({}, "mix.ood_fraction is 0.0"),
                            (FOREIGN_FILE, "mix.foreign_source is file"))),
 ]
 
@@ -104,17 +106,13 @@ def files(tmp_path_factory):
     return paths
 
 
-def _config(tmp_path, body=BASE):
-    path = tmp_path / "run.cfg"
-    path.write_text(body)
-    return str(path)
+def _fill(settings, files):
+    """``settings`` with each file token replaced by its path."""
+    return {key: files.get(value, value) for key, value in settings.items()}
 
 
-def _fill(sets, files):
-    """``sets`` with each file token replaced by its path, longest token first."""
-    for token in sorted(files, key=len, reverse=True):
-        sets = [s.replace(token, files[token]) for s in sets]
-    return sets
+def _id(*settings):
+    return " ".join(f"{key}={value}" for each in settings for key, value in each.items())
 
 
 def _arrays(tasks):
@@ -137,56 +135,54 @@ def test_every_schema_key_says_when_it_is_read():
 
 
 def test_both_sides_of_every_row_are_checked():
-    key = lambda setting: setting.split("=")[0]  # noqa: E731
-    assert {key(changed[0]) for changed, _ in READ} == set(READ_WHEN)
-    assert {key(changed) for changed, _, _ in UNREAD} == set(READ_WHEN)
+    assert {next(iter(changed)) for changed, _ in READ} == set(READ_WHEN)
+    assert {next(iter(changed)) for changed, _, _ in UNREAD} == set(READ_WHEN)
 
 
 @pytest.mark.parametrize("changed, sets", READ,
-                         ids=[" ".join([*changed, *sets]) for changed, sets in READ])
+                         ids=[_id(changed, sets) for changed, sets in READ])
 def test_a_read_key_changes_the_tasks(files, tmp_path, changed, sets):
     """A value other than the default (or than the first file) changes what
     ``build_tasks`` returns."""
-    config = _config(tmp_path)
-    sets, changed = _fill(sets, files), _fill(changed, files)
-    before = _arrays(load_run_config(config, sets).build_tasks())
-    after = _arrays(load_run_config(config, [*sets, *changed]).build_tasks())
+    config = {**BASE, **_fill(sets, files)}
+    before = _arrays(load_run_config(write_config(tmp_path, config)).build_tasks())
+    config.update(_fill(changed, files))
+    after = _arrays(load_run_config(write_config(tmp_path, config)).build_tasks())
     assert not _same(before, after)
 
 
 @pytest.mark.parametrize("changed, sets, switch", UNREAD,
-                         ids=[" ".join([changed, *sets]) for changed, sets, _ in UNREAD])
+                         ids=[_id(changed, sets) for changed, sets, _ in UNREAD])
 def test_an_unread_key_exits_2_at_load(files, tmp_path, capsys, changed, sets, switch):
     """The config loads without the key; with it, ``bowl run`` exits 2 naming
     the key and the setting that turns it off, before any set is generated or
     any file is opened, and writes nothing."""
-    config = _config(tmp_path)
-    sets, changed = _fill(sets, files), _fill([changed], files)[0]
-    load_run_config(config, sets)
+    config = write_config(tmp_path, {**BASE, **_fill(sets, files)})
+    load_run_config(config)
     argv = ["run", config, "--output-dir", str(tmp_path / "out"),
-            *(flag for s in [*sets, changed] for flag in ("--set", s))]
+            *set_flags(_fill(changed, files))]
     with mock.patch.object(config_mod, "synth_generate") as generate, \
             mock.patch.object(config_mod, "load_dataset") as load, \
             mock.patch.object(config_mod, "DatasetFile") as header:
         assert main(argv) == 2
     assert not (generate.called or load.called or header.called)
     assert os.listdir(tmp_path) == ["run.cfg"]
-    key = changed.split("=")[0]
+    key = next(iter(changed))
     assert capsys.readouterr().err == (f"config error: {key} is set but {switch}: "
                                        f"the run would not read it\n")
 
 
 @pytest.mark.parametrize("sets, key, source", [
-    (["data.source=file"], "data.train_path", "data.source"),
-    (FILE[:2], "data.test_path", "data.source"),
-    ([*FILE, "mix.ood_fraction=0.5", "mix.foreign_source=file"], "mix.foreign_path",
+    ({"data.source": "file"}, "data.train_path", "data.source"),
+    ({"data.source": "file", "data.train_path": "@train"}, "data.test_path", "data.source"),
+    ({**FILE, "mix.ood_fraction": "0.5", "mix.foreign_source": "file"}, "mix.foreign_path",
      "mix.foreign_source"),
 ])
 def test_a_file_source_requires_its_path(files, tmp_path, capsys, sets, key, source):
     """A path the run reads has no default: unset, the run exits 2 before any
     training, naming the path key and its source, and writes nothing."""
-    argv = ["run", _config(tmp_path), "--output-dir", str(tmp_path / "out"),
-            *(flag for s in _fill(sets, files) for flag in ("--set", s))]
+    argv = ["run", write_config(tmp_path, {**BASE, **_fill(sets, files)}), "--output-dir",
+            str(tmp_path / "out")]
     with mock.patch.object(cli, "run_variant") as run_variant:
         assert main(argv) == 2
     assert not run_variant.called and os.listdir(tmp_path) == ["run.cfg"]
@@ -203,9 +199,10 @@ def test_a_file_source_requires_its_path(files, tmp_path, capsys, sets, key, sou
 def test_the_rule_does_not_depend_on_the_subcommand(tmp_path, capsys, command, flags):
     """A key the config file sets for nothing exits 2 under each subcommand
     that loads a config, before it opens any other file, and writes nothing."""
-    config = _config(tmp_path, BASE + "[mix]\nseverity = 3\n")
-    paths = {"@out": str(tmp_path / "out"), "@set": str(tmp_path / "set.bnt")}
-    assert main([command, config, *_fill(flags, paths)]) == 2
+    config = write_config(tmp_path, {**BASE, "mix.severity": "3"})
+    out, data = str(tmp_path / "out"), str(tmp_path / "set.bnt")
+    assert main([command, config,
+                 *(flag.replace("@out", out).replace("@set", data) for flag in flags)]) == 2
     assert capsys.readouterr().err == ("config error: mix.severity is set but "
                                        "mix.corrupted_fraction is 0.0: the run would not "
                                        "read it\n")
